@@ -29,9 +29,9 @@ from .analysis import (
 )
 from .montecarlo import (
     DEFAULT_RADIUS,
-    HISTOGRAM_BINS,
     SimConfig,
     VerificationReport,
+    _histogram,
     finals_csv_lines,
     run_replicates,
     trajectory_csv_lines,
@@ -213,14 +213,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _histogram_counts(finals: list[float]) -> list[int]:
-    bins = [0] * HISTOGRAM_BINS
-    for z in finals:
-        bins[min(int(z * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)] += 1
-    return bins
-
-
-def _render_histogram(bins: list[int]) -> list[str]:
+def _render_histogram(bins: tuple[int, ...]) -> list[str]:
     peak = max(bins) if any(bins) else 1
     width = 1.0 / len(bins)
     lines = []
@@ -242,9 +235,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             record_trajectory=args.trajectory_out is not None,
             trajectory_stride=args.trajectory_stride,
         )
+        results = run_replicates(config, parallelism=args.jobs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    results = run_replicates(config, parallelism=args.jobs)
     csv_text = "\n".join(finals_csv_lines(results)) + "\n"
     if args.out:
         _write_text(args.out, csv_text)
@@ -253,7 +246,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     finals = [r.final_z for r in results]
     mean = sum(finals) / len(finals) if finals else float("nan")
-    bins = _histogram_counts(finals)
+    bins = _histogram(finals)
     if args.format == "csv":
         if not args.out:
             sys.stdout.write(csv_text)

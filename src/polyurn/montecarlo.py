@@ -3,10 +3,17 @@
 Simulation is exact: each step compares one 53-bit uniform draw against the
 exact rational outcome probabilities (by integer cross-multiplication, never
 floating point), so a run is a pure function of ``(model, steps, seed,
-replicate index)``. Replicates use independent streams derived by an
-avalanche mix of the base seed and the replicate index, which makes results
-independent of execution order and parallelism: running on one worker or
-many yields byte-identical output.
+replicate index)``. Counts are scaled by the common denominator ``s`` of the
+model so that every model runs on integers, in one kernel per draw rule:
+single draws, and pair draws with ``P(WW) = W (W - d) / (T (T - d))`` and
+``P(WB) = 2 W B / (T (T - d))``, where ``d = s`` without replacement and
+``d = 0`` with replacement. :func:`step` is the rational reference oracle
+the kernels are tested against; simulation does not call it.
+
+Replicates use independent streams derived by an avalanche mix of the base
+seed and the replicate index, which makes results independent of execution
+order and parallelism: running on one worker or many yields byte-identical
+output.
 
 Verification compares the empirical final proportions of many replicates
 against a :class:`~polyurn.stability.LimitPrediction`: point predictions via
@@ -69,7 +76,8 @@ def step(state: UrnState, model: UrnModel, rng: random.Random) -> UrnState:
     """Advance one step, consuming exactly one 53-bit draw from ``rng``.
 
     The draw ``u`` selects the outcome whose exact cumulative probability
-    first exceeds ``u / 2**53``; the comparison is exact.
+    first exceeds ``u / 2**53``; the comparison is exact. This is the
+    rational reference for the integer kernels of :func:`simulate`.
     """
     u = rng.getrandbits(_UNIT_BITS)
     cumulative = Fraction(0)
@@ -124,110 +132,83 @@ class ReplicateResult:
 
 
 def _integer_setup(model: UrnModel):
-    """Rescaled integer counts and rows when the fast path is exact.
+    """Counts and rows scaled to integers by the common denominator ``s``.
 
-    Outcome probabilities depend only on the proportion for single draws and
-    for pair draws with replacement, so rescaling all quantities by the
-    common denominator changes nothing about the drawn path. Pair draws
-    without replacement compare unscaled count products, so the fast path is
-    only used when the model is integral as given.
+    Returns ``(w0, b0, rows, s)``. Single draws and pair draws with
+    replacement depend only on the proportion, which scaling leaves alone.
+    Pair draws without replacement depend on the unscaled counts ``w, b``
+    with total ``t``; on the scaled counts ``W = s w``, ``B = s b``,
+    ``T = s t`` they read ``P(WW) = W (W - s) / (T (T - s))`` and
+    ``P(WB) = 2 W B / (T (T - s))``, the same probabilities. So every model
+    simulates on integers.
     """
     values = list(model.matrix.entries) + [model.w0, model.b0]
     scale = 1
     for v in values:
         scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    if scale != 1 and model.kind != ONE_DRAW and model.sampling == WITHOUT_REPLACEMENT:
-        return None
     ints = [int(v * scale) for v in values]
-    rows = tuple(ints[:-2])
-    return ints[-2], ints[-1], rows, scale
+    return ints[-2], ints[-1], tuple(ints[:-2]), scale
 
 
-def _record_point(traj: list, step_index: int, w, b) -> None:
-    traj.append((step_index, w / (w + b) if isinstance(w, int) else float(w / (w + b))))
+def _record_point(traj: list, step_index: int, w: int, b: int) -> None:
+    # int / int is correctly rounded, so this is float(Fraction(w, w + b)).
+    traj.append((step_index, w / (w + b)))
 
 
 def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
-    """Run one replicate; a pure function of the config and the index."""
+    """Run one replicate; a pure function of the config and the index.
+
+    Steps the scaled counts of :func:`_integer_setup` with one integer kernel
+    per draw rule, drawing the same path as :func:`step`.
+    """
     model = config.model
     model.validate_for_simulation()
-    rng = replicate_rng(config.base_seed, replicate_index)
-    grb = rng.getrandbits
+    grb = replicate_rng(config.base_seed, replicate_index).getrandbits
     steps = config.steps
     record = config.record_trajectory
     stride = config.trajectory_stride
     traj: list[tuple[int, float]] | None = [] if record else None
 
-    setup = _integer_setup(model)
-    if setup is not None:
-        w, b, rows, scale = setup
-        if record:
-            _record_point(traj, 0, w, b)
-        if model.kind == ONE_DRAW:
-            aw, ab, cw, cb = rows
-            for i in range(steps):
-                u = grb(_UNIT_BITS)
-                if u * (w + b) < (w << _UNIT_BITS):
-                    w += aw
-                    b += ab
-                else:
-                    w += cw
-                    b += cb
-                if record and ((i + 1) % stride == 0 or i + 1 == steps):
-                    _record_point(traj, i + 1, w, b)
-        elif model.sampling == WITHOUT_REPLACEMENT:
-            aw, ab, cw, cb, ew, eb = rows
-            for i in range(steps):
-                u = grb(_UNIT_BITS)
-                t = w + b
-                denom = t * (t - 1)
-                ww = w * (w - 1)
-                if u * denom < (ww << _UNIT_BITS):
-                    w += aw
-                    b += ab
-                elif u * denom < ((ww + 2 * w * b) << _UNIT_BITS):
-                    w += cw
-                    b += cb
-                else:
-                    w += ew
-                    b += eb
-                if record and ((i + 1) % stride == 0 or i + 1 == steps):
-                    _record_point(traj, i + 1, w, b)
-        else:
-            aw, ab, cw, cb, ew, eb = rows
-            for i in range(steps):
-                u = grb(_UNIT_BITS)
-                t = w + b
-                denom = t * t
-                ww = w * w
-                if u * denom < (ww << _UNIT_BITS):
-                    w += aw
-                    b += ab
-                elif u * denom < ((denom - b * b) << _UNIT_BITS):
-                    w += cw
-                    b += cb
-                else:
-                    w += ew
-                    b += eb
-                if record and ((i + 1) % stride == 0 or i + 1 == steps):
-                    _record_point(traj, i + 1, w, b)
-        final_w = Fraction(w, scale)
-        final_b = Fraction(b, scale)
-    else:
-        state = model.initial_state
-        if record:
-            _record_point(traj, 0, state.white, state.black)
+    w, b, rows, scale = _integer_setup(model)
+    if record:
+        _record_point(traj, 0, w, b)
+    if model.kind == ONE_DRAW:
+        aw, ab, cw, cb = rows
         for i in range(steps):
-            state = step(state, model, rng)
+            u = grb(_UNIT_BITS)
+            if u * (w + b) < (w << _UNIT_BITS):
+                w += aw
+                b += ab
+            else:
+                w += cw
+                b += cb
             if record and ((i + 1) % stride == 0 or i + 1 == steps):
-                _record_point(traj, i + 1, state.white, state.black)
-        final_w, final_b = state.white, state.black
+                _record_point(traj, i + 1, w, b)
+    else:
+        aw, ab, cw, cb, ew, eb = rows
+        d = scale if model.sampling == WITHOUT_REPLACEMENT else 0
+        for i in range(steps):
+            t = w + b
+            # q < n  <=>  u * T (T - d) < n * 2**53  for every integer n
+            q = (grb(_UNIT_BITS) * t * (t - d)) >> _UNIT_BITS
+            ww = w * (w - d)
+            if q < ww:
+                w += aw
+                b += ab
+            elif q < ww + 2 * w * b:
+                w += cw
+                b += cb
+            else:
+                w += ew
+                b += eb
+            if record and ((i + 1) % stride == 0 or i + 1 == steps):
+                _record_point(traj, i + 1, w, b)
 
     return ReplicateResult(
         replicate_index=replicate_index,
         steps=steps,
-        final_white=final_w,
-        final_black=final_b,
+        final_white=Fraction(w, scale),
+        final_black=Fraction(b, scale),
         trajectory=tuple(traj) if record else None,
     )
 
@@ -514,14 +495,17 @@ def verify(
     under half the smallest gap (recorded in the report). Beta predictions
     are checked by the KS statistic at level ``KS_LEVEL``. No-atoms and
     unknown predictions are not falsifiable by clustering and come back
-    ``inconclusive`` with the histogram for inspection.
+    ``inconclusive`` with the histogram for inspection. A run without
+    replicates has no samples to judge by and raises ``ValueError``.
     """
+    if replicates < 1:
+        raise ValueError("verification needs at least one replicate")
     if prediction is None:
         prediction = predict_limit(model)
     config = SimConfig(model=model, steps=steps, replicates=replicates, base_seed=base_seed)
     results = run_replicates(config, parallelism=parallelism)
     finals = [r.final_z for r in results]
-    mean_final = sum(finals) / len(finals) if finals else float("nan")
+    mean_final = sum(finals) / len(finals)
     histogram = _histogram(finals)
 
     reasons: list[str] = []
@@ -552,7 +536,7 @@ def verify(
         clusters = cluster_finals(finals, centers, radius_used)
         n_allowed = len(allowed)
         allowed_count = sum(clusters.counts[:n_allowed])
-        allowed_fraction = allowed_count / replicates if replicates else 0.0
+        allowed_fraction = allowed_count / replicates
         unassigned = clusters.unassigned
         allowed_dicts = tuple(
             {
@@ -578,7 +562,7 @@ def verify(
                 f"(need >= {MIN_ALLOWED_FRACTION})"
             )
         for k, (center, theorem) in enumerate(excluded):
-            frac = clusters.counts[n_allowed + k] / replicates if replicates else 0.0
+            frac = clusters.counts[n_allowed + k] / replicates
             if frac > MAX_EXCLUDED_FRACTION:
                 verdict = VERDICT_INCONSISTENT
                 reasons.append(

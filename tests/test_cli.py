@@ -214,6 +214,18 @@ def test_simulate_rejects_invalid_start_for_pair_draws(capsys):
     assert code == 1
 
 
+def test_simulate_zero_jobs_is_a_one_line_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyurn", "simulate", "--one-draw", "1,0,0,1",
+         "--steps", "10", "--replicates", "2", "--jobs", "0"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("polyurn: error:")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -287,6 +299,19 @@ def test_verify_inconclusive_still_exits_zero(capsys):
     )
     assert code == 0
     assert json.loads(out)["verdict"] == "inconclusive"
+
+
+@pytest.mark.parametrize("model_flags", [
+    ["--two-draw", "15,3,4,1,3,21", "--w0", "5", "--b0", "2"],  # point prediction
+    ["--one-draw", "1,0,0,1"],  # Beta prediction
+], ids=["point", "beta"])
+def test_verify_zero_replicates_is_a_usage_error(model_flags, capsys):
+    # No samples can never refute a prediction: exit 1, not 2 "inconsistent".
+    code, out, err = run_cli(["verify", *model_flags, "--replicates", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("polyurn: error:")
 
 
 def test_verify_text_format_and_out_file(tmp_path, capsys):

@@ -134,41 +134,108 @@ def test_run_replicates_rejects_bad_parallelism():
 
 
 # ---------------------------------------------------------------------------
-# Fast integer path versus the generic exact path
+# Integer kernels versus the rational step oracle
 # ---------------------------------------------------------------------------
 
-FAST_PATH_MODELS = [
+def oracle_run(config, replicate_index):
+    """Replicate ``replicate_index`` stepped by the rational reference ``step``."""
+    rng = replicate_rng(config.base_seed, replicate_index)
+    state = config.model.initial_state
+    traj = [] if config.record_trajectory else None
+
+    def record(step_index):
+        if traj is not None:
+            traj.append((step_index, float(state.white / state.total)))
+
+    record(0)
+    for i in range(config.steps):
+        state = step(state, config.model, rng)
+        if (i + 1) % config.trajectory_stride == 0 or i + 1 == config.steps:
+            record(i + 1)
+    return ReplicateResult(
+        replicate_index, config.steps, state.white, state.black,
+        tuple(traj) if traj is not None else None,
+    )
+
+
+KERNEL_MODELS = [
     one_draw_model([3, 2, 2, 3], 1, 2),
     one_draw_model([F(1, 2), F(1, 3), F(1, 4), F(1, 5)], F(1, 2), F(1, 3)),
     two_draw_model([3, 2, 2, 3, 1, 4], 2, 3),
     two_draw_model([9, 1, 2, 3, 1, 7], 2, 2, sampling=WITH),
     two_draw_model([F(1, 2), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4)], 2, 2, sampling=WITH),
+    # the fractional pair models of the simulate-fractional benchmark
+    two_draw_model([F(15, 2), 3, 4, 1, 3, 21], 5, 2),
+    two_draw_model([F(9, 2), 1, 2, 3, 1, 7], 2, 2),
+    two_draw_model([F(15, 2), F(3, 2), 2, F(1, 2), F(3, 2), F(21, 2)], 5, 2),
+    two_draw_model([F(1, 2), 0, 0, F(1, 2), F(1, 2), 0], 2, 2),
 ]
 
 
-@pytest.mark.parametrize("model", FAST_PATH_MODELS, ids=range(len(FAST_PATH_MODELS)))
-def test_fast_and_generic_paths_draw_identical_runs(model, monkeypatch):
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=range(len(KERNEL_MODELS)))
+def test_fast_and_generic_paths_draw_identical_runs(model):
     config = SimConfig(
         model=model, steps=60, replicates=3, base_seed=9,
         record_trajectory=True, trajectory_stride=7,
     )
     fast = [simulate(config, i) for i in range(config.replicates)]
-    monkeypatch.setattr(mc, "_integer_setup", lambda m: None)
-    generic = [simulate(config, i) for i in range(config.replicates)]
-    assert fast == generic
+    assert fast == [oracle_run(config, i) for i in range(config.replicates)]
+
+
+def _random_rational(rng, low=0):
+    return F(rng.randint(low, 12), rng.randint(1, 4))
+
+
+def test_kernels_match_step_oracle_on_random_rational_models():
+    rng = random.Random(20261018)
+    for case in range(240):
+        kind = ("one", "with", "without")[case % 3]
+        entries = [_random_rational(rng) for _ in range(4 if kind == "one" else 6)]
+        if not any(entries):
+            entries[0] = F(1)
+        low = 8 if kind == "without" else 0  # w0, b0 >= 2 without replacement
+        w0, b0 = _random_rational(rng, low), _random_rational(rng, max(low, 1))
+        if kind == "one":
+            model = one_draw_model(entries, w0, b0)
+        else:
+            model = two_draw_model(entries, w0, b0, sampling=kind)
+        config = SimConfig(
+            model=model, steps=rng.randint(0, 50), replicates=2,
+            base_seed=rng.randrange(2**32), record_trajectory=case % 2 == 0,
+            trajectory_stride=rng.randint(1, 9),
+        )
+        for i in range(config.replicates):
+            assert simulate(config, i) == oracle_run(config, i), (model, config, i)
+
+
+@pytest.mark.parametrize("sampling", [WITH, "without"])
+def test_pair_kernel_matches_oracle_at_exact_thresholds(sampling, monkeypatch):
+    # From 2 white and 2 black balls the cumulative outcome probabilities are
+    # 1/4 and 3/4 with replacement, 1/6 and 5/6 without; draws on and next to
+    # each cut must pick the outcome the rational oracle picks.
+    model = two_draw_model([F(1, 2), 0, 0, F(1, 3), F(1, 5), 0], 2, 2, sampling=sampling)
+    draws = []
+    for cut in (F(1, 4), F(3, 4), F(1, 6), F(5, 6)):
+        edge = math.floor(cut * (1 << 53))
+        draws += [edge - 1, edge, edge + 1]
+    for u in draws:
+        monkeypatch.setattr(mc, "replicate_rng", lambda seed, index: ScriptedRng([u]))
+        result = simulate(SimConfig(model=model, steps=1, replicates=1), 0)
+        expected = step(model.initial_state, model, ScriptedRng([u]))
+        assert (result.final_white, result.final_black) == (expected.white, expected.black)
 
 
 def test_integer_setup_scaling_rules():
     scaled = mc._integer_setup(one_draw_model([F(1, 2), F(1, 3), F(1, 4), F(1, 5)], 1, 1))
-    assert scaled is not None
     w0, b0, rows, scale = scaled
     assert scale == 60 and (w0, b0) == (60, 60)
     assert rows == (30, 20, 15, 12)
-    # Pair draws without replacement compare raw count products, so only
-    # already-integral models take the fast path.
+    # Pair draws without replacement scale too: the kernel subtracts the
+    # scale, not 1, from the scaled counts.
     fractional = two_draw_model([F(1, 2), 0, 0, F(1, 2), F(1, 2), 0], 2, 2)
-    assert mc._integer_setup(fractional) is None
-    assert mc._integer_setup(two_draw_model([3, 2, 2, 3, 1, 4], 2, 2)) is not None
+    assert mc._integer_setup(fractional) == (4, 4, (1, 0, 0, 1, 1, 0), 2)
+    integral = two_draw_model([3, 2, 2, 3, 1, 4], 2, 2)
+    assert mc._integer_setup(integral) == (2, 2, (3, 2, 2, 3, 1, 4), 1)
 
 
 def test_without_replacement_fraction_path_runs():
