@@ -62,7 +62,6 @@ from .stability import (
     SAConditions,
     check_boundary_exclusion,
     check_noise_floor,
-    classify,
     classify_all,
 )
 from .urns import (

@@ -47,7 +47,6 @@ from .stability import (
 )
 from .urns import (
     ONE_DRAW,
-    TWO_DRAW,
     WITHOUT_REPLACEMENT,
     AttainableInterval,
     DegenerateReduction,
@@ -59,7 +58,6 @@ from .urns import (
     degenerate_map_back,
     degenerate_reduce,
     drift_for,
-    error_for,
     error_one,
     error_two,
     model_meta,
@@ -73,20 +71,6 @@ __all__ = [
     "predict_limit",
     "sa_conditions_for",
 ]
-
-
-def sa_conditions_for(model: UrnModel) -> SAConditions | None:
-    """Scheme constants for the model, or None when a matrix row adds nothing."""
-    meta = model_meta(model)
-    if meta.t_min <= 0:
-        return None
-    return SAConditions.build(
-        initial_total=model.w0 + model.b0,
-        t_min=meta.t_min,
-        t_max=meta.t_max,
-        drift=drift_for(model),
-        bias_constant=meta.bias_bound,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,25 +133,11 @@ def _map_record(record: RootRecord, reduction: DegenerateReduction) -> RootRecor
 # Prediction
 # ---------------------------------------------------------------------------
 
-def predict_limit(model: UrnModel) -> LimitPrediction:
-    """The strongest certified statement about the long-run white proportion."""
-    meta = model_meta(model)
-    if meta.degenerate_case != 0:
-        return _predict_degenerate(model)
-    drift = drift_for(model)
-    if drift.is_zero:
-        return _predict_flat(model)
-    error_poly = error_for(model)
-    attain = attainable_interval(model)
-    equilibria = classify_all(drift)
-    return _predict_from_equilibria(drift, error_poly, equilibria, attain, meta)
-
-
 def _predict_from_equilibria(
     drift: RatPoly,
     error_poly: RatPoly,
-    equilibria: list[Equilibrium],
-    attain: AttainableInterval | None,
+    equilibria: tuple[Equilibrium, ...],
+    attain: AttainableInterval,
     meta: ModelMeta,
 ) -> LimitPrediction:
     points: list[PredictedPoint] = []
@@ -192,16 +162,14 @@ def _predict_from_equilibria(
                     continue
             points.append(PredictedPoint(rec, cls, VERDICT_UNKNOWN, None))
         elif cls is EquilibriumClass.STABLE:
-            if attain is not None and record_within(
-                rec, attain.lower, attain.upper, strict=not attain.closed_bounds
-            ):
+            if record_within(rec, attain.lower, attain.upper, strict=not attain.closed_bounds):
                 points.append(
                     PredictedPoint(rec, cls, VERDICT_POSITIVE_PROBABILITY, THEOREM_STABLE_ATTRACTION)
                 )
             else:
                 points.append(PredictedPoint(rec, cls, VERDICT_UNKNOWN, None))
         elif cls is EquilibriumClass.TOUCHPOINT:
-            if attain is not None and record_within(rec, attain.lower, attain.upper, strict=True):
+            if record_within(rec, attain.lower, attain.upper, strict=True):
                 points.append(
                     PredictedPoint(rec, cls, VERDICT_TOUCHPOINT, THEOREM_TOUCHPOINT_POSSIBLE)
                 )
@@ -271,9 +239,17 @@ def _active_ratio_span(model: UrnModel) -> tuple[Fraction, Fraction]:
     return min(ratios), max(ratios)
 
 
-def _predict_degenerate(model: UrnModel) -> LimitPrediction:
-    """Models with inactive matrix rows (some draws change nothing)."""
-    reduction = degenerate_reduce(model)
+def _predict_degenerate(
+    model: UrnModel,
+    meta: ModelMeta,
+    reduction: DegenerateReduction,
+    equilibria: tuple[Equilibrium, ...],
+) -> LimitPrediction:
+    """Models with inactive matrix rows (some draws change nothing).
+
+    ``equilibria`` are those of the drift, which in case 6 is also the
+    reduced drift; cases 4 and 5 classify their own reduced drift.
+    """
     if reduction.fixed_limit is not None:
         point = PredictedPoint(
             _synth_record(reduction.fixed_limit), None, VERDICT_UNIQUE, None
@@ -291,7 +267,6 @@ def _predict_degenerate(model: UrnModel) -> LimitPrediction:
             notes=("the reduced drift is identically zero; no certified statement",),
         )
 
-    meta = model_meta(model)
     lo_x, hi_x = _active_ratio_span(model)
     if reduction.case_id == 4:
         span = (2 * lo_x / (1 + lo_x), 2 * hi_x / (1 + hi_x))
@@ -303,7 +278,8 @@ def _predict_degenerate(model: UrnModel) -> LimitPrediction:
     points: list[PredictedPoint] = []
     excluded: list[ExcludedPoint] = []
     borderline = False
-    for eq in classify_all(reduced):
+    reduced_equilibria = equilibria if reduction.case_id == 6 else classify_all(reduced)
+    for eq in reduced_equilibria:
         rec = eq.root
         cls = eq.classification
         mapped = _map_record(rec, reduction)
@@ -411,6 +387,7 @@ class ModelAnalysis:
 
 
 def analyze_model(model: UrnModel) -> ModelAnalysis:
+    """The one analysis pass: each quantity below is computed once per model."""
     meta = model_meta(model)
     drift = drift_for(model)
     noise = error_one(model.matrix) if model.kind == ONE_DRAW else error_two(model.matrix)
@@ -422,11 +399,21 @@ def analyze_model(model: UrnModel) -> ModelAnalysis:
         degenerate = degenerate_reduce(model)
         if degenerate.case_id == 6 and not drift.is_zero:
             equilibria = tuple(classify_all(drift))
+        prediction = _predict_degenerate(model, meta, degenerate, equilibria)
     else:
         attain = attainable_interval(model)
-        scheme = sa_conditions_for(model)
-        if not drift.is_zero:
+        scheme = SAConditions.build(
+            initial_total=model.w0 + model.b0,
+            t_min=meta.t_min,
+            t_max=meta.t_max,
+            drift=drift,
+            bias_constant=meta.bias_bound,
+        )
+        if drift.is_zero:
+            prediction = _predict_flat(model)
+        else:
             equilibria = tuple(classify_all(drift))
+            prediction = _predict_from_equilibria(drift, noise.error, equilibria, attain, meta)
     return ModelAnalysis(
         model=model,
         meta=meta,
@@ -435,9 +422,19 @@ def analyze_model(model: UrnModel) -> ModelAnalysis:
         attainable=attain,
         scheme=scheme,
         equilibria=equilibria,
-        prediction=predict_limit(model),
+        prediction=prediction,
         degenerate=degenerate,
     )
+
+
+def predict_limit(model: UrnModel) -> LimitPrediction:
+    """The strongest certified statement about the long-run white proportion."""
+    return analyze_model(model).prediction
+
+
+def sa_conditions_for(model: UrnModel) -> SAConditions | None:
+    """Scheme constants for the model, or None when a matrix row adds nothing."""
+    return analyze_model(model).scheme
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,8 @@ def _render_histogram(bins: tuple[int, ...]) -> list[str]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = model_from_args(args)
+    if args.replicates < 1:
+        raise CliError("--replicates must be at least 1")
     try:
         model.validate_for_simulation()
         config = SimConfig(
@@ -245,7 +247,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _write_text(args.trajectory_out, "\n".join(trajectory_csv_lines(results)) + "\n")
 
     finals = [r.final_z for r in results]
-    mean = sum(finals) / len(finals) if finals else float("nan")
+    mean = sum(finals) / len(finals)
     bins = _histogram(finals)
     if args.format == "csv":
         if not args.out:

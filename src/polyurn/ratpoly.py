@@ -7,6 +7,12 @@ Roots of a polynomial inside the unit interval are returned either as exact
 rational values or as arbitrarily narrow isolating intervals with exact
 rational endpoints (irrational roots), together with their multiplicity.
 
+Isolating intervals are narrowed by one bisection routine. It keeps both
+endpoints over one denominator ``q > 0`` and decides the sign at ``p/q``
+from the primitive integer coefficients ``c_i`` as the sign of the integer
+``sum c_i p^i q^(n-i)``, so each halving costs one integer Horner pass and
+no ``Fraction`` arithmetic.
+
 The unit interval is the natural domain here because these polynomials arise
 as drift and noise curves of urn processes whose state is a proportion.
 """
@@ -383,10 +389,6 @@ class RootRecord:
     interval: tuple[Fraction, Fraction] | None = None
     factor: RatPoly | None = None
 
-    @property
-    def is_rational(self) -> bool:
-        return self.value is not None
-
     def position(self) -> Fraction:
         """Exact value, or the midpoint of the isolating interval."""
         if self.value is not None:
@@ -394,25 +396,54 @@ class RootRecord:
         lo, hi = self.interval
         return (lo + hi) / 2
 
-    def width(self) -> Fraction:
-        if self.value is not None:
-            return Fraction(0)
-        lo, hi = self.interval
-        return hi - lo
+
+def _int_sign(ints: Sequence[int], p: int, q: int) -> int:
+    """Sign of ``sum ints[i] * p**i * q**(n-i)``, by Horner's rule in integers.
+
+    For ``q > 0`` this is the sign of the polynomial with coefficients
+    ``ints`` at ``p/q`` (the sum is that value times ``q**n``).
+    """
+    acc = ints[-1]
+    q_power = 1
+    for c in ints[-2::-1]:
+        q_power *= q
+        acc = acc * p + c * q_power
+    return (acc > 0) - (acc < 0)
 
 
-def _bisect_once(factor: RatPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Halve an interval across which ``factor`` changes sign, keeping the root."""
-    mid = (lo + hi) / 2
-    f_lo = factor.evaluate(lo)
-    f_mid = factor.evaluate(mid)
-    if f_mid == 0:
-        # The tracked root is irrational, so a rational midpoint is never the
-        # root itself; a zero here cannot happen for the owning factor.
-        raise ArithmeticError("isolating interval midpoint unexpectedly a root")
-    if (f_lo > 0) != (f_mid > 0):
-        return lo, mid
-    return mid, hi
+def _bisect(poly: RatPoly, lo: Fraction, hi: Fraction, keep_halving) -> tuple[Fraction, Fraction]:
+    """Halve ``(lo, hi)`` around the one sign change of ``poly`` while asked to.
+
+    The interval is held as ``(a/q, c/q)`` over a common denominator
+    ``q > 0`` that doubles with each halving, and ``keep_halving(a, c, q)``
+    decides whether to halve again. The sign at the midpoint is decided by
+    :func:`_int_sign` on ``poly``'s primitive integer coefficients, and the
+    sign at ``lo`` is carried forward, so each halving costs one exact
+    integer evaluation. ``poly`` must not vanish at ``lo``.
+    """
+    ints = poly.primitive_integer_coeffs()
+    q = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
+    a = lo.numerator * (q // lo.denominator)
+    c = hi.numerator * (q // hi.denominator)
+    sign_lo = _int_sign(ints, a, q)
+    while keep_halving(a, c, q):
+        mid = a + c
+        a, c, q = 2 * a, 2 * c, 2 * q
+        sign_mid = _int_sign(ints, mid, q)
+        if sign_mid == 0:
+            # The tracked root is irrational, so a rational midpoint is never
+            # the root itself; a zero here cannot happen for the owning factor.
+            raise ArithmeticError("isolating interval midpoint unexpectedly a root")
+        if sign_mid != sign_lo:
+            c = mid
+        else:
+            a = mid
+    return Fraction(a, q), Fraction(c, q)
+
+
+def _wider_than(width: Fraction):
+    """``keep_halving`` test of :func:`_bisect`: the interval is wider than ``width``."""
+    return lambda a, c, q: (c - a) * width.denominator > width.numerator * q
 
 
 def refine_root(record: RootRecord, width: Fraction) -> RootRecord:
@@ -422,18 +453,14 @@ def refine_root(record: RootRecord, width: Fraction) -> RootRecord:
     """
     if record.value is not None:
         return record
-    lo, hi = record.interval
-    factor = record.factor
-    while hi - lo > width:
-        lo, hi = _bisect_once(factor, lo, hi)
-    mid = (lo + hi) / 2
+    lo, hi = _bisect(record.factor, *record.interval, _wider_than(Fraction(width)))
     return RootRecord(
         multiplicity=record.multiplicity,
         location=record.location,
-        approx=float(mid),
+        approx=float((lo + hi) / 2),
         value=None,
         interval=(lo, hi),
-        factor=factor,
+        factor=record.factor,
     )
 
 
@@ -460,14 +487,17 @@ def sign_at_root(poly: RatPoly, record: RootRecord) -> int:
             if c_lo == 0 or c_hi == 0 or (c_lo > 0) != (c_hi > 0):
                 return 0
     chain = sturm_chain(poly)
-    lo, hi = record.interval
-    factor = record.factor
-    while True:
-        p_lo = poly.evaluate(lo)
-        p_hi = poly.evaluate(hi)
-        if p_lo != 0 and p_hi != 0 and count_distinct_roots(chain, lo, hi) == 0:
-            return 1 if p_lo > 0 else -1
-        lo, hi = _bisect_once(factor, lo, hi)
+
+    def unsettled(a: int, c: int, q: int) -> bool:
+        lo, hi = Fraction(a, q), Fraction(c, q)
+        return (
+            poly.evaluate(lo) == 0
+            or poly.evaluate(hi) == 0
+            or count_distinct_roots(chain, lo, hi) != 0
+        )
+
+    lo, _ = _bisect(record.factor, *record.interval, unsettled)
+    return 1 if poly.evaluate(lo) > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -576,28 +606,30 @@ def roots_in_unit_interval(
     if remainder.degree >= 1:
         chain = sturm_chain(remainder)
         zero, one = Fraction(0), Fraction(1)
+        wider = _wider_than(Fraction(refine_width))
+
+        def keep_halving(a: int, c: int, q: int) -> bool:
+            # Until the interval is free of rational roots (which the
+            # remainder lacks but its owning factor may have) and narrow.
+            return wider(a, c, q) or any(
+                a * r.denominator <= r.numerator * q <= c * r.denominator
+                for r in rational_roots
+            )
+
         for lo, hi in _isolate(chain, remainder, zero, one):
-            # Shrink until the interval is free of rational roots and of the
-            # other isolating intervals' content, then down to the target width.
-            f_lo = remainder.evaluate(lo)
-            while any(lo <= r <= hi for r in rational_roots):
-                mid = (lo + hi) / 2
-                f_mid = remainder.evaluate(mid)
-                if (f_lo > 0) != (f_mid > 0):
-                    hi = mid
-                else:
-                    lo, f_lo = mid, f_mid
+            lo, hi = _bisect(remainder, lo, hi, keep_halving)
             mult, factor = multiplicity_of(
                 lambda f, lo=lo, hi=hi: (f.evaluate(lo) > 0) != (f.evaluate(hi) > 0)
             )
-            seed = RootRecord(
-                multiplicity=mult,
-                location=INTERIOR,
-                approx=float((lo + hi) / 2),
-                interval=(lo, hi),
-                factor=factor,
+            records.append(
+                RootRecord(
+                    multiplicity=mult,
+                    location=INTERIOR,
+                    approx=float((lo + hi) / 2),
+                    interval=(lo, hi),
+                    factor=factor,
+                )
             )
-            records.append(refine_root(seed, refine_width))
 
     records.sort(key=lambda rec: rec.position())
     return records

@@ -55,18 +55,11 @@ class EquilibriumClass(enum.Enum):
       within the domain (repelling).
     - ``TOUCHPOINT``: an interior root the drift touches without crossing
       (same strict sign on both sides; even multiplicity).
-    - ``WEAKLY_UNSTABLE_BOUNDARY``: reserved for a boundary root repelling
-      only weakly; a nonzero polynomial drift never produces it, but the
-      category is kept so reports can represent it.
-    - ``FLAT_DRIFT``: marker used when the drift is identically zero (no
-      isolated equilibria exist; classification does not apply).
     """
 
     STABLE = "stable"
     STRICTLY_UNSTABLE = "strictly-unstable"
     TOUCHPOINT = "touchpoint"
-    WEAKLY_UNSTABLE_BOUNDARY = "weakly-unstable-boundary"
-    FLAT_DRIFT = "flat-drift"
 
 
 @dataclass(frozen=True)
@@ -98,27 +91,6 @@ def classify_all(drift: RatPoly) -> list[Equilibrium]:
         raise ValueError("the zero drift has no isolated equilibria to classify")
     records = roots_in_unit_interval(drift)
     return [_classify_record(drift, records, i) for i in range(len(records))]
-
-
-def classify(drift: RatPoly, root: RootRecord) -> Equilibrium:
-    """Classify one root of ``drift`` (as produced by the root isolator)."""
-    if drift.is_zero:
-        raise ValueError("the zero drift has no isolated equilibria to classify")
-    records = roots_in_unit_interval(drift)
-    for i, rec in enumerate(records):
-        if _same_root(rec, root):
-            return _classify_record(drift, records, i)
-    raise ValueError("the given point is not a root of the drift inside [0, 1]")
-
-
-def _same_root(a: RootRecord, b: RootRecord) -> bool:
-    if (a.value is None) != (b.value is None):
-        return False
-    if a.value is not None:
-        return a.value == b.value
-    a_lo, a_hi = a.interval
-    b_lo, b_hi = b.interval
-    return max(a_lo, b_lo) < min(a_hi, b_hi)
 
 
 def _zone(record: RootRecord) -> tuple[Fraction, Fraction]:

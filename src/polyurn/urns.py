@@ -609,9 +609,6 @@ class AttainableInterval:
             return self.lower <= x <= self.upper
         return self.lower < x < self.upper
 
-    def contains_strictly(self, x: Fraction) -> bool:
-        return self.lower < x < self.upper
-
 
 def attainable_interval(model: UrnModel) -> AttainableInterval:
     """Attainable-proportion interval; requires every row sum positive."""

@@ -1,0 +1,163 @@
+"""Golden digests of the whole analysis over a seeded model corpus.
+
+For each model the test hashes three outputs: the analysis JSON
+(``analysis_to_dict(analyze_model(m))``), the prediction JSON
+(``prediction_to_dict(predict_limit(m))``) and ``repr(sa_conditions_for(m))``.
+The digests in ``golden_analysis.json`` pin every byte of those outputs, so
+a refactor of the analysis layer must reproduce them exactly.
+
+Regenerate the file only for an intended change of the analysis output:
+
+    PYTHONPATH=src python tests/test_analysis_golden.py --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from polyurn.analysis import (
+    analysis_to_dict,
+    analyze_model,
+    predict_limit,
+    prediction_to_dict,
+    sa_conditions_for,
+)
+from polyurn.urns import (
+    ONE_DRAW,
+    WITH_REPLACEMENT,
+    WITHOUT_REPLACEMENT,
+    UrnModel,
+    degenerate_case_id,
+    drift_for,
+    one_draw_model,
+    two_draw_model,
+)
+
+GOLDEN = Path(__file__).with_name("golden_analysis.json")
+SEED = 20100
+RANDOM_MODELS = 132
+
+F = Fraction
+
+FIXED = (
+    one_draw_model([3, 1, 1, 2]),
+    one_draw_model([1, 0, 0, 1], 2, 1),  # zero drift: Beta(2, 1)
+    one_draw_model([2, 0, 0, 2], 3, 1),  # zero drift: Beta(3/2, 1/2)
+    one_draw_model([1, 0, 0, 1], 0, 3),  # zero drift, frozen at 0
+    one_draw_model([2, 0, 0, 1], 1, 1),
+    one_draw_model([2, 3, 0, 0], 1, 1),  # degenerate case 1
+    one_draw_model([0, 0, 1, 4], 2, 1),  # degenerate case 2
+    two_draw_model([15, 3, 4, 1, 3, 21], 5, 2),  # bistable, excluded 1/2
+    two_draw_model([15, 3, 4, 1, 3, 21], 5, 2, WITH_REPLACEMENT),
+    two_draw_model([F(15, 2), 3, 4, 1, 3, 21], 5, 2),
+    two_draw_model([F(15, 2), F(3, 2), 2, F(1, 2), F(3, 2), F(21, 2)], 5, 2),
+    two_draw_model([35, 9, 1, 1, 3, 21], 12, 2),  # touchpoint
+    two_draw_model([2, 1, 1, 1, 1, 0], 2, 2),  # irrational root
+    two_draw_model([3, 2, 2, 3, 1, 4], 2, 2),
+    two_draw_model([9, 1, 2, 3, 1, 7], 2, 2),
+    two_draw_model([2, 0, 1, 1, 0, 2], 2, 2),  # zero drift, without replacement
+    two_draw_model([2, 0, 1, 1, 0, 2], 2, 2, WITH_REPLACEMENT),  # zero drift, with
+    two_draw_model([2, 3, 0, 0, 0, 0], 2, 2),  # degenerate case 1
+    two_draw_model([0, 0, 0, 0, 1, 2], 2, 2),  # degenerate case 2
+    two_draw_model([0, 0, 1, 3, 0, 0], 2, 2),  # degenerate case 3
+    two_draw_model([0, 0, 1, 1, 1, 1], 2, 2),  # degenerate case 4
+    two_draw_model([0, 0, 1, 0, 1, 2], 2, 2),  # degenerate case 4, borderline
+    two_draw_model([2, 1, 0, 1, 0, 0], 2, 2),  # degenerate case 5, borderline
+    two_draw_model([1, 1, 1, 1, 0, 0], 2, 2),  # degenerate case 5
+    two_draw_model([1, 1, 0, 0, 1, 1], 2, 2),  # degenerate case 6
+    two_draw_model([3, 1, 0, 0, 1, 2], 2, 2, WITH_REPLACEMENT),  # degenerate case 6
+)
+
+
+def _entry(rng: random.Random, fractional: bool) -> Fraction:
+    if fractional:
+        return F(rng.randint(0, 9), rng.randint(1, 3))
+    return F(rng.randint(0, 9))
+
+
+def _random_model(rng: random.Random, index: int) -> UrnModel:
+    """Stratified by index: draw rule, entry type, and an inactive row every fourth model."""
+    kind = ("one", "pair-with", "pair-without")[index % 3]
+    fractional = (index // 3) % 2 == 1
+    size = 4 if kind == "one" else 6
+    while True:
+        entries = [_entry(rng, fractional) for _ in range(size)]
+        if index % 4 == 3:
+            rows = size // 2
+            for row in rng.sample(range(rows), rng.randint(1, rows - 1)):
+                entries[2 * row] = entries[2 * row + 1] = F(0)
+        if any(entries):
+            break
+    w0, b0 = rng.randint(0, 6), rng.randint(1, 6)
+    if kind == "one":
+        return one_draw_model(entries, w0, b0)
+    sampling = WITH_REPLACEMENT if kind == "pair-with" else WITHOUT_REPLACEMENT
+    return two_draw_model(entries, w0, b0, sampling)
+
+
+def corpus() -> list[UrnModel]:
+    rng = random.Random(SEED)
+    return list(FIXED) + [_random_model(rng, i) for i in range(RANDOM_MODELS)]
+
+
+def label(index: int, model: UrnModel) -> str:
+    kind = "one" if model.kind == ONE_DRAW else f"pair-{model.sampling}"
+    entries = ",".join(str(v) for v in model.matrix.entries)
+    return f"{index:03d} {kind} [{entries}] w0={model.w0} b0={model.b0}"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(model: UrnModel) -> dict[str, str]:
+    return {
+        "analysis": _sha(json.dumps(analysis_to_dict(analyze_model(model)), sort_keys=True)),
+        "prediction": _sha(json.dumps(prediction_to_dict(predict_limit(model)), sort_keys=True)),
+        "scheme": _sha(repr(sa_conditions_for(model))),
+    }
+
+
+def test_corpus_covers_every_model_family():
+    models = corpus()
+    assert len(models) >= 150
+    kinds = {(m.kind, m.sampling) for m in models}
+    assert len(kinds) == 3
+    assert any(any(v.denominator > 1 for v in m.matrix.entries) for m in models)
+    pair_cases = {degenerate_case_id(m) for m in models if m.kind != ONE_DRAW}
+    one_cases = {degenerate_case_id(m) for m in models if m.kind == ONE_DRAW}
+    assert pair_cases == {0, 1, 2, 3, 4, 5, 6}
+    assert one_cases == {0, 1, 2}
+    assert any(drift_for(m).is_zero for m in models)
+    irrational = [
+        m for m in models
+        if any(eq.root.value is None for eq in analyze_model(m).equilibria)
+    ]
+    assert len(irrational) >= 10
+
+
+def test_analysis_outputs_match_golden_digests():
+    golden = json.loads(GOLDEN.read_text())
+    models = corpus()
+    labels = [label(i, m) for i, m in enumerate(models)]
+    assert sorted(golden) == sorted(labels)
+    changed = [
+        f"{name}: {part}"
+        for name, model in zip(labels, models)
+        for part, digest in digests(model).items()
+        if digest != golden[name][part]
+    ]
+    assert not changed, "analysis output changed for:\n" + "\n".join(changed)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_analysis_golden.py --write")
+    table = {label(i, m): digests(m) for i, m in enumerate(corpus())}
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} digests to {GOLDEN}")

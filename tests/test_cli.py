@@ -314,6 +314,21 @@ def test_verify_zero_replicates_is_a_usage_error(model_flags, capsys):
     assert len(lines) == 1 and lines[0].startswith("polyurn: error:")
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_simulate_zero_replicates_is_a_usage_error(fmt):
+    # With no replicates there is no mean; JSON output would carry a NaN.
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyurn", "simulate", "--one-draw", "1,0,0,1",
+         "--steps", "10", "--replicates", "0", "--format", fmt],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("polyurn: error:")
+
+
 def test_verify_text_format_and_out_file(tmp_path, capsys):
     out_path = tmp_path / "report.txt"
     code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 """Exact-polynomial kernel: arithmetic, factoring, and root isolation."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from polyurn.ratpoly import (
     LEFT_BOUNDARY,
     RIGHT_BOUNDARY,
     RatPoly,
+    RootRecord,
+    _int_sign,
     count_distinct_roots,
     format_rational,
     parse_rational,
@@ -261,3 +264,124 @@ def test_roots_match_numpy_on_random_polynomials():
         assert len(mine) == len(dedup)
         for a, b in zip(mine, dedup):
             assert abs(float(a) - b) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Integer sign bisection against the Fraction reference
+# ---------------------------------------------------------------------------
+
+def _oracle_refine(factor, lo, hi, width):
+    """Fraction-arithmetic bisection: two evaluations per halving."""
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        f_lo = factor.evaluate(lo)
+        f_mid = factor.evaluate(mid)
+        if f_mid == 0:
+            raise ArithmeticError("isolating interval midpoint unexpectedly a root")
+        if (f_lo > 0) != (f_mid > 0):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _random_poly(rng, degree):
+    coeffs = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree)]
+    coeffs.append(F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)))
+    return RatPoly(coeffs)
+
+
+def _random_point(rng, dyadic):
+    if dyadic:
+        k = rng.randint(0, 40)
+        return F(rng.randint(-(2**k), 2**k), 2**k)
+    return F(rng.randint(-60, 60), (2 * rng.randint(1, 40) + 1) * 2 ** rng.randint(0, 6))
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def test_integer_sign_matches_fraction_evaluation():
+    rng = random.Random(4)
+    zeros = 0
+    for trial in range(600):
+        degree = rng.randint(1, 6)
+        if trial % 3 == 0:
+            roots = [_random_point(rng, rng.random() < 0.5) for _ in range(degree)]
+            poly = RatPoly.from_roots(roots, scale=F(rng.randint(1, 9), rng.randint(1, 4)))
+            points = roots[:2] + [_random_point(rng, dyadic) for dyadic in (True, False)]
+        else:
+            poly = _random_poly(rng, degree)
+            points = [_random_point(rng, dyadic) for dyadic in (True, False, True, False)]
+        ints = poly.primitive_integer_coeffs()
+        for x in points:
+            expected = _sign(poly.evaluate(x))
+            zeros += expected == 0
+            assert _int_sign(ints, x.numerator, x.denominator) == expected
+            # The bisection keeps endpoints over an unreduced common denominator.
+            k = rng.randint(2, 2**20)
+            assert _int_sign(ints, k * x.numerator, k * x.denominator) == expected
+    assert zeros >= 100
+
+
+def test_refine_root_matches_fraction_bisection_oracle():
+    rng = random.Random(5)
+    checked = 0
+    while checked < 150:
+        poly = _random_poly(rng, rng.randint(2, 6))
+        for record in roots_in_unit_interval(poly, refine_width=F(1, 2)):
+            if record.value is not None:
+                continue
+            lo, hi = record.interval
+            starts = [(lo, hi)]
+            # Widen to non-dyadic endpoints; skip starts where the factor vanishes at lo.
+            wide_lo = lo - F(rng.randint(0, 30), 2 * rng.randint(20, 90) + 1)
+            wide_hi = hi + F(rng.randint(1, 30), 2 * rng.randint(20, 90) + 1)
+            if record.factor.evaluate(wide_lo) != 0:
+                starts.append((wide_lo, wide_hi))
+            for start in starts:
+                for width in (F(1, 10**12), (start[1] - start[0]) / 2):
+                    seeded = RootRecord(
+                        multiplicity=record.multiplicity,
+                        location=record.location,
+                        approx=record.approx,
+                        interval=start,
+                        factor=record.factor,
+                    )
+                    try:
+                        expected = _oracle_refine(record.factor, *start, width)
+                    except ArithmeticError:
+                        with pytest.raises(ArithmeticError):
+                            refine_root(seeded, width)
+                        continue
+                    refined = refine_root(seeded, width)
+                    assert refined.interval == expected
+                    assert refined.approx == float((expected[0] + expected[1]) / 2)
+                    checked += 1
+
+
+def test_bisection_midpoint_on_a_root_raises():
+    # (2x - 1)(x^2 - 1/2) changes sign across (1/4, 3/4), whose midpoint 1/2
+    # is a rational root of the factor.
+    factor = P(-1, 2) * P(F(-1, 2), 0, 1)
+    record = RootRecord(
+        multiplicity=1, location=INTERIOR, approx=0.5,
+        interval=(F(1, 4), F(3, 4)), factor=factor,
+    )
+    with pytest.raises(ArithmeticError):
+        _oracle_refine(factor, F(1, 4), F(3, 4), F(1, 10))
+    with pytest.raises(ArithmeticError):
+        refine_root(record, F(1, 10))
+
+
+def test_coarse_isolating_intervals_exclude_rational_roots():
+    # Isolation splits (0, 1) at 1/2, a rational root of the same square-free
+    # factor; even at a coarse width the intervals must move off it.
+    f = P(-1, 2) * P(F(-1, 2), 0, 1) * P(F(-1, 8), 0, 1)
+    records = roots_in_unit_interval(f, refine_width=F(1, 2))
+    assert [r.value for r in records] == [None, F(1, 2), None]
+    for record in (records[0], records[2]):
+        lo, hi = record.interval
+        assert not lo <= F(1, 2) <= hi
+        assert record.factor.evaluate(lo) * record.factor.evaluate(hi) < 0
