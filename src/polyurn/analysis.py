@@ -54,6 +54,7 @@ from .urns import (
     OneDrawNoise,
     TwoDrawNoise,
     UrnModel,
+    active_white_ratios,
     attainable_interval,
     degenerate_map_back,
     degenerate_reduce,
@@ -97,26 +98,12 @@ def record_within(record: RootRecord, lower: Fraction, upper: Fraction, strict: 
         rec = refine_root(rec, (hi - lo) / 2)
 
 
-def _synth_record(value: Fraction) -> RootRecord:
-    """A record for a point known in closed form (not from root isolation)."""
-    v = Fraction(value)
-    location = LEFT_BOUNDARY if v == 0 else RIGHT_BOUNDARY if v == 1 else INTERIOR
-    return RootRecord(multiplicity=1, location=location, approx=float(v), value=v)
-
-
 def _map_record(record: RootRecord, reduction: DegenerateReduction) -> RootRecord:
     """Send a reduced-coordinate root record back to the original proportion."""
     if reduction.case_id not in (4, 5):
         return record
     if record.value is not None:
-        x = degenerate_map_back(reduction, record.value)
-        location = LEFT_BOUNDARY if x == 0 else RIGHT_BOUNDARY if x == 1 else INTERIOR
-        return RootRecord(
-            multiplicity=record.multiplicity,
-            location=location,
-            approx=float(x),
-            value=x,
-        )
+        return RootRecord.exact(degenerate_map_back(reduction, record.value), record.multiplicity)
     lo, hi = record.interval
     a = degenerate_map_back(reduction, lo)
     b = degenerate_map_back(reduction, hi)
@@ -201,7 +188,7 @@ def _predict_flat(model: UrnModel) -> LimitPrediction:
         fixed = Fraction(0) if model.w0 == 0 else Fraction(1)
         return LimitPrediction(
             kind=PredictionKind.POINT_MASS_SET,
-            points=(PredictedPoint(_synth_record(fixed), None, VERDICT_UNIQUE, None),),
+            points=(PredictedPoint(RootRecord.exact(fixed), None, VERDICT_UNIQUE, None),),
             notes=("one color is absent initially and is never added, so the proportion is frozen",),
         )
     if model.kind == ONE_DRAW:
@@ -228,17 +215,6 @@ def _predict_flat(model: UrnModel) -> LimitPrediction:
     )
 
 
-def _active_ratio_span(model: UrnModel) -> tuple[Fraction, Fraction]:
-    """Closed span of white ratios of the matrix rows that add balls."""
-    entries = model.matrix.entries
-    ratios = []
-    for i in range(0, len(entries), 2):
-        add_w, add_b = entries[i], entries[i + 1]
-        if add_w + add_b > 0:
-            ratios.append(add_w / (add_w + add_b))
-    return min(ratios), max(ratios)
-
-
 def _predict_degenerate(
     model: UrnModel,
     meta: ModelMeta,
@@ -252,7 +228,7 @@ def _predict_degenerate(
     """
     if reduction.fixed_limit is not None:
         point = PredictedPoint(
-            _synth_record(reduction.fixed_limit), None, VERDICT_UNIQUE, None
+            RootRecord.exact(reduction.fixed_limit), None, VERDICT_UNIQUE, None
         )
         return LimitPrediction(
             kind=PredictionKind.POINT_MASS_SET,
@@ -267,7 +243,8 @@ def _predict_degenerate(
             notes=("the reduced drift is identically zero; no certified statement",),
         )
 
-    lo_x, hi_x = _active_ratio_span(model)
+    ratios = active_white_ratios(model.matrix)
+    lo_x, hi_x = min(ratios), max(ratios)
     if reduction.case_id == 4:
         span = (2 * lo_x / (1 + lo_x), 2 * hi_x / (1 + hi_x))
     elif reduction.case_id == 5:
@@ -504,8 +481,8 @@ def _record_from_dict(entry: dict) -> RootRecord:
     approximation, which is all that downstream clustering consumes.
     """
     if entry.get("point") is not None:
-        return _synth_record(parse_rational(entry["point"]))
-    return _synth_record(Fraction(float(entry["approx"])))
+        return RootRecord.exact(parse_rational(entry["point"]))
+    return RootRecord.exact(Fraction(float(entry["approx"])))
 
 
 def prediction_from_dict(data: dict) -> LimitPrediction:

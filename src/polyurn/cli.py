@@ -31,8 +31,8 @@ from .montecarlo import (
     DEFAULT_RADIUS,
     SimConfig,
     VerificationReport,
-    _histogram,
     finals_csv_lines,
+    finals_summary,
     run_replicates,
     trajectory_csv_lines,
     verify,
@@ -246,9 +246,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trajectory_out:
         _write_text(args.trajectory_out, "\n".join(trajectory_csv_lines(results)) + "\n")
 
-    finals = [r.final_z for r in results]
-    mean = sum(finals) / len(finals)
-    bins = _histogram(finals)
+    mean, bins = finals_summary([r.final_z for r in results])
     if args.format == "csv":
         if not args.out:
             sys.stdout.write(csv_text)

@@ -467,12 +467,12 @@ class VerificationReport:
         }
 
 
-def _histogram(finals: list[float]) -> tuple[int, ...]:
+def finals_summary(finals: list[float]) -> tuple[float, tuple[int, ...]]:
+    """Mean of the final proportions and their counts in ``HISTOGRAM_BINS`` equal bins."""
     bins = [0] * HISTOGRAM_BINS
     for z in finals:
-        index = min(int(z * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)
-        bins[index] += 1
-    return tuple(bins)
+        bins[min(int(z * HISTOGRAM_BINS), HISTOGRAM_BINS - 1)] += 1
+    return sum(finals) / len(finals), tuple(bins)
 
 
 def verify(
@@ -496,17 +496,22 @@ def verify(
     are checked by the KS statistic at level ``KS_LEVEL``. No-atoms and
     unknown predictions are not falsifiable by clustering and come back
     ``inconclusive`` with the histogram for inspection. A run without
-    replicates has no samples to judge by and raises ``ValueError``.
+    replicates or without steps has no samples to judge by, and a radius
+    that is not a positive finite number clusters nothing; each raises
+    ``ValueError`` before any simulation.
     """
     if replicates < 1:
         raise ValueError("verification needs at least one replicate")
+    if steps < 1:
+        raise ValueError("verification needs at least one step per replicate")
+    if not 0 < float(radius) < math.inf:
+        raise ValueError("the clustering radius must be a positive finite number")
     if prediction is None:
         prediction = predict_limit(model)
     config = SimConfig(model=model, steps=steps, replicates=replicates, base_seed=base_seed)
     results = run_replicates(config, parallelism=parallelism)
     finals = [r.final_z for r in results]
-    mean_final = sum(finals) / len(finals)
-    histogram = _histogram(finals)
+    mean_final, histogram = finals_summary(finals)
 
     reasons: list[str] = []
     radius_used = None

@@ -389,6 +389,15 @@ class RootRecord:
     interval: tuple[Fraction, Fraction] | None = None
     factor: RatPoly | None = None
 
+    @classmethod
+    def exact(
+        cls, value: Rational, multiplicity: int = 1, factor: RatPoly | None = None
+    ) -> "RootRecord":
+        """The record of a root at the rational ``value``, located from the value itself."""
+        v = Fraction(value)
+        location = LEFT_BOUNDARY if v == 0 else RIGHT_BOUNDARY if v == 1 else INTERIOR
+        return cls(multiplicity, location, float(v), value=v, factor=factor)
+
     def position(self) -> Fraction:
         """Exact value, or the midpoint of the isolating interval."""
         if self.value is not None:
@@ -588,16 +597,7 @@ def roots_in_unit_interval(
     rational_roots = _rational_roots_in_unit_interval(rad)
     for r in rational_roots:
         mult, factor = multiplicity_of(lambda f, r=r: f.evaluate(r) == 0)
-        location = LEFT_BOUNDARY if r == 0 else RIGHT_BOUNDARY if r == 1 else INTERIOR
-        records.append(
-            RootRecord(
-                multiplicity=mult,
-                location=location,
-                approx=float(r),
-                value=r,
-                factor=factor,
-            )
-        )
+        records.append(RootRecord.exact(r, mult, factor))
 
     # Remove the rational roots and isolate what is left (irrational roots).
     remainder = rad

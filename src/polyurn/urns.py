@@ -294,11 +294,18 @@ def drift_two(m: TwoDrawMatrix) -> RatPoly:
     replacement the exact mean is this polynomial plus the remainder
     returned by :func:`mean_noise_residual_two`.
     """
+    alpha, beta, gamma = _pair_drift_coeffs(m)
+    return RatPoly([m.bb_add_white, gamma, beta, alpha])
+
+
+def _pair_drift_coeffs(m: TwoDrawMatrix) -> tuple[Fraction, Fraction, Fraction]:
+    """The ``alpha, beta, gamma`` of :func:`drift_two`."""
     a, b, c, d, e, f = m.entries
-    alpha = -a - b + 2 * c + 2 * d - e - f
-    beta = a - 4 * c - 2 * d + 3 * e + 2 * f
-    gamma = 2 * c - 3 * e - f
-    return RatPoly([e, gamma, beta, alpha])
+    return (
+        -a - b + 2 * c + 2 * d - e - f,
+        a - 4 * c - 2 * d + 3 * e + 2 * f,
+        2 * c - 3 * e - f,
+    )
 
 
 def drift_for(model: UrnModel) -> RatPoly:
@@ -435,19 +442,40 @@ def cond_moments_oracle(state: UrnState, model: UrnModel) -> ExactMoments:
 # Closed forms for the per-step bias E[U / T_next]
 # ---------------------------------------------------------------------------
 
+def _one_bias_numerator(m: OneDrawMatrix) -> RatPoly:
+    """``(c+d-a-b)(C1 z + C2 z^2 + C3 z^3)``, see :func:`cond_iv_closed_form_one`."""
+    a, b, c, d = m.entries
+    return (c + d - a - b) * RatPoly([0, a - c, 2 * c + d - 2 * a - b, a + b - c - d])
+
+
 def cond_iv_closed_form_one(state: UrnState, m: OneDrawMatrix) -> Fraction:
     """Exact ``E[U / T_next]`` for single draws.
 
     Equals ``(C1 z + C2 z^2 + C3 z^3)(c+d-a-b) / ((T+a+b)(T+c+d))`` with
     ``C1 = a-c``, ``C2 = 2c+d-2a-b``, ``C3 = a+b-c-d``.
     """
-    a, b, c, d = m.entries
+    s1, s2 = m.row_sums
     z, t = state.proportion_white, state.total
-    c1 = a - c
-    c2 = 2 * c + d - 2 * a - b
-    c3 = a + b - c - d
-    numerator = (c1 * z + c2 * z * z + c3 * z ** 3) * (c + d - a - b)
-    return numerator / ((t + a + b) * (t + c + d))
+    return _one_bias_numerator(m).evaluate(z) / ((t + s1) * (t + s2))
+
+
+def _pair_bias_brackets(m: TwoDrawMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """Coefficients, lowest power first, of the cubics ``B1, B2, B3`` that
+    both pair-draw bias terms are built from.
+
+    With ``alpha, beta, gamma`` from :func:`drift_two`::
+
+        B1 = (e-a) + (gamma+a+b) z + beta z^2 + alpha z^3
+        B2 = 2 ((c-e) - (gamma+c+d) z - beta z^2 - alpha z^3)
+        B3 = (gamma+e+f) z + beta z^2 + alpha z^3
+    """
+    a, b, c, d, e, f = m.entries
+    alpha, beta, gamma = _pair_drift_coeffs(m)
+    return (
+        (e - a, gamma + a + b, beta, alpha),
+        (2 * (c - e), -2 * (gamma + c + d), -2 * beta, -2 * alpha),
+        (Fraction(0), gamma + e + f, beta, alpha),
+    )
 
 
 def cond_iv_polys(m: TwoDrawMatrix) -> tuple[RatPoly, RatPoly, RatPoly]:
@@ -458,39 +486,17 @@ def cond_iv_polys(m: TwoDrawMatrix) -> tuple[RatPoly, RatPoly, RatPoly]:
     ``E[U/T_next] = p1(z)/(T+a+b) + p2(z)/(T+c+d) + p3(z)/(T+e+f)``
 
     (plus the remainder terms of :func:`cond_iv_remainders` when sampling
-    without replacement). The three returned polynomials have degree at most
-    five and their coefficients sum to zero power by power, which makes the
-    whole bias collapse to ``O(1/T^2)``.
+    without replacement), with ``p1 = -z^2 B1``, ``p2 = z(1-z) B2`` and
+    ``p3 = -(1-z)^2 B3`` for the cubics of :func:`_pair_bias_brackets`. The
+    three polynomials have degree at most five and their coefficients sum to
+    zero power by power, which makes the whole bias collapse to ``O(1/T^2)``.
     """
-    a, b, c, d, e, f = m.entries
-    alpha = -a - b + 2 * c + 2 * d - e - f
-    beta = a - 4 * c - 2 * d + 3 * e + 2 * f
-    gamma = 2 * c - 3 * e - f
-    p1 = RatPoly([
-        0,
-        0,
-        a - e,
-        -gamma - a - b,
-        -beta,
-        -alpha,
-    ])
-    p2 = RatPoly([
-        0,
-        2 * c - 2 * e,
-        -2 * gamma - 4 * c - 2 * d + 2 * e,
-        2 * gamma + 2 * c + 2 * d - 2 * beta,
-        2 * beta - 2 * alpha,
-        2 * alpha,
-    ])
-    p3 = RatPoly([
-        0,
-        -gamma - e - f,
-        2 * gamma + 2 * e + 2 * f - beta,
-        2 * beta - alpha - gamma - e - f,
-        2 * alpha - beta,
-        -alpha,
-    ])
-    return p1, p2, p3
+    (u0, u1, u2, u3), (v0, v1, v2, v3), (_, w1, w2, w3) = _pair_bias_brackets(m)
+    return (
+        RatPoly([0, 0, -u0, -u1, -u2, -u3]),
+        RatPoly([0, v0, v1 - v0, v2 - v1, v3 - v2, -v3]),
+        RatPoly([0, -w1, 2 * w1 - w2, 2 * w2 - w1 - w3, 2 * w3 - w2, -w3]),
+    )
 
 
 def cond_iv_remainders(state: UrnState, m: TwoDrawMatrix) -> tuple[Fraction, Fraction, Fraction]:
@@ -498,20 +504,14 @@ def cond_iv_remainders(state: UrnState, m: TwoDrawMatrix) -> tuple[Fraction, Fra
 
     These are the exact extra terms (one per pair outcome, same denominators
     as in :func:`cond_iv_polys`) created by drawing the pair without
-    replacement; each is ``O(1/T)`` with an explicit ``z(1-z)/(T-1)`` factor.
+    replacement: ``z(1-z) B_k(z) / (T-1)`` for the cubics of
+    :func:`_pair_bias_brackets`, each ``O(1/T)``.
     """
-    a, b, c, d, e, f = m.entries
-    alpha = -a - b + 2 * c + 2 * d - e - f
-    beta = a - 4 * c - 2 * d + 3 * e + 2 * f
-    gamma = 2 * c - 3 * e - f
     z, t = state.proportion_white, state.total
     if t <= 1:
         raise ValueError("pair draws without replacement need a total above 1")
     scale = z * (1 - z) / (t - 1)
-    r1 = scale * ((e - a) + (gamma + a + b) * z + beta * z * z + alpha * z ** 3)
-    r2 = scale * 2 * ((c - e) - (gamma + c + d) * z - beta * z * z - alpha * z ** 3)
-    r3 = scale * ((gamma + e + f) * z + beta * z * z + alpha * z ** 3)
-    return r1, r2, r3
+    return tuple(scale * RatPoly(bracket).evaluate(z) for bracket in _pair_bias_brackets(m))
 
 
 def cond_iv_closed_form_two(state: UrnState, m: TwoDrawMatrix, sampling: str) -> Fraction:
@@ -532,8 +532,8 @@ def mean_noise_residual_two(state: UrnState, m: TwoDrawMatrix) -> Fraction:
     Equals ``-z(1-z)(a - 2c + e + alpha z) / (T - 1)``; with replacement the
     noise has mean exactly zero.
     """
-    a, b, c, d, e, f = m.entries
-    alpha = -a - b + 2 * c + 2 * d - e - f
+    a, _, c, _, e, _ = m.entries
+    alpha, _, _ = _pair_drift_coeffs(m)
     z, t = state.proportion_white, state.total
     if t <= 1:
         raise ValueError("pair draws without replacement need a total above 1")
@@ -556,10 +556,7 @@ def bias_bound(model: UrnModel) -> Fraction:
     is always a positive usable constant (noise-free rules give 0).
     """
     if model.kind == ONE_DRAW:
-        a, b, c, d = model.matrix.entries
-        scale = abs(c + d - a - b)
-        total = scale * (abs(a - c) + abs(2 * c + d - 2 * a - b) + abs(a + b - c - d))
-        return max(total, Fraction(1))
+        return max(sum(abs(v) for v in _one_bias_numerator(model.matrix).coeffs), Fraction(1))
     m = model.matrix
     polys = cond_iv_polys(m)
     s = m.row_sums
@@ -573,16 +570,7 @@ def bias_bound(model: UrnModel) -> Fraction:
         c2_k = sum(cv * pr for cv, pr in zip(coeffs, prods))
         total += abs(c1_k) + abs(c2_k)
     if model.sampling == WITHOUT_REPLACEMENT:
-        a, b, c, d, e, f = m.entries
-        alpha = -a - b + 2 * c + 2 * d - e - f
-        beta = a - 4 * c - 2 * d + 3 * e + 2 * f
-        gamma = 2 * c - 3 * e - f
-        bracket_sums = (
-            abs(e - a) + abs(gamma + a + b) + abs(beta) + abs(alpha),
-            2 * (abs(c - e) + abs(gamma + c + d) + abs(beta) + abs(alpha)),
-            abs(gamma + e + f) + abs(beta) + abs(alpha),
-        )
-        total += Fraction(1, 2) * sum(bracket_sums)
+        total += Fraction(1, 2) * sum(abs(v) for b in _pair_bias_brackets(m) for v in b)
     return max(total, Fraction(1))
 
 
@@ -610,14 +598,18 @@ class AttainableInterval:
         return self.lower < x < self.upper
 
 
+def active_white_ratios(matrix: OneDrawMatrix | TwoDrawMatrix) -> list[Fraction]:
+    """White ratio (added white over added total) of each row that adds balls, in row order."""
+    return [w / s for w, s in zip(matrix.entries[::2], matrix.row_sums) if s > 0]
+
+
 def attainable_interval(model: UrnModel) -> AttainableInterval:
     """Attainable-proportion interval; requires every row sum positive."""
     if min(model.matrix.row_sums) <= 0:
         raise ValueError("attainability needs every matrix row to add at least one ball")
     if model.kind == ONE_DRAW:
         return AttainableInterval(Fraction(0), Fraction(1), closed_bounds=False)
-    a, b, c, d, e, f = model.matrix.entries
-    ratios = (a / (a + b), c / (c + d), e / (e + f))
+    ratios = active_white_ratios(model.matrix)
     return AttainableInterval(min(ratios), max(ratios), closed_bounds=True)
 
 
@@ -750,17 +742,9 @@ def degenerate_reduce(model: UrnModel) -> DegenerateReduction:
     if case == 0:
         raise ValueError("the model has no inactive matrix row; nothing to reduce")
     m = model.matrix
-    if model.kind == ONE_DRAW:
-        a, b, c, d = m.entries
-        limit = a / (a + b) if case == 1 else c / (c + d)
+    if model.kind == ONE_DRAW or case <= 3:
+        (limit,) = active_white_ratios(m)
         return DegenerateReduction(case_id=case, fixed_limit=limit)
-    a, b, c, d, e, f = m.entries
-    if case == 1:
-        return DegenerateReduction(case_id=1, fixed_limit=a / (a + b))
-    if case == 2:
-        return DegenerateReduction(case_id=2, fixed_limit=e / (e + f))
-    if case == 3:
-        return DegenerateReduction(case_id=3, fixed_limit=c / (c + d))
     if case == 4:
         return DegenerateReduction(
             case_id=4,
@@ -819,22 +803,6 @@ def degenerate_identity_gap(model: UrnModel, x: Fraction) -> Fraction:
     y_bb = e - (e + f) * x
     weighted = x * x * y_ww + 2 * x * (1 - x) * y_wb + (1 - x) * (1 - x) * y_bb
     return drift_two(m).evaluate(x) - weighted
-
-
-def drift_one_degenerate(m: OneDrawMatrix) -> Fraction:
-    """Almost-sure limit of a single-draw model with an inactive row.
-
-    With the black row inactive (``c = d = 0``) the drift collapses to
-    ``-(a+b) x^2 + a x``, whose interior behavior drives the proportion to
-    ``a/(a+b)`` almost surely; with the white row inactive the limit is
-    ``c/(c+d)`` by the mirrored argument.
-    """
-    a, b, c, d = m.entries
-    if c + d == 0 and a + b > 0:
-        return a / (a + b)
-    if a + b == 0 and c + d > 0:
-        return c / (c + d)
-    raise ValueError("the matrix has no inactive row")
 
 
 # ---------------------------------------------------------------------------

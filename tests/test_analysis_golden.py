@@ -20,6 +20,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from polyurn.analysis import (
     analysis_to_dict,
     analyze_model,
@@ -153,6 +155,45 @@ def test_analysis_outputs_match_golden_digests():
         if digest != golden[name][part]
     ]
     assert not changed, "analysis output changed for:\n" + "\n".join(changed)
+
+
+def _mirrored(original, swapped) -> bool:
+    """Whether ``swapped`` sits at ``1 - x`` for the point ``original`` at ``x``."""
+    if original.value is not None:
+        return swapped.value == 1 - original.value
+    return swapped.value is None and swapped.approx == pytest.approx(1 - original.approx, abs=1e-9)
+
+
+def test_color_swap_mirrors_every_prediction():
+    # Exchanging the colors maps every limit statement at x to the same one at 1 - x.
+    mismatched = []
+    for i, model in enumerate(corpus()):
+        plain = predict_limit(model)
+        swapped = predict_limit(model.color_swap())
+        points = sorted(plain.points, key=lambda p: p.root.approx)
+        swapped_points = sorted(swapped.points, key=lambda p: -p.root.approx)
+        excluded = sorted(plain.excluded, key=lambda p: p.root.approx)
+        swapped_excluded = sorted(swapped.excluded, key=lambda p: -p.root.approx)
+        beta = plain.beta_params
+        ok = (
+            swapped.kind is plain.kind
+            and len(swapped_points) == len(points)
+            and all(
+                _mirrored(p.root, q.root)
+                and (q.verdict, q.theorem, q.classification)
+                == (p.verdict, p.theorem, p.classification)
+                for p, q in zip(points, swapped_points)
+            )
+            and len(swapped_excluded) == len(excluded)
+            and all(
+                _mirrored(p.root, q.root) and q.theorem == p.theorem
+                for p, q in zip(excluded, swapped_excluded)
+            )
+            and swapped.beta_params == (None if beta is None else (beta[1], beta[0]))
+        )
+        if not ok:
+            mismatched.append(label(i, model))
+    assert not mismatched, "color swap not mirrored for:\n" + "\n".join(mismatched)
 
 
 if __name__ == "__main__":

@@ -301,17 +301,49 @@ def test_verify_inconclusive_still_exits_zero(capsys):
     assert json.loads(out)["verdict"] == "inconclusive"
 
 
-@pytest.mark.parametrize("model_flags", [
+VERIFY_MODELS = pytest.mark.parametrize("model_flags", [
     ["--two-draw", "15,3,4,1,3,21", "--w0", "5", "--b0", "2"],  # point prediction
     ["--one-draw", "1,0,0,1"],  # Beta prediction
 ], ids=["point", "beta"])
+
+
+def assert_one_line_usage_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("polyurn: error:")
+
+
+@VERIFY_MODELS
 def test_verify_zero_replicates_is_a_usage_error(model_flags, capsys):
     # No samples can never refute a prediction: exit 1, not 2 "inconsistent".
     code, out, err = run_cli(["verify", *model_flags, "--replicates", "0"], capsys)
-    assert code == 1
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("polyurn: error:")
+    assert_one_line_usage_error(code, out, err)
+
+
+@VERIFY_MODELS
+def test_verify_zero_steps_is_a_usage_error(model_flags, capsys):
+    # Replicates that never moved from the start say nothing about the limit.
+    code, out, err = run_cli(
+        ["verify", *model_flags, "--steps", "0", "--replicates", "30"], capsys
+    )
+    assert_one_line_usage_error(code, out, err)
+    code, _, _ = run_cli(
+        ["simulate", *model_flags, "--steps", "0", "--replicates", "3"], capsys
+    )
+    assert code == 0
+
+
+@VERIFY_MODELS
+@pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_a_radius_that_is_not_positive_and_finite(model_flags, radius, capsys):
+    # A NaN radius clusters nothing (a false "inconsistent") and is not valid JSON.
+    code, out, err = run_cli(
+        ["verify", *model_flags, "--steps", "50", "--replicates", "5", "--radius", radius],
+        capsys,
+    )
+    assert_one_line_usage_error(code, out, err)
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

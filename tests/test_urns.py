@@ -36,7 +36,6 @@ from polyurn.urns import (
     degenerate_reduce,
     drift_for,
     drift_one,
-    drift_one_degenerate,
     drift_two,
     error_for,
     error_one,
@@ -408,8 +407,8 @@ def test_degenerate_identity_gaps_zero():
 
 
 def test_single_draw_degenerate_limit():
-    assert drift_one_degenerate(OneDrawMatrix.from_entries([3, 1, 0, 0])) == F(3, 4)
-    assert drift_one_degenerate(OneDrawMatrix.from_entries([0, 0, 2, 3])) == F(2, 5)
+    assert degenerate_reduce(one_draw_model([3, 1, 0, 0])).fixed_limit == F(3, 4)
+    assert degenerate_reduce(one_draw_model([0, 0, 2, 3])).fixed_limit == F(2, 5)
 
 
 def test_model_meta_fields():
