@@ -99,25 +99,15 @@ def model_from_args(args: argparse.Namespace) -> UrnModel:
                 raise CliError(f"cannot read model file {args.model}: {exc}") from exc
             except (ValueError, KeyError, TypeError) as exc:
                 raise CliError(f"invalid model file {args.model}: {exc}") from exc
-        w0 = parse_rational(args.w0) if args.w0 is not None else None
-        b0 = parse_rational(args.b0) if args.b0 is not None else None
+        counts = {"w0": args.w0, "b0": args.b0}
+        start = {name: parse_rational(v) for name, v in counts.items() if v is not None}
         if args.one_draw is not None:
             if args.sampling == "without":
                 raise CliError("--sampling without applies only to pair-draw models")
-            entries = _comma_rationals(args.one_draw, 4, "--one-draw")
-            return one_draw_model(
-                entries,
-                w0 if w0 is not None else Fraction(1),
-                b0 if b0 is not None else Fraction(1),
-            )
+            return one_draw_model(_comma_rationals(args.one_draw, 4, "--one-draw"), **start)
         entries = _comma_rationals(args.two_draw, 6, "--two-draw")
         sampling = WITH_REPLACEMENT if args.sampling == "with" else WITHOUT_REPLACEMENT
-        return two_draw_model(
-            entries,
-            w0 if w0 is not None else Fraction(2),
-            b0 if b0 is not None else Fraction(2),
-            sampling=sampling,
-        )
+        return two_draw_model(entries, **start, sampling=sampling)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 

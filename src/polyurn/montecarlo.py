@@ -284,8 +284,8 @@ def cluster_finals(samples, centers, radius) -> ClusterCounts:
     """
     centers = tuple(float(c) for c in centers)
     radius = float(radius)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be a positive finite number")
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             if abs(centers[i] - centers[j]) <= 2 * radius:

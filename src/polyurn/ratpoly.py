@@ -7,11 +7,14 @@ Roots of a polynomial inside the unit interval are returned either as exact
 rational values or as arbitrarily narrow isolating intervals with exact
 rational endpoints (irrational roots), together with their multiplicity.
 
-Isolating intervals are narrowed by one bisection routine. It keeps both
-endpoints over one denominator ``q > 0`` and decides the sign at ``p/q``
-from the primitive integer coefficients ``c_i`` as the sign of the integer
-``sum c_i p^i q^(n-i)``, so each halving costs one integer Horner pass and
-no ``Fraction`` arithmetic.
+Every sign decision rests on one primitive, :func:`sign_at`: the sign at
+``p/q`` of a polynomial with primitive integer coefficients ``c_i`` is the
+sign of the integer ``sum c_i p^i q^(n-i)``, one integer Horner pass with no
+``Fraction`` arithmetic. Sturm sequences isolate the distinct roots; a
+rational root is read off its isolating interval, narrowed until at most one
+fraction with a small enough denominator fits. The sign of another
+polynomial at an irrational root is a Sturm-Tarski query: a difference of
+sign variations at the two ends of the root's isolating interval.
 
 The unit interval is the natural domain here because these polynomials arise
 as drift and noise curves of urn processes whose state is a proportion.
@@ -212,7 +215,7 @@ class RatPoly:
         lcm = 1
         for c in self.coeffs:
             lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in self.coeffs]
+        ints = [c.numerator * (lcm // c.denominator) for c in self.coeffs]
         g = 0
         for v in ints:
             g = math.gcd(g, v)
@@ -314,15 +317,38 @@ def squarefree_decomposition(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, 
 def radical(p: RatPoly) -> RatPoly:
     """Monic product of the distinct irreducible factors (each root once)."""
     _, factors = squarefree_decomposition(p)
-    out = RatPoly([1])
-    for factor, _m in factors:
-        out = out * factor
-    return out
+    return math.prod((factor for factor, _m in factors), start=RatPoly([1]))
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains
+# Signs at rational points and Sturm sequences
 # ---------------------------------------------------------------------------
+
+def _int_sign(ints: Sequence[int], p: int, q: int) -> int:
+    """Sign of ``sum ints[i] * p**i * q**(n-i)``, by Horner's rule in integers.
+
+    For ``q > 0`` this is the sign of the polynomial with coefficients
+    ``ints`` at ``p/q`` (the sum is that value times ``q**n``).
+    """
+    acc = ints[-1]
+    q_power = 1
+    for c in ints[-2::-1]:
+        q_power *= q
+        acc = acc * p + c * q_power
+    return (acc > 0) - (acc < 0)
+
+
+def sign_at(poly: RatPoly, x: Rational) -> int:
+    """Exact sign (-1, 0, +1) of ``poly`` at the rational ``x``.
+
+    Decided by :func:`_int_sign` on the primitive integer coefficients, which
+    are a positive multiple of ``poly``'s.
+    """
+    if poly.is_zero:
+        return 0
+    x = Fraction(x)
+    return _int_sign(poly.primitive_integer_coeffs(), x.numerator, x.denominator)
+
 
 def _normalize_signs(p: RatPoly) -> RatPoly:
     """Rescale by a positive constant to small integer coefficients."""
@@ -334,35 +360,35 @@ def _normalize_signs(p: RatPoly) -> RatPoly:
     return RatPoly(ints)
 
 
+def _remainder_sequence(p: RatPoly, q: RatPoly) -> list[RatPoly]:
+    """Signed remainder sequence ``p, q, -(p mod q), ...`` to its last nonzero member.
+
+    Each member is rescaled by a positive constant (:func:`_normalize_signs`),
+    which changes no sign.
+    """
+    seq = [_normalize_signs(p), _normalize_signs(q)]
+    while not seq[-1].is_zero:
+        seq.append(_normalize_signs(-(seq[-2] % seq[-1])))
+    return seq[:-1]
+
+
 def sturm_chain(p: RatPoly) -> list[RatPoly]:
     """Canonical chain of sign-alternating remainders used to count roots."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no root-counting chain")
-    chain = [_normalize_signs(p)]
-    if p.degree == 0:
-        return chain
-    chain.append(_normalize_signs(p.derivative()))
-    while chain[-1].degree > 0:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero:
-            break
-        chain.append(_normalize_signs(-rem))
-    return chain
+    return _remainder_sequence(p, p.derivative())
 
 
 def _sign_variations(chain: Sequence[RatPoly], x: Fraction) -> int:
-    signs = []
-    for member in chain:
-        v = member.evaluate(x)
-        if v != 0:
-            signs.append(v > 0)
+    signs = [s for s in (sign_at(member, x) for member in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_distinct_roots(chain: Sequence[RatPoly], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct roots of the chain's polynomial in ``(lo, hi]``.
 
-    Requires ``lo`` not to be a root.
+    When that polynomial is square-free, ``lo`` and ``hi`` may be roots;
+    otherwise neither may be.
     """
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
@@ -406,20 +432,6 @@ class RootRecord:
         return (lo + hi) / 2
 
 
-def _int_sign(ints: Sequence[int], p: int, q: int) -> int:
-    """Sign of ``sum ints[i] * p**i * q**(n-i)``, by Horner's rule in integers.
-
-    For ``q > 0`` this is the sign of the polynomial with coefficients
-    ``ints`` at ``p/q`` (the sum is that value times ``q**n``).
-    """
-    acc = ints[-1]
-    q_power = 1
-    for c in ints[-2::-1]:
-        q_power *= q
-        acc = acc * p + c * q_power
-    return (acc > 0) - (acc < 0)
-
-
 def _bisect(poly: RatPoly, lo: Fraction, hi: Fraction, keep_halving) -> tuple[Fraction, Fraction]:
     """Halve ``(lo, hi)`` around the one sign change of ``poly`` while asked to.
 
@@ -428,21 +440,21 @@ def _bisect(poly: RatPoly, lo: Fraction, hi: Fraction, keep_halving) -> tuple[Fr
     decides whether to halve again. The sign at the midpoint is decided by
     :func:`_int_sign` on ``poly``'s primitive integer coefficients, and the
     sign at ``lo`` is carried forward, so each halving costs one exact
-    integer evaluation. ``poly`` must not vanish at ``lo``.
+    integer evaluation. If ``poly`` vanishes at ``lo``, the sign just right of
+    it, opposite to the sign at ``hi``, is carried instead. A midpoint that is
+    a root of ``poly`` ends the halving with ``(mid, mid)``.
     """
     ints = poly.primitive_integer_coeffs()
     q = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
     a = lo.numerator * (q // lo.denominator)
     c = hi.numerator * (q // hi.denominator)
-    sign_lo = _int_sign(ints, a, q)
+    sign_lo = _int_sign(ints, a, q) or -_int_sign(ints, c, q)
     while keep_halving(a, c, q):
         mid = a + c
         a, c, q = 2 * a, 2 * c, 2 * q
         sign_mid = _int_sign(ints, mid, q)
         if sign_mid == 0:
-            # The tracked root is irrational, so a rational midpoint is never
-            # the root itself; a zero here cannot happen for the owning factor.
-            raise ArithmeticError("isolating interval midpoint unexpectedly a root")
+            return Fraction(mid, q), Fraction(mid, q)
         if sign_mid != sign_lo:
             c = mid
         else:
@@ -463,6 +475,10 @@ def refine_root(record: RootRecord, width: Fraction) -> RootRecord:
     if record.value is not None:
         return record
     lo, hi = _bisect(record.factor, *record.interval, _wider_than(Fraction(width)))
+    if lo == hi:
+        # The tracked root is irrational, so a rational midpoint is never the
+        # root itself; a zero here means the interval did not isolate it.
+        raise ArithmeticError("isolating interval midpoint unexpectedly a root")
     return RootRecord(
         multiplicity=record.multiplicity,
         location=record.location,
@@ -476,84 +492,30 @@ def refine_root(record: RootRecord, width: Fraction) -> RootRecord:
 def sign_at_root(poly: RatPoly, record: RootRecord) -> int:
     """Exact sign (-1, 0, +1) of ``poly`` at the root described by ``record``.
 
-    For rational roots this is direct evaluation. For irrational roots the
-    answer is still exact: the root is a common zero of ``poly`` iff the gcd
-    of ``poly`` with the root's square-free factor changes sign across the
-    isolating interval; otherwise the interval is shrunk (around the root)
-    until ``poly`` has no zero inside it, making its sign there constant.
+    At a rational root this is :func:`sign_at`. At an irrational root of the
+    square-free factor ``g``, isolated in ``(lo, hi)``, it is the
+    Sturm-Tarski query ``Var(lo) - Var(hi)`` over the signed remainder
+    sequence of ``g`` and ``g' * poly``. That difference is the sum of the
+    signs of ``poly`` at the roots of ``g`` in ``(lo, hi]`` (Basu, Pollack and
+    Roy, *Algorithms in Real Algebraic Geometry*, ch. 2), and the interval
+    holds exactly one.
     """
     if record.value is not None:
-        v = poly.evaluate(record.value)
-        return 0 if v == 0 else (1 if v > 0 else -1)
-    if poly.is_zero:
-        return 0
-    if poly.degree >= 1:
-        common = poly_gcd(poly, record.factor)
-        if common.degree >= 1:
-            lo, hi = record.interval
-            c_lo = common.evaluate(lo)
-            c_hi = common.evaluate(hi)
-            if c_lo == 0 or c_hi == 0 or (c_lo > 0) != (c_hi > 0):
-                return 0
-    chain = sturm_chain(poly)
-
-    def unsettled(a: int, c: int, q: int) -> bool:
-        lo, hi = Fraction(a, q), Fraction(c, q)
-        return (
-            poly.evaluate(lo) == 0
-            or poly.evaluate(hi) == 0
-            or count_distinct_roots(chain, lo, hi) != 0
-        )
-
-    lo, _ = _bisect(record.factor, *record.interval, unsettled)
-    return 1 if poly.evaluate(lo) > 0 else -1
+        return sign_at(poly, record.value)
+    g = record.factor
+    chain = _remainder_sequence(g, g.derivative() * poly)
+    lo, hi = record.interval
+    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
 # ---------------------------------------------------------------------------
 # Root isolation in the unit interval
 # ---------------------------------------------------------------------------
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
+def _isolate(chain: Sequence[RatPoly], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint subintervals ``(lo', hi']`` of ``(lo, hi]`` each holding one distinct root.
 
-
-def _rational_roots_in_unit_interval(square_free: RatPoly) -> list[Fraction]:
-    """All rational roots of a square-free polynomial within [0, 1]."""
-    ints = list(square_free.primitive_integer_coeffs())
-    roots = []
-    # Strip the root at zero first so the constant term is nonzero.
-    if ints[0] == 0:
-        roots.append(Fraction(0))
-        while ints[0] == 0:
-            ints.pop(0)
-    if len(ints) > 1:
-        a0, an = ints[0], ints[-1]
-        candidates = set()
-        for num in _divisors(a0):
-            for den in _divisors(an):
-                if num <= den and math.gcd(num, den) == 1:
-                    candidates.add(Fraction(num, den))
-        poly = RatPoly(ints)
-        for cand in candidates:
-            if poly.evaluate(cand) == 0:
-                roots.append(cand)
-    return sorted(roots)
-
-
-def _isolate(chain: Sequence[RatPoly], poly: RatPoly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open subintervals of (lo, hi) each holding one distinct root.
-
-    ``poly`` must have no rational roots in [lo, hi] (so no chosen endpoint
-    can land on a root) and must not vanish at lo or hi.
+    The chain's polynomial must be square-free, so that endpoints may be roots.
     """
     count = count_distinct_roots(chain, lo, hi)
     if count == 0:
@@ -561,7 +523,7 @@ def _isolate(chain: Sequence[RatPoly], poly: RatPoly, lo: Fraction, hi: Fraction
     if count == 1:
         return [(lo, hi)]
     mid = (lo + hi) / 2
-    return _isolate(chain, poly, lo, mid) + _isolate(chain, poly, mid, hi)
+    return _isolate(chain, lo, mid) + _isolate(chain, mid, hi)
 
 
 def roots_in_unit_interval(
@@ -582,54 +544,63 @@ def roots_in_unit_interval(
     if not factors:
         return []
 
-    rad = RatPoly([1])
-    for factor, _m in factors:
-        rad = rad * factor
+    rad = math.prod((factor for factor, _m in factors), start=RatPoly([1]))
 
-    def multiplicity_of(point_eval) -> tuple[int, RatPoly]:
+    def multiplicity_of(on_root) -> tuple[int, RatPoly]:
         for factor, mult in factors:
-            if point_eval(factor):
+            if on_root(factor):
                 return mult, factor
         raise ArithmeticError("root does not belong to any square-free factor")
 
-    records: list[RootRecord] = []
+    # A rational root of the radical has a denominator dividing n, the
+    # leading primitive coefficient, so distinct candidates lie at least 1/n^2
+    # apart. In an interval at most that wide around a rational root, the
+    # fraction with denominator at most n nearest the midpoint is the root.
+    n = abs(rad.primitive_integer_coeffs()[-1])
+    rational_roots = [Fraction(0)] if sign_at(rad, 0) == 0 else []
+    irrational: list[tuple[Fraction, Fraction]] = []
+    for lo, hi in _isolate(sturm_chain(rad), Fraction(0), Fraction(1)):
+        if sign_at(rad, hi) == 0:
+            rational_roots.append(hi)
+            continue
+        a, c = _bisect(rad, lo, hi, _wider_than(Fraction(1, n * n)))
+        candidate = ((a + c) / 2).limit_denominator(n)
+        if lo < candidate < hi and sign_at(rad, candidate) == 0:
+            rational_roots.append(candidate)
+        else:
+            irrational.append((lo, hi))
 
-    rational_roots = _rational_roots_in_unit_interval(rad)
+    records = []
     for r in rational_roots:
-        mult, factor = multiplicity_of(lambda f, r=r: f.evaluate(r) == 0)
+        mult, factor = multiplicity_of(lambda f, r=r: sign_at(f, r) == 0)
         records.append(RootRecord.exact(r, mult, factor))
 
-    # Remove the rational roots and isolate what is left (irrational roots).
-    remainder = rad
-    for r in rational_roots:
-        remainder = remainder // RatPoly([-r, 1])
-    if remainder.degree >= 1:
-        chain = sturm_chain(remainder)
-        zero, one = Fraction(0), Fraction(1)
-        wider = _wider_than(Fraction(refine_width))
+    wider = _wider_than(Fraction(refine_width))
 
-        def keep_halving(a: int, c: int, q: int) -> bool:
-            # Until the interval is free of rational roots (which the
-            # remainder lacks but its owning factor may have) and narrow.
-            return wider(a, c, q) or any(
-                a * r.denominator <= r.numerator * q <= c * r.denominator
-                for r in rational_roots
-            )
+    def keep_halving(a: int, c: int, q: int) -> bool:
+        # Until the interval is narrow and free of rational roots, which the
+        # owning factor may share.
+        return wider(a, c, q) or any(
+            a * r.denominator <= r.numerator * q <= c * r.denominator
+            for r in rational_roots
+        )
 
-        for lo, hi in _isolate(chain, remainder, zero, one):
-            lo, hi = _bisect(remainder, lo, hi, keep_halving)
-            mult, factor = multiplicity_of(
-                lambda f, lo=lo, hi=hi: (f.evaluate(lo) > 0) != (f.evaluate(hi) > 0)
+    # Each isolating interval holds one root of the radical, so halving the
+    # radical follows that root even where lo is a rational root.
+    for lo, hi in irrational:
+        lo, hi = _bisect(rad, lo, hi, keep_halving)
+        mult, factor = multiplicity_of(
+            lambda f, lo=lo, hi=hi: sign_at(f, lo) != sign_at(f, hi)
+        )
+        records.append(
+            RootRecord(
+                multiplicity=mult,
+                location=INTERIOR,
+                approx=float((lo + hi) / 2),
+                interval=(lo, hi),
+                factor=factor,
             )
-            records.append(
-                RootRecord(
-                    multiplicity=mult,
-                    location=INTERIOR,
-                    approx=float((lo + hi) / 2),
-                    interval=(lo, hi),
-                    factor=factor,
-                )
-            )
+        )
 
     records.sort(key=lambda rec: rec.position())
     return records

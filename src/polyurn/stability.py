@@ -27,6 +27,7 @@ from .ratpoly import (
     RatPoly,
     RootRecord,
     roots_in_unit_interval,
+    sign_at,
     sign_at_root,
 )
 
@@ -115,10 +116,10 @@ def _classify_record(drift: RatPoly, records: list[RootRecord], index: int) -> E
     def probe_sign(x: Fraction | None) -> int | None:
         if x is None:
             return None
-        v = drift.evaluate(x)
-        if v == 0:
+        sign = sign_at(drift, x)
+        if sign == 0:
             raise ArithmeticError("probe point unexpectedly hit a root")
-        return 1 if v > 0 else -1
+        return sign
 
     sign_left = probe_sign(left_probe)
     sign_right = probe_sign(right_probe)
@@ -191,9 +192,9 @@ def check_boundary_exclusion(
     boundary = Fraction(boundary)
     if boundary not in (Fraction(0), Fraction(1)):
         raise ValueError("boundary must be 0 or 1")
-    if drift.evaluate(boundary) != 0:
+    if sign_at(drift, boundary) != 0:
         raise ValueError("the boundary point is not a root of the drift")
-    return error_poly.evaluate(boundary) == 0 and count_diverges
+    return sign_at(error_poly, boundary) == 0 and count_diverges
 
 
 # ---------------------------------------------------------------------------

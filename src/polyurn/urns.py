@@ -846,14 +846,13 @@ def model_from_dict(data) -> UrnModel:
     ):
         raise ValueError(f'"matrix" must be a list of {rows_needed} rows of 2 entries')
     entries = [parse_rational(v) for row in matrix for v in row]
-    w0 = parse_rational(data.get("w0", 1 if kind == ONE_DRAW else 2))
-    b0 = parse_rational(data.get("b0", 1 if kind == ONE_DRAW else 2))
+    start = {name: parse_rational(data[name]) for name in ("w0", "b0") if name in data}
     sampling = data.get("sampling", WITHOUT_REPLACEMENT)
     if sampling not in _SAMPLINGS:
         raise ValueError(f'"sampling" must be "{WITH_REPLACEMENT}" or "{WITHOUT_REPLACEMENT}"')
     if kind == ONE_DRAW:
-        return one_draw_model(entries, w0, b0)
-    return two_draw_model(entries, w0, b0, sampling)
+        return one_draw_model(entries, **start)
+    return two_draw_model(entries, **start, sampling=sampling)
 
 
 def load_model(path) -> UrnModel:

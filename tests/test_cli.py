@@ -121,6 +121,28 @@ def test_analyze_respects_start_and_sampling_flags(capsys):
     assert payload["model"]["sampling"] == "with"
 
 
+def test_analyze_model_with_large_drift_coefficients(capsys):
+    # The drift's primitive integer coefficients reach about 1e17.
+    code, out, _ = run_cli(
+        ["analyze", "--two-draw", "99991/9973,3119/7919,4/101,1/103,3/107,21/109",
+         "--w0", "5", "--b0", "2"], capsys
+    )
+    assert code == 0
+    (point,) = json.loads(out)["prediction"]["points"]
+    assert point["verdict"] == "converges-a.s.-unique"
+    assert point["point"] is None
+    assert abs(point["approx"] - 0.962114699465834) < 1e-12
+
+
+def test_analyze_start_defaults_per_draw_rule(capsys):
+    for flags, start in ((["--one-draw", "1,0,0,1"], ("1", "1")),
+                         (["--two-draw", "3,2,2,3,1,4", "--b0", "5"], ("2", "5"))):
+        code, out, _ = run_cli(["analyze", *flags], capsys)
+        assert code == 0
+        model = json.loads(out)["model"]
+        assert (model["w0"], model["b0"]) == start
+
+
 def test_analyze_text_format(capsys):
     code, out, _ = run_cli(["analyze", "--one-draw", "1,0,0,1", "--format", "text"], capsys)
     assert code == 0

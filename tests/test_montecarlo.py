@@ -351,8 +351,9 @@ def test_cluster_finals_counts_and_boundary_inclusion():
 def test_cluster_finals_rejects_ambiguous_or_bad_radius():
     with pytest.raises(ValueError):
         cluster_finals([0.5], centers=[0.4, 0.45], radius=0.05)
-    with pytest.raises(ValueError):
-        cluster_finals([0.5], centers=[0.4], radius=0.0)
+    for radius in (0.0, float("nan"), float("inf"), -1):
+        with pytest.raises(ValueError):
+            cluster_finals([0.5], centers=[0.4], radius=radius)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from polyurn.ratpoly import (
     poly_gcd,
     refine_root,
     roots_in_unit_interval,
+    sign_at,
     sign_at_root,
     squarefree_decomposition,
     sturm_chain,
@@ -164,6 +165,14 @@ def test_sturm_chain_counts_roots():
     assert count_distinct_roots(chain, F(0), F(3, 8)) == 1
 
 
+def test_sturm_count_is_half_open_even_at_root_endpoints():
+    # 32x^3 - 48x^2 + 22x - 3 is square-free with roots 1/4, 1/2 and 3/4.
+    chain = sturm_chain(P(-3, 22, -48, 32))
+    assert count_distinct_roots(chain, F(0), F(1, 4)) == 1
+    assert count_distinct_roots(chain, F(1, 4), F(3, 4)) == 2
+    assert count_distinct_roots(chain, F(1, 2), F(1, 2)) == 0
+
+
 def test_rational_roots_found_exactly():
     f = P(3, -22, 48, -32)
     roots = roots_in_unit_interval(f)
@@ -212,6 +221,15 @@ def test_mixed_rational_and_irrational_roots():
     assert roots[0].position() < roots[1].interval[0]
 
 
+def test_root_at_an_isolating_interval_start_is_not_read_twice():
+    # 2x^2 (x^2 + 3x - 2): the radical's only root in (0, 1] is irrational and
+    # its isolating interval (0, 1] starts on the rational root 0.
+    roots = roots_in_unit_interval(P(0, 0, -4, 6, 2))
+    assert [(r.value, r.multiplicity) for r in roots] == [(F(0), 2), (None, 1)]
+    lo, hi = roots[1].interval
+    assert lo < (F(17) ** 0.5 - 3) / 2 < hi
+
+
 def test_no_roots():
     assert roots_in_unit_interval(P(1, 0, 1)) == []
 
@@ -238,6 +256,33 @@ def test_sign_at_root_exact():
     assert sign_at_root(P(-1, 1), root) == -1            # r - 1 < 0
     assert sign_at_root(P(0, 1), root) == 1              # r > 0
     assert sign_at_root(P(F(-7, 10), 1), root) == 1      # r - 0.7 > 0 (tight cut)
+
+
+# Large primes as denominators make the coefficients 15-40 digits long. Each
+# case lists the rational roots with multiplicities, an irreducible quadratic
+# factor and how many of its roots lie in [0, 1].
+_BIG_ROOT_CASES = [
+    ([(F(500009, 1000003), 1), (F(7, 999983), 2)], P(200003, -1000003, 999983), 2),
+    ([(F(0), 1), (F(104723, 104729), 3), (F(1), 1)], P(-1, 0, 2), 1),
+    ([(F(1, 2147483647), 1), (F(998244351, 998244353), 2), (F(999999999, 1000000007), 1)],
+     P(F(-2, 1000003), 0, F(5, 999983)), 1),
+]
+
+
+@pytest.mark.parametrize("rational,quadratic,irrational_count", _BIG_ROOT_CASES)
+def test_roots_with_large_coefficients_are_exact(rational, quadratic, irrational_count):
+    roots = [r for r, mult in rational for _ in range(mult)]
+    f = RatPoly.from_roots(roots, scale=F(7919, 104729)) * quadratic
+    assert max(len(str(abs(c.numerator))) for c in f.coeffs) >= 15
+    records = roots_in_unit_interval(f)
+    assert [(r.value, r.multiplicity) for r in records if r.value is not None] == sorted(rational)
+    irrational = [r for r in records if r.value is None]
+    assert len(irrational) == irrational_count
+    for record in irrational:
+        lo, hi = record.interval
+        assert record.multiplicity == 1
+        assert hi - lo <= F(1, 10**12)
+        assert sign_at(quadratic, lo) * sign_at(quadratic, hi) == -1
 
 
 def test_roots_match_numpy_on_random_polynomials():
@@ -319,6 +364,7 @@ def test_integer_sign_matches_fraction_evaluation():
             expected = _sign(poly.evaluate(x))
             zeros += expected == 0
             assert _int_sign(ints, x.numerator, x.denominator) == expected
+            assert sign_at(poly, x) == expected
             # The bisection keeps endpoints over an unreduced common denominator.
             k = rng.randint(2, 2**20)
             assert _int_sign(ints, k * x.numerator, k * x.denominator) == expected

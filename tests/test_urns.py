@@ -435,6 +435,13 @@ def test_model_dict_round_trip():
         assert model_from_dict(data) == model
 
 
+def test_model_from_dict_uses_the_constructor_start_defaults():
+    one = model_from_dict({"model": "one-draw", "matrix": [[1, 0], [0, 1]]})
+    two = model_from_dict({"model": "two-draw", "matrix": [[1, 0], [0, 1], [1, 1]], "w0": 3})
+    assert (one.w0, one.b0) == (1, 1)
+    assert (two.w0, two.b0) == (3, 2)
+
+
 def test_load_model_file(tmp_path):
     model = two_draw_model([15, 3, 4, 1, 3, 21], 5, 2)
     path = tmp_path / "model.json"
