@@ -9,6 +9,7 @@ single :class:`~polyurn.stability.LimitPrediction` plus a JSON-ready report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from .ratpoly import (
     RootRecord,
     format_rational,
     parse_rational,
-    refine_root,
 )
 from .stability import (
     THEOREM_BOUNDARY_EXCLUSION,
@@ -74,46 +74,14 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# Exact interval membership for root records
-# ---------------------------------------------------------------------------
-
-def record_within(record: RootRecord, lower: Fraction, upper: Fraction, strict: bool) -> bool:
-    """Exact membership of a located root in a rational-endpoint interval.
-
-    Irrational roots are decided by shrinking their isolating interval until
-    it is entirely inside or entirely outside; this terminates because an
-    irrational root can never equal a rational endpoint.
-    """
-    if record.value is not None:
-        v = record.value
-        return lower < v < upper if strict else lower <= v <= upper
-    rec = record
-    while True:
-        lo, hi = rec.interval
-        if lower < lo and hi < upper:
-            return True
-        if hi <= lower or lo >= upper:
-            return False
-        rec = refine_root(rec, (hi - lo) / 2)
-
-
 def _map_record(record: RootRecord, reduction: DegenerateReduction) -> RootRecord:
     """Send a reduced-coordinate root record back to the original proportion."""
     if reduction.case_id not in (4, 5):
         return record
     if record.value is not None:
-        return RootRecord.exact(degenerate_map_back(reduction, record.value), record.multiplicity)
-    lo, hi = record.interval
-    a = degenerate_map_back(reduction, lo)
-    b = degenerate_map_back(reduction, hi)
-    lo_x, hi_x = (a, b) if a <= b else (b, a)
-    return RootRecord(
-        multiplicity=record.multiplicity,
-        location=INTERIOR,
-        approx=float((lo_x + hi_x) / 2),
-        interval=(lo_x, hi_x),
-    )
+        return RootRecord(record.multiplicity, value=degenerate_map_back(reduction, record.value))
+    a, b = (degenerate_map_back(reduction, end) for end in record.interval)
+    return RootRecord(record.multiplicity, interval=(min(a, b), max(a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +117,14 @@ def _predict_from_equilibria(
                     continue
             points.append(PredictedPoint(rec, cls, VERDICT_UNKNOWN, None))
         elif cls is EquilibriumClass.STABLE:
-            if record_within(rec, attain.lower, attain.upper, strict=not attain.closed_bounds):
+            if rec.within(attain.lower, attain.upper, strict=not attain.closed_bounds):
                 points.append(
                     PredictedPoint(rec, cls, VERDICT_POSITIVE_PROBABILITY, THEOREM_STABLE_ATTRACTION)
                 )
             else:
                 points.append(PredictedPoint(rec, cls, VERDICT_UNKNOWN, None))
         elif cls is EquilibriumClass.TOUCHPOINT:
-            if record_within(rec, attain.lower, attain.upper, strict=True):
+            if rec.within(attain.lower, attain.upper, strict=True):
                 points.append(
                     PredictedPoint(rec, cls, VERDICT_TOUCHPOINT, THEOREM_TOUCHPOINT_POSSIBLE)
                 )
@@ -188,7 +156,7 @@ def _predict_flat(model: UrnModel) -> LimitPrediction:
         fixed = Fraction(0) if model.w0 == 0 else Fraction(1)
         return LimitPrediction(
             kind=PredictionKind.POINT_MASS_SET,
-            points=(PredictedPoint(RootRecord.exact(fixed), None, VERDICT_UNIQUE, None),),
+            points=(PredictedPoint(RootRecord(1, value=fixed), None, VERDICT_UNIQUE, None),),
             notes=("one color is absent initially and is never added, so the proportion is frozen",),
         )
     if model.kind == ONE_DRAW:
@@ -227,9 +195,7 @@ def _predict_degenerate(
     reduced drift; cases 4 and 5 classify their own reduced drift.
     """
     if reduction.fixed_limit is not None:
-        point = PredictedPoint(
-            RootRecord.exact(reduction.fixed_limit), None, VERDICT_UNIQUE, None
-        )
+        point = PredictedPoint(RootRecord(1, value=reduction.fixed_limit), None, VERDICT_UNIQUE, None)
         return LimitPrediction(
             kind=PredictionKind.POINT_MASS_SET,
             points=(point,),
@@ -283,7 +249,7 @@ def _predict_degenerate(
                 excluded.append(ExcludedPoint(mapped, cls, THEOREM_BOUNDARY_EXCLUSION))
                 continue
             points.append(PredictedPoint(mapped, cls, VERDICT_UNKNOWN, None))
-        elif cls is EquilibriumClass.STABLE and record_within(rec, span[0], span[1], strict=False):
+        elif cls is EquilibriumClass.STABLE and rec.within(*span, strict=False):
             points.append(
                 PredictedPoint(mapped, cls, VERDICT_POSITIVE_PROBABILITY, THEOREM_STABLE_ATTRACTION)
             )
@@ -473,50 +439,59 @@ def prediction_to_dict(prediction: LimitPrediction) -> dict:
     }
 
 
-def _record_from_dict(entry: dict) -> RootRecord:
-    """Rebuild a point record from its serialized form.
+def _as_float(x) -> float:
+    """``float(x)``, or ``inf`` for a number too large for a float."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _point_from_dict(entry: dict) -> tuple[RootRecord, EquilibriumClass | None]:
+    """Rebuild a point record and its classification from their serialized form.
 
     Exact rational points round-trip exactly; points serialized without an
     exact value come back as the (exact binary) fraction of their float
     approximation, which is all that downstream clustering consumes.
     """
+    if not isinstance(entry, dict):
+        raise ValueError(f"a point must be a JSON object, not {entry!r}")
     if entry.get("point") is not None:
-        return RootRecord.exact(parse_rational(entry["point"]))
-    return RootRecord.exact(Fraction(float(entry["approx"])))
+        value = parse_rational(entry["point"])
+    else:
+        approx = _as_float(entry["approx"])
+        if not math.isfinite(approx):
+            raise ValueError(f"point approximation is not finite: {entry['approx']!r}")
+        value = Fraction(approx)
+    cls = entry.get("classification")
+    record = RootRecord(int(entry.get("multiplicity", 1)), value=value)
+    return record, EquilibriumClass(cls) if cls else None
 
 
 def prediction_from_dict(data: dict) -> LimitPrediction:
-    """Inverse of :func:`prediction_to_dict` (up to irrational-point records)."""
+    """Inverse of :func:`prediction_to_dict` (up to irrational-point records).
+
+    Raises ``ValueError``, ``KeyError`` or ``TypeError`` for data that is not
+    a prediction: in particular a point without a finite location, and a Beta
+    law without two positive parameters in float range.
+    """
     kind = PredictionKind(data["kind"])
     points = tuple(
-        PredictedPoint(
-            root=_record_from_dict(entry),
-            classification=(
-                EquilibriumClass(entry["classification"])
-                if entry.get("classification")
-                else None
-            ),
-            verdict=entry["verdict"],
-            theorem=entry.get("theorem"),
-        )
+        PredictedPoint(*_point_from_dict(entry), entry["verdict"], entry.get("theorem"))
         for entry in data.get("points", ())
     )
     excluded = tuple(
-        ExcludedPoint(
-            root=_record_from_dict(entry),
-            classification=(
-                EquilibriumClass(entry["classification"])
-                if entry.get("classification")
-                else None
-            ),
-            theorem=entry["theorem"],
-        )
+        ExcludedPoint(*_point_from_dict(entry), entry["theorem"])
         for entry in data.get("excluded", ())
     )
     raw_beta = data.get("beta_params")
-    beta_params = (
-        (parse_rational(raw_beta[0]), parse_rational(raw_beta[1])) if raw_beta else None
-    )
+    beta_params = None
+    if raw_beta or kind is PredictionKind.BETA_DISTRIBUTION:
+        if not (isinstance(raw_beta, list) and len(raw_beta) == 2):
+            raise ValueError(f"beta_params must be a list of two numbers, not {raw_beta!r}")
+        beta_params = (parse_rational(raw_beta[0]), parse_rational(raw_beta[1]))
+        if not all(0 < _as_float(v) < math.inf for v in beta_params):
+            raise ValueError(f"beta_params must be positive and within float range: {raw_beta!r}")
     return LimitPrediction(
         kind=kind,
         points=points,

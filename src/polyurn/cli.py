@@ -15,6 +15,7 @@ selftest suite fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -37,7 +38,7 @@ from .montecarlo import (
     trajectory_csv_lines,
     verify,
 )
-from .ratpoly import RatPoly, format_rational, parse_rational
+from .ratpoly import RatPoly, RootRecord, format_rational, parse_rational
 from .stability import PredictionKind
 from .urns import (
     ONE_DRAW,
@@ -143,6 +144,10 @@ def _matrix_text(model: UrnModel) -> str:
     return "[" + "; ".join(rows) + "]"
 
 
+def _root_text(root: RootRecord) -> str:
+    return format_rational(root.value) if root.value is not None else f"~{root.approx!r}"
+
+
 def _render_analysis_text(analysis: ModelAnalysis) -> str:
     model = analysis.model
     kind = "single-draw" if model.kind == ONE_DRAW else f"pair-draw ({model.sampling} replacement)"
@@ -160,12 +165,7 @@ def _render_analysis_text(analysis: ModelAnalysis) -> str:
         lines.append(f"inactive-row case: {analysis.degenerate.case_id}")
     if analysis.equilibria:
         for eq in analysis.equilibria:
-            where = (
-                format_rational(eq.root.value)
-                if eq.root.value is not None
-                else f"~{eq.root.approx!r}"
-            )
-            lines.append(f"equilibrium {where}: {eq.classification.value}")
+            lines.append(f"equilibrium {_root_text(eq.root)}: {eq.classification.value}")
     else:
         lines.append("equilibria: none (flat or reduced drift)")
     pred = analysis.prediction
@@ -174,16 +174,10 @@ def _render_analysis_text(analysis: ModelAnalysis) -> str:
         a, b = pred.beta_params
         lines.append(f"  limit law Beta({format_rational(a)}, {format_rational(b)})")
     for p in pred.points:
-        where = (
-            format_rational(p.root.value) if p.root.value is not None else f"~{p.root.approx!r}"
-        )
         cite = f" [{p.theorem}]" if p.theorem else ""
-        lines.append(f"  candidate {where}: {p.verdict}{cite}")
+        lines.append(f"  candidate {_root_text(p.root)}: {p.verdict}{cite}")
     for p in pred.excluded:
-        where = (
-            format_rational(p.root.value) if p.root.value is not None else f"~{p.root.approx!r}"
-        )
-        lines.append(f"  excluded {where} [{p.theorem}]")
+        lines.append(f"  excluded {_root_text(p.root)} [{p.theorem}]")
     for note in pred.notes:
         lines.append(f"  note: {note}")
     return "\n".join(lines) + "\n"
@@ -501,7 +495,9 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--jobs", type=int, default=1, help="worker processes")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="polyurn", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -546,9 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"polyurn: error: {exc}", file=sys.stderr)

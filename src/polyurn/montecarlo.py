@@ -238,16 +238,12 @@ def run_replicates(config: SimConfig, parallelism: int = 1) -> list[ReplicateRes
 # Output files
 # ---------------------------------------------------------------------------
 
-def _count_cell(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else format_rational(value)
-
-
 def finals_csv_lines(results: list[ReplicateResult]) -> list[str]:
     lines = ["replicate,final_W,final_B,final_Z"]
     for r in results:
         lines.append(
-            f"{r.replicate_index},{_count_cell(r.final_white)},"
-            f"{_count_cell(r.final_black)},{r.final_z!r}"
+            f"{r.replicate_index},{format_rational(r.final_white)},"
+            f"{format_rational(r.final_black)},{r.final_z!r}"
         )
     return lines
 

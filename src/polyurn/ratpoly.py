@@ -235,7 +235,7 @@ class RatPoly:
             if c == 0:
                 continue
             mag = abs(c)
-            mag_s = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+            mag_s = format_rational(mag)
             if i == 0:
                 term = mag_s
             else:
@@ -249,15 +249,6 @@ class RatPoly:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RatPoly({self.to_text()!r})"
-
-    # -- convenience constructors ---------------------------------------------
-    @staticmethod
-    def from_roots(roots: Sequence[Rational], scale: Rational = 1) -> "RatPoly":
-        """Build ``scale * prod (x - r)`` over the given rational roots."""
-        poly = RatPoly([Fraction(scale)])
-        for r in roots:
-            poly = poly * RatPoly([-Fraction(r), Fraction(1)])
-        return poly
 
 
 def _coerce(value) -> RatPoly:
@@ -404,32 +395,46 @@ class RootRecord:
     Exactly one of ``value`` (exact rational root) and ``interval`` (open
     isolating interval with rational endpoints around an irrational root) is
     set. ``factor`` is the monic square-free factor whose simple sign change
-    pins this root; it drives further interval refinement and exact sign
-    queries. ``approx`` is a float approximation good to the isolation width.
+    pins this root; it drives :meth:`within` and exact sign queries. The
+    location, the float approximation and the bounds follow from these.
     """
 
     multiplicity: int
-    location: str  # one of INTERIOR, LEFT_BOUNDARY, RIGHT_BOUNDARY
-    approx: float
     value: Fraction | None = None
     interval: tuple[Fraction, Fraction] | None = None
     factor: RatPoly | None = None
 
-    @classmethod
-    def exact(
-        cls, value: Rational, multiplicity: int = 1, factor: RatPoly | None = None
-    ) -> "RootRecord":
-        """The record of a root at the rational ``value``, located from the value itself."""
-        v = Fraction(value)
-        location = LEFT_BOUNDARY if v == 0 else RIGHT_BOUNDARY if v == 1 else INTERIOR
-        return cls(multiplicity, location, float(v), value=v, factor=factor)
+    @property
+    def location(self) -> str:
+        """``LEFT_BOUNDARY`` at 0, ``RIGHT_BOUNDARY`` at 1, ``INTERIOR`` otherwise."""
+        return LEFT_BOUNDARY if self.value == 0 else RIGHT_BOUNDARY if self.value == 1 else INTERIOR
+
+    @property
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        """``(value, value)`` for a rational root, otherwise the isolating interval."""
+        return (self.value, self.value) if self.value is not None else self.interval
 
     def position(self) -> Fraction:
         """Exact value, or the midpoint of the isolating interval."""
+        return self.value if self.value is not None else sum(self.interval) / 2
+
+    @property
+    def approx(self) -> float:
+        """Float approximation, good to the isolation width."""
+        return float(self.position())
+
+    def within(self, lower: Rational, upper: Rational, strict: bool) -> bool:
+        """Exact membership in ``(lower, upper)`` if ``strict``, else in ``[lower, upper]``.
+
+        An irrational root equals neither end, so its isolating interval is
+        halved while it holds ``lower`` or ``upper``; it then lies wholly
+        inside or wholly outside.
+        """
         if self.value is not None:
-            return self.value
-        lo, hi = self.interval
-        return (lo + hi) / 2
+            v = self.value
+            return lower < v < upper if strict else lower <= v <= upper
+        lo, hi = _bisect(self.factor, *self.interval, _holding((lower, upper)))
+        return lower < lo and hi < upper
 
 
 def _bisect(poly: RatPoly, lo: Fraction, hi: Fraction, keep_halving) -> tuple[Fraction, Fraction]:
@@ -467,25 +472,10 @@ def _wider_than(width: Fraction):
     return lambda a, c, q: (c - a) * width.denominator > width.numerator * q
 
 
-def refine_root(record: RootRecord, width: Fraction) -> RootRecord:
-    """Shrink an irrational root's isolating interval to at most ``width``.
-
-    Rational roots are returned unchanged (their width is already zero).
-    """
-    if record.value is not None:
-        return record
-    lo, hi = _bisect(record.factor, *record.interval, _wider_than(Fraction(width)))
-    if lo == hi:
-        # The tracked root is irrational, so a rational midpoint is never the
-        # root itself; a zero here means the interval did not isolate it.
-        raise ArithmeticError("isolating interval midpoint unexpectedly a root")
-    return RootRecord(
-        multiplicity=record.multiplicity,
-        location=record.location,
-        approx=float((lo + hi) / 2),
-        value=None,
-        interval=(lo, hi),
-        factor=record.factor,
+def _holding(points: Sequence[Rational]):
+    """``keep_halving`` test of :func:`_bisect`: the closed interval holds one of ``points``."""
+    return lambda a, c, q: any(
+        a * r.denominator <= r.numerator * q <= c * r.denominator for r in points
     )
 
 
@@ -573,17 +563,14 @@ def roots_in_unit_interval(
     records = []
     for r in rational_roots:
         mult, factor = multiplicity_of(lambda f, r=r: sign_at(f, r) == 0)
-        records.append(RootRecord.exact(r, mult, factor))
+        records.append(RootRecord(mult, value=r, factor=factor))
 
-    wider = _wider_than(Fraction(refine_width))
+    wider, holding = _wider_than(Fraction(refine_width)), _holding(rational_roots)
 
     def keep_halving(a: int, c: int, q: int) -> bool:
         # Until the interval is narrow and free of rational roots, which the
         # owning factor may share.
-        return wider(a, c, q) or any(
-            a * r.denominator <= r.numerator * q <= c * r.denominator
-            for r in rational_roots
-        )
+        return wider(a, c, q) or holding(a, c, q)
 
     # Each isolating interval holds one root of the radical, so halving the
     # radical follows that root even where lo is a rational root.
@@ -592,15 +579,7 @@ def roots_in_unit_interval(
         mult, factor = multiplicity_of(
             lambda f, lo=lo, hi=hi: sign_at(f, lo) != sign_at(f, hi)
         )
-        records.append(
-            RootRecord(
-                multiplicity=mult,
-                location=INTERIOR,
-                approx=float((lo + hi) / 2),
-                interval=(lo, hi),
-                factor=factor,
-            )
-        )
+        records.append(RootRecord(mult, interval=(lo, hi), factor=factor))
 
     records.sort(key=lambda rec: rec.position())
     return records

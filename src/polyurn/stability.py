@@ -94,23 +94,17 @@ def classify_all(drift: RatPoly) -> list[Equilibrium]:
     return [_classify_record(drift, records, i) for i in range(len(records))]
 
 
-def _zone(record: RootRecord) -> tuple[Fraction, Fraction]:
-    if record.value is not None:
-        return record.value, record.value
-    return record.interval
-
-
 def _classify_record(drift: RatPoly, records: list[RootRecord], index: int) -> Equilibrium:
     record = records[index]
-    lo, hi = _zone(record)
+    lo, hi = record.bounds
 
     left_probe = None
     if lo > 0:
-        left_neighbor_hi = _zone(records[index - 1])[1] if index > 0 else Fraction(0)
+        left_neighbor_hi = records[index - 1].bounds[1] if index > 0 else Fraction(0)
         left_probe = (left_neighbor_hi + lo) / 2
     right_probe = None
     if hi < 1:
-        right_neighbor_lo = _zone(records[index + 1])[0] if index + 1 < len(records) else Fraction(1)
+        right_neighbor_lo = records[index + 1].bounds[0] if index + 1 < len(records) else Fraction(1)
         right_probe = (hi + right_neighbor_lo) / 2
 
     def probe_sign(x: Fraction | None) -> int | None:

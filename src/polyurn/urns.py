@@ -164,10 +164,6 @@ class UrnModel:
         if self.kind == ONE_DRAW:
             object.__setattr__(self, "sampling", WITH_REPLACEMENT)
 
-    @property
-    def initial_state(self) -> "UrnState":
-        return UrnState(self.w0, self.b0, 0)
-
     def color_swap(self) -> "UrnModel":
         return UrnModel(self.kind, self.matrix.color_swap(), self.b0, self.w0, self.sampling)
 
@@ -591,11 +587,6 @@ class AttainableInterval:
     lower: Fraction
     upper: Fraction
     closed_bounds: bool
-
-    def contains_for_stable(self, x: Fraction) -> bool:
-        if self.closed_bounds:
-            return self.lower <= x <= self.upper
-        return self.lower < x < self.upper
 
 
 def active_white_ratios(matrix: OneDrawMatrix | TwoDrawMatrix) -> list[Fraction]:

@@ -26,9 +26,11 @@ from polyurn.analysis import (
     analysis_to_dict,
     analyze_model,
     predict_limit,
+    prediction_from_dict,
     prediction_to_dict,
     sa_conditions_for,
 )
+from polyurn.ratpoly import format_rational
 from polyurn.urns import (
     ONE_DRAW,
     WITH_REPLACEMENT,
@@ -155,6 +157,21 @@ def test_analysis_outputs_match_golden_digests():
         if digest != golden[name][part]
     ]
     assert not changed, "analysis output changed for:\n" + "\n".join(changed)
+
+
+def test_prediction_json_round_trips_over_the_corpus():
+    # An irrational point comes back as the exact binary fraction of its float.
+    changed = []
+    for i, model in enumerate(corpus()):
+        data = prediction_to_dict(predict_limit(model))
+        expected = json.loads(json.dumps(data))
+        for entry in expected["points"] + expected["excluded"]:
+            if entry["point"] is None:
+                point = format_rational(Fraction(entry["approx"]))
+                entry.update(point=point, interval=None, location="interior")
+        if prediction_to_dict(prediction_from_dict(data)) != expected:
+            changed.append(label(i, model))
+    assert not changed, "prediction JSON does not round-trip for:\n" + "\n".join(changed)
 
 
 def _mirrored(original, swapped) -> bool:

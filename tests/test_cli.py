@@ -368,6 +368,57 @@ def test_verify_rejects_a_radius_that_is_not_positive_and_finite(model_flags, ra
     assert_one_line_usage_error(code, out, err)
 
 
+BAD_PREDICTIONS = {
+    "beta-without-params": {"kind": "beta-distribution", "beta_params": None},
+    "beta-param-beyond-float": {"kind": "beta-distribution", "beta_params": ["1e400", "1"]},
+    "beta-param-count": {"kind": "beta-distribution", "beta_params": ["1"]},
+    "beta-params-not-a-list": {"kind": "beta-distribution", "beta_params": "12"},
+    "point-approx-beyond-float": {
+        "kind": "point-mass-set",
+        "points": [{"point": None, "approx": 1e400, "verdict": "unknown"}],
+    },
+    "point-not-an-object": {"kind": "point-mass-set", "points": [5]},
+}
+
+
+@pytest.mark.parametrize("prediction", BAD_PREDICTIONS.values(), ids=BAD_PREDICTIONS.keys())
+def test_verify_rejects_a_malformed_prediction_file(prediction, tmp_path, capsys):
+    path = tmp_path / "prediction.json"
+    path.write_text(json.dumps(prediction))  # 1e400 is written as Infinity
+    code, out, err = run_cli(
+        ["verify", "--one-draw", "1,0,0,1", "--steps", "50", "--replicates", "5",
+         "--prediction", str(path)], capsys
+    )
+    assert_one_line_usage_error(code, out, err)
+    assert "invalid prediction file" in err
+
+
+def test_successive_main_calls_share_no_parser_state(monkeypatch, tmp_path, capsys):
+    # One parser serves every call in a process; each call must still parse
+    # as if it were the first, whatever command or error came before it.
+    monkeypatch.setattr(cli, "_SUITES", cli._SUITES[:1])
+    finals = tmp_path / "finals.csv"
+    calls = [
+        ["analyze", "--two-draw", "15,3,4,1,3,21", "--w0", "5", "--b0", "2", "--format", "text"],
+        ["simulate", "--one-draw", "1,0,0,1", "--steps", "20", "--replicates", "3",
+         "--out", str(finals), "--format", "json"],
+        ["analyze", "--one-draw", "2,0,0,1"],
+        ["verify", "--one-draw", "1,0,0,1", "--steps", "50", "--replicates", "5",
+         "--format", "text"],
+        ["analyze"],
+        ["selftest", "--seed", "3"],
+        ["simulate", "--one-draw", "1,0,0,1", "--format", "xml"],
+        ["verify", "--one-draw", "1,0,0,1", "--replicates", "0"],
+    ]
+    forward = [run_cli(argv, capsys) for argv in calls]
+    backward = [run_cli(argv, capsys) for argv in reversed(calls)][::-1]
+    assert forward == backward
+    assert [code for code, _, _ in forward] == [0, 0, 0, 0, 1, 0, 1, 1]
+    # The analyze call after a simulate --out still reports on stdout.
+    assert json.loads(forward[2][1])["model"]["matrix"] == [["2", "0"], ["0", "1"]]
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_simulate_zero_replicates_is_a_usage_error(fmt):
     # With no replicates there is no mean; JSON output would carry a NaN.

@@ -41,6 +41,8 @@ from polyurn.montecarlo import (
 )
 from polyurn.urns import UrnState, one_draw_model, two_draw_model
 
+from helpers import initial_state
+
 F = Fraction
 WITH = "with"
 
@@ -140,7 +142,7 @@ def test_run_replicates_rejects_bad_parallelism():
 def oracle_run(config, replicate_index):
     """Replicate ``replicate_index`` stepped by the rational reference ``step``."""
     rng = replicate_rng(config.base_seed, replicate_index)
-    state = config.model.initial_state
+    state = initial_state(config.model)
     traj = [] if config.record_trajectory else None
 
     def record(step_index):
@@ -221,7 +223,7 @@ def test_pair_kernel_matches_oracle_at_exact_thresholds(sampling, monkeypatch):
     for u in draws:
         monkeypatch.setattr(mc, "replicate_rng", lambda seed, index: ScriptedRng([u]))
         result = simulate(SimConfig(model=model, steps=1, replicates=1), 0)
-        expected = step(model.initial_state, model, ScriptedRng([u]))
+        expected = step(initial_state(model), model, ScriptedRng([u]))
         assert (result.final_white, result.final_black) == (expected.white, expected.black)
 
 

@@ -1,5 +1,6 @@
 """Exact-polynomial kernel: arithmetic, factoring, and root isolation."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,13 +18,14 @@ from polyurn.ratpoly import (
     format_rational,
     parse_rational,
     poly_gcd,
-    refine_root,
     roots_in_unit_interval,
     sign_at,
     sign_at_root,
     squarefree_decomposition,
     sturm_chain,
 )
+
+from helpers import poly_from_roots, refine_root
 
 F = Fraction
 
@@ -107,7 +109,7 @@ def test_derivative():
 
 
 def test_from_roots():
-    f = RatPoly.from_roots([F(1, 4), F(1, 2), F(3, 4)], scale=F(-32))
+    f = poly_from_roots([F(1, 4), F(1, 2), F(3, 4)], scale=F(-32))
     assert f == P(3, -22, 48, -32)
 
 
@@ -142,7 +144,7 @@ def test_poly_gcd_coprime_is_constant():
 
 def test_squarefree_decomposition():
     # (x - 1/2)^3 * (x - 1/4)
-    f = RatPoly.from_roots([F(1, 2)] * 3 + [F(1, 4)])
+    f = poly_from_roots([F(1, 2)] * 3 + [F(1, 4)])
     constant, parts = squarefree_decomposition(f)
     rebuilt = RatPoly([constant])
     for factor, mult in parts:
@@ -182,14 +184,14 @@ def test_rational_roots_found_exactly():
 
 
 def test_multiple_root_multiplicity():
-    f = RatPoly.from_roots([F(1, 2)] * 3, scale=F(-8))
+    f = poly_from_roots([F(1, 2)] * 3, scale=F(-8))
     (root,) = roots_in_unit_interval(f)
     assert root.value == F(1, 2)
     assert root.multiplicity == 3
 
 
 def test_touchpoint_double_root():
-    f = RatPoly.from_roots([F(1, 4), F(1, 4), F(3, 4)], scale=F(-64))
+    f = poly_from_roots([F(1, 4), F(1, 4), F(3, 4)], scale=F(-64))
     roots = roots_in_unit_interval(f)
     assert [(r.value, r.multiplicity) for r in roots] == [(F(1, 4), 2), (F(3, 4), 1)]
 
@@ -272,7 +274,7 @@ _BIG_ROOT_CASES = [
 @pytest.mark.parametrize("rational,quadratic,irrational_count", _BIG_ROOT_CASES)
 def test_roots_with_large_coefficients_are_exact(rational, quadratic, irrational_count):
     roots = [r for r, mult in rational for _ in range(mult)]
-    f = RatPoly.from_roots(roots, scale=F(7919, 104729)) * quadratic
+    f = poly_from_roots(roots, scale=F(7919, 104729)) * quadratic
     assert max(len(str(abs(c.numerator))) for c in f.coeffs) >= 15
     records = roots_in_unit_interval(f)
     assert [(r.value, r.multiplicity) for r in records if r.value is not None] == sorted(rational)
@@ -354,7 +356,7 @@ def test_integer_sign_matches_fraction_evaluation():
         degree = rng.randint(1, 6)
         if trial % 3 == 0:
             roots = [_random_point(rng, rng.random() < 0.5) for _ in range(degree)]
-            poly = RatPoly.from_roots(roots, scale=F(rng.randint(1, 9), rng.randint(1, 4)))
+            poly = poly_from_roots(roots, scale=F(rng.randint(1, 9), rng.randint(1, 4)))
             points = roots[:2] + [_random_point(rng, dyadic) for dyadic in (True, False)]
         else:
             poly = _random_poly(rng, degree)
@@ -388,13 +390,7 @@ def test_refine_root_matches_fraction_bisection_oracle():
                 starts.append((wide_lo, wide_hi))
             for start in starts:
                 for width in (F(1, 10**12), (start[1] - start[0]) / 2):
-                    seeded = RootRecord(
-                        multiplicity=record.multiplicity,
-                        location=record.location,
-                        approx=record.approx,
-                        interval=start,
-                        factor=record.factor,
-                    )
+                    seeded = RootRecord(record.multiplicity, interval=start, factor=record.factor)
                     try:
                         expected = _oracle_refine(record.factor, *start, width)
                     except ArithmeticError:
@@ -411,14 +407,62 @@ def test_bisection_midpoint_on_a_root_raises():
     # (2x - 1)(x^2 - 1/2) changes sign across (1/4, 3/4), whose midpoint 1/2
     # is a rational root of the factor.
     factor = P(-1, 2) * P(F(-1, 2), 0, 1)
-    record = RootRecord(
-        multiplicity=1, location=INTERIOR, approx=0.5,
-        interval=(F(1, 4), F(3, 4)), factor=factor,
-    )
+    record = RootRecord(1, interval=(F(1, 4), F(3, 4)), factor=factor)
     with pytest.raises(ArithmeticError):
         _oracle_refine(factor, F(1, 4), F(3, 4), F(1, 10))
     with pytest.raises(ArithmeticError):
         refine_root(record, F(1, 10))
+
+
+def _oracle_within(record, lower, upper, strict):
+    """Membership by halving with Fraction arithmetic until no end lies in the interval."""
+    if record.value is not None:
+        v = record.value
+        return lower < v < upper if strict else lower <= v <= upper
+    lo, hi = record.interval
+    while True:
+        if lower < lo and hi < upper:
+            return True
+        if hi <= lower or lo >= upper:
+            return False
+        lo, hi = _oracle_refine(record.factor, lo, hi, (hi - lo) / 2)
+
+
+def test_within_matches_fraction_halving_oracle():
+    rng = random.Random(6)
+    checked = {True: 0, False: 0}
+    while min(checked.values()) < 400:
+        poly = _random_poly(rng, rng.randint(2, 6))
+        for record in roots_in_unit_interval(poly, refine_width=F(1, 2)):
+            if record.value is not None:
+                continue
+            lo, hi = record.interval
+            gap = (hi - lo) / rng.randint(3, 9)
+            # Ends outside, on the edge of, and inside the isolating interval.
+            ends = [lo - gap, lo, lo + gap, record.position(), hi - gap, hi, hi + gap]
+            for lower in ends:
+                for upper in ends:
+                    for strict in (True, False):
+                        expected = _oracle_within(record, lower, upper, strict)
+                        assert record.within(lower, upper, strict) == expected
+                        checked[expected] += 1
+    # A rational root compares exactly, ends included only when closed.
+    half = RootRecord(1, value=F(1, 2))
+    assert half.within(F(1, 2), 1, strict=False) and not half.within(F(1, 2), 1, strict=True)
+
+
+def test_root_record_derives_location_and_approximation():
+    assert [f.name for f in dataclasses.fields(RootRecord)] == [
+        "multiplicity", "value", "interval", "factor"
+    ]
+    assert [RootRecord(1, value=F(v)).location for v in (0, F(1, 3), 1)] == [
+        LEFT_BOUNDARY, INTERIOR, RIGHT_BOUNDARY
+    ]
+    third = RootRecord(2, value=F(1, 3))
+    assert (third.bounds, third.approx) == ((F(1, 3), F(1, 3)), float(F(1, 3)))
+    (root,) = roots_in_unit_interval(P(-1, 0, 2))
+    assert root.location == INTERIOR and root.bounds == root.interval
+    assert root.approx == float(sum(root.interval) / 2)
 
 
 def test_coarse_isolating_intervals_exclude_rational_roots():

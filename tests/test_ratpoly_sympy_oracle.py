@@ -15,6 +15,8 @@ import pytest
 
 from polyurn.ratpoly import RatPoly, roots_in_unit_interval, sign_at_root
 
+from helpers import poly_from_roots
+
 sympy = pytest.importorskip("sympy")
 
 X = sympy.Symbol("x")
@@ -44,24 +46,24 @@ def _poly(rng, kind):
     if kind == "repeated":
         roots = [_rational(rng) for _ in range(rng.randint(1, 3))]
         roots += [roots[0]] * rng.randint(1, 2)
-        return RatPoly.from_roots(roots, scale=F(rng.randint(-9, 9) or 1, rng.randint(1, 5)))
+        return poly_from_roots(roots, scale=F(rng.randint(-9, 9) or 1, rng.randint(1, 5)))
     if kind == "boundary":
         roots = [F(0)] * rng.randint(1, 2) + [F(1)] * rng.randint(0, 2) + [_rational(rng)]
-        return RatPoly.from_roots(roots) * _irreducible_quadratic(rng)
+        return poly_from_roots(roots) * _irreducible_quadratic(rng)
     if kind == "irrational":
         cubic = RatPoly([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)] + [1])
         return cubic * _irreducible_quadratic(rng)
     if kind == "close":
         r = _rational(rng)
         gap = F(1, rng.choice([10**7, 10**9, 3 * 10**8]))
-        return RatPoly.from_roots([r, r + gap, r - gap][: rng.randint(2, 3)]) * (
+        return poly_from_roots([r, r + gap, r - gap][: rng.randint(2, 3)]) * (
             _irreducible_quadratic(rng)
         )
     if kind == "big":
         roots = [_rational(rng, big=True) for _ in range(rng.randint(1, 3))]
         roots.append(rng.choice(roots))
         scale = F(rng.choice(PRIMES), rng.choice(PRIMES))
-        return RatPoly.from_roots(roots, scale) * _irreducible_quadratic(rng)
+        return poly_from_roots(roots, scale) * _irreducible_quadratic(rng)
     degree = rng.randint(1, 6)
     return RatPoly([F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(degree)]
                    + [F(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 6))])

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyurn.ratpoly import RatPoly
+from polyurn.ratpoly import RatPoly, RootRecord
 from polyurn.urns import (
     ONE_DRAW,
     TWO_DRAW,
@@ -331,8 +331,9 @@ def test_attainable_interval_pair_fixtures():
 def test_attainable_interval_single_draw_is_open_unit():
     interval = attainable_interval(one_draw_model([1, 0, 0, 1], 1, 1))
     assert (interval.lower, interval.upper, interval.closed_bounds) == (F(0), F(1), False)
-    assert not interval.contains_for_stable(F(0))
-    assert interval.contains_for_stable(F(1, 2))
+    strict = not interval.closed_bounds
+    assert not RootRecord(1, value=F(0)).within(interval.lower, interval.upper, strict=strict)
+    assert RootRecord(1, value=F(1, 2)).within(interval.lower, interval.upper, strict=strict)
 
 
 def test_count_divergence_flags():
