@@ -121,6 +121,14 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
+def _rendered(render, value) -> str:
+    """``render(value)``, with a derived number too long to print as an input error."""
+    try:
+        return render(value)
+    except ValueError as exc:  # the interpreter's limit on int-to-str digits
+        raise CliError(f"a derived number is too long to print: {exc}") from exc
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if getattr(args, "out", None):
         _write_text(args.out, text)
@@ -187,9 +195,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     model = model_from_args(args)
     analysis = analyze_model(model)
     if args.format == "text":
-        _emit(args, _render_analysis_text(analysis))
+        _emit(args, _rendered(_render_analysis_text, analysis))
     else:
-        _emit(args, _json_text(analysis_to_dict(analysis)))
+        _emit(args, _json_text(_rendered(analysis_to_dict, analysis)))
     return EXIT_OK
 
 
@@ -306,9 +314,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if args.format == "text":
-        _emit(args, _render_report_text(report))
+        _emit(args, _rendered(_render_report_text, report))
     else:
-        _emit(args, _json_text(report.to_dict()))
+        _emit(args, _json_text(_rendered(VerificationReport.to_dict, report)))
     return EXIT_INCONSISTENT if report.verdict == "inconsistent" else EXIT_OK
 
 

@@ -1,20 +1,23 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Coefficients are :class:`fractions.Fraction` throughout, so every operation in
-this module is exact: evaluation, arithmetic, gcd, square-free decomposition,
-and root isolation produce certified answers with no floating-point error.
-Roots of a polynomial inside the unit interval are returned either as exact
-rational values or as arbitrarily narrow isolating intervals with exact
-rational endpoints (irrational roots), together with their multiplicity.
+A polynomial is held as integer numerators over one positive denominator, in
+lowest terms, so arithmetic, gcd, square-free decomposition and root
+isolation are exact integer computations with certified answers. ``Fraction``
+values appear only at the edges: coefficients shown or evaluated, and the
+values and interval endpoints of roots. Roots in the unit interval come back
+as exact rationals or as arbitrarily narrow isolating intervals with rational
+endpoints (irrational roots), with their multiplicities.
 
 Every sign decision rests on one primitive, :func:`sign_at`: the sign at
 ``p/q`` of a polynomial with primitive integer coefficients ``c_i`` is the
-sign of the integer ``sum c_i p^i q^(n-i)``, one integer Horner pass with no
-``Fraction`` arithmetic. Sturm sequences isolate the distinct roots; a
-rational root is read off its isolating interval, narrowed until at most one
-fraction with a small enough denominator fits. The sign of another
-polynomial at an irrational root is a Sturm-Tarski query: a difference of
-sign variations at the two ends of the root's isolating interval.
+sign of the integer ``sum c_i p^i q^(n-i)``, one integer Horner pass. Gcds,
+Yun's square-free split and Sturm sequences use signed pseudo-remainders over
+the integers, each reduced to its primitive part (Collins' primitive
+remainder sequence). Sturm sequences isolate the distinct roots; a rational
+root is read off its isolating interval, narrowed until at most one fraction
+with a small enough denominator fits. The sign of another polynomial at an
+irrational root is a Sturm-Tarski query: a difference of sign variations at
+the two ends of the root's isolating interval.
 
 The unit interval is the natural domain here because these polynomials arise
 as drift and noise curves of urn processes whose state is a proportion.
@@ -22,7 +25,9 @@ as drift and noise curves of urn processes whose state is a proportion.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -31,6 +36,9 @@ Rational = Union[int, Fraction]
 
 #: Default width to which isolating intervals of irrational roots are refined.
 DEFAULT_REFINE_WIDTH = Fraction(1, 10**12)
+
+#: The interpreter's bound on int-to-str digits; 0 means none (before 3.10.7).
+_max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 LEFT_BOUNDARY = "left-boundary"
 RIGHT_BOUNDARY = "right-boundary"
@@ -42,7 +50,10 @@ def parse_rational(value) -> Fraction:
 
     Accepts ints, Fractions, strings such as ``"3"``, ``"-3/4"`` or ``"0.25"``
     (parsed exactly), and floats (converted via their shortest decimal
-    representation, so ``0.1`` becomes ``1/10``).
+    representation, so ``0.1`` becomes ``1/10``). A decimal whose numerator or
+    denominator would have more digits than the interpreter converts between
+    ints and strings (``sys.get_int_max_str_digits()``) is refused before it
+    is built.
     """
     if isinstance(value, Fraction):
         return value
@@ -56,6 +67,14 @@ def parse_rational(value) -> Fraction:
         return Fraction(repr(value))
     if isinstance(value, str):
         try:
+            # ``m.f e k`` is ``mf * 10**(k - len(f))``: its numerator or
+            # denominator has at most ``len(mf) + |k - len(f)|`` digits.
+            mantissa, e, exponent = value.strip().lower().partition("e")
+            whole, _, fraction = mantissa.partition(".")
+            if e and "/" not in value and 0 < _max_digits() < (
+                len(whole) + len(fraction) + abs(int(exponent) - len(fraction))
+            ):
+                raise ValueError(f"more than {_max_digits()} digits")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational number: {value!r}") from exc
@@ -67,62 +86,74 @@ def format_rational(value: Rational) -> str:
 
     Integers render bare (``"3"``), everything else as ``"p/q"``.
     """
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
-
-
-def _as_fraction_tuple(coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:
-    out = tuple(Fraction(c) for c in coeffs)
-    # Trim trailing zero coefficients so degree and equality are canonical.
-    end = len(out)
-    while end > 0 and out[end - 1] == 0:
-        end -= 1
-    return out[:end]
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 @dataclass(frozen=True)
 class RatPoly:
-    """A polynomial with exact rational coefficients, stored lowest power first."""
+    """A polynomial with exact rational coefficients ``num[i] / den``, lowest power first.
 
-    coeffs: tuple[Fraction, ...]
+    The form is canonical: no trailing zero numerators, ``den > 0`` and
+    ``gcd(den, *num) == 1``, with ``((), 1)`` for the zero polynomial. Equal
+    polynomials therefore compare and hash equal.
+    """
+
+    num: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[Rational] = ()):  # noqa: D107
-        object.__setattr__(self, "coeffs", _as_fraction_tuple(coeffs))
+        coeffs = list(coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._set([c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    def _set(self, num: Sequence[int], den: int) -> "RatPoly":
+        """Store ``num / den`` in canonical form."""
+        while num and not num[-1]:
+            num = num[:-1]
+        g = math.gcd(den, *num) * (-1 if den < 0 else 1)
+        object.__setattr__(self, "num", tuple(num) if g == 1 else tuple(v // g for v in num))
+        object.__setattr__(self, "den", den // g)
+        return self
 
     # -- basic structure ---------------------------------------------------
     @property
     def degree(self) -> int:
         """Degree of the polynomial; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def leading_coeff(self) -> Fraction:
         if self.is_zero:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
-    def coeff(self, power: int) -> Fraction:
-        """Coefficient of ``x**power`` (zero beyond the stored degree)."""
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
+    @functools.cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients as Fractions, lowest power first (for presentation and evaluation)."""
+        return tuple(Fraction(v, self.den) for v in self.num)
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "RatPoly | Rational") -> "RatPoly":
         other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(self.coeff(i) + other.coeff(i) for i in range(n))
+        g = math.gcd(self.den, other.den)
+        a = [v * (other.den // g) for v in self.num]
+        b = [v * (self.den // g) for v in other.num]
+        if len(a) < len(b):
+            a, b = b, a
+        for i, v in enumerate(b):
+            a[i] += v
+        return _poly(a, self.den // g * other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly(-c for c in self.coeffs)
+        return _poly([-v for v in self.num], self.den)
 
     def __sub__(self, other: "RatPoly | Rational") -> "RatPoly":
         return self + (-_coerce(other))
@@ -132,17 +163,14 @@ class RatPoly:
 
     def __mul__(self, other: "RatPoly | Rational") -> "RatPoly":
         if isinstance(other, (int, Fraction)):
-            return RatPoly(c * other for c in self.coeffs)
+            return _poly([v * other.numerator for v in self.num], self.den * other.denominator)
         other = _coerce(other)
-        if self.is_zero or other.is_zero:
-            return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num):
+                    out[i + j] += a * b
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -159,29 +187,6 @@ class RatPoly:
             e >>= 1
         return result
 
-    def __divmod__(self, divisor: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        divisor = _coerce(divisor)
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        quotient = [Fraction(0)] * max(len(self.coeffs) - len(divisor.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        dlc = divisor.leading_coeff
-        ddeg = divisor.degree
-        for k in range(len(rem) - 1, ddeg - 1, -1):
-            factor = rem[k] / dlc
-            if factor == 0:
-                continue
-            quotient[k - ddeg] = factor
-            for j, c in enumerate(divisor.coeffs):
-                rem[k - ddeg + j] -= factor * c
-        return RatPoly(quotient), RatPoly(rem)
-
-    def __floordiv__(self, divisor: "RatPoly") -> "RatPoly":
-        return divmod(self, divisor)[0]
-
-    def __mod__(self, divisor: "RatPoly") -> "RatPoly":
-        return divmod(self, divisor)[1]
-
     # -- calculus and evaluation --------------------------------------------
     def evaluate(self, x):
         """Evaluate by Horner's rule; exact when ``x`` is int or Fraction."""
@@ -190,36 +195,31 @@ class RatPoly:
             result = result * x + c
         return result
 
-    def __call__(self, x):
-        return self.evaluate(x)
-
     def derivative(self) -> "RatPoly":
-        return RatPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return _poly([i * v for i, v in enumerate(self.num)][1:], self.den)
 
     # -- normal forms --------------------------------------------------------
     def monic(self) -> "RatPoly":
         if self.is_zero:
             raise ValueError("the zero polynomial cannot be made monic")
-        lc = self.leading_coeff
-        return RatPoly(c / lc for c in self.coeffs)
+        return _poly(self.num, self.num[-1])
 
     def primitive_integer_coeffs(self) -> tuple[int, ...]:
         """Integer coefficients after clearing denominators and common factors.
 
         The returned tuple is a positive rational multiple of ``coeffs`` with
         the same sign pattern (the rescaling constant is positive), so roots
-        and signs are preserved.
+        and signs are preserved. It is ``()`` for the zero polynomial and is
+        computed once per polynomial.
         """
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no primitive form")
-        lcm = 1
-        for c in self.coeffs:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [c.numerator * (lcm // c.denominator) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        return tuple(v // g for v in ints)
+        cached = self.__dict__.get("_primitive")
+        if cached is None:
+            cached = self.__dict__["_primitive"] = _primitive(self.num)
+        return cached
+
+    def abs_sum(self) -> Fraction:
+        """Sum of the coefficients' magnitudes, a bound on ``|self|`` over [-1, 1]."""
+        return Fraction(sum(map(abs, self.num)), self.den)
 
     # -- presentation ---------------------------------------------------------
     def coefficient_strings(self) -> list[str]:
@@ -251,25 +251,82 @@ class RatPoly:
         return f"RatPoly({self.to_text()!r})"
 
 
+def _poly(num: Sequence[int], den: int) -> RatPoly:
+    """The polynomial ``num / den``, for any integers with ``den != 0``."""
+    return RatPoly.__new__(RatPoly)._set(num, den)
+
+
 def _coerce(value) -> RatPoly:
     if isinstance(value, RatPoly):
         return value
     if isinstance(value, (int, Fraction)):
-        return RatPoly([Fraction(value)])
+        return _poly([value.numerator], value.denominator)
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
 
 
 # ---------------------------------------------------------------------------
-# gcd and square-free structure
+# Integer remainder sequences, gcd and square-free structure
 # ---------------------------------------------------------------------------
+
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """``ints`` divided by the gcd of its entries, which is positive."""
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Primitive part of a positive multiple of the remainder of ``a`` by ``b``.
+
+    Each reduction step multiplies the running remainder by a positive
+    factor of ``|lc(b)|`` before subtracting a multiple of ``b``, so the
+    result has the signs of the rational remainder at every point.
+    """
+    r = list(a)
+    n = len(b) - 1
+    lc = b[-1]
+    for k in range(len(r) - 1, n - 1, -1):
+        lead = r.pop()
+        if lead:
+            g = math.gcd(lead, lc)
+            scale, factor = abs(lc) // g, (lead if lc > 0 else -lead) // g
+            r = [scale * v for v in r]
+            for j in range(n):
+                r[k - n + j] -= factor * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return _primitive(r)
+
+
+def _exact_quotient(a: RatPoly, b: RatPoly) -> RatPoly:
+    """``a / b`` for an integer ``a`` divisible by a primitive integer ``b``.
+
+    The quotient has integer coefficients by Gauss's lemma, so every step of
+    the long division divides exactly.
+    """
+    r, d = list(a.num), b.num
+    n = len(d) - 1
+    quotient = []
+    for k in range(len(r) - 1, n - 1, -1):
+        factor = r.pop() // d[-1]
+        quotient.append(factor)
+        for j in range(n):
+            r[k - n + j] -= factor * d[j]
+    return _poly(quotient[::-1], 1)
+
+
+def _integer_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
+    """A primitive integer gcd of ``p`` and ``q``, by primitive pseudo-remainders."""
+    a, b = p.primitive_integer_coeffs(), q.primitive_integer_coeffs()
+    while b:
+        a, b = b, _pseudo_remainder(a, b)
+    return _poly(a, 1)
+
 
 def poly_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
     """Monic greatest common divisor (gcd of anything with zero is the other)."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not q.is_zero:
-        p, q = q, p % q
-    return p.monic()
+    return _integer_gcd(p, q).monic()
 
 
 def squarefree_decomposition(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:
@@ -277,30 +334,30 @@ def squarefree_decomposition(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, 
 
     Returns ``(constant, [(factor, multiplicity), ...])`` such that
     ``p == constant * prod(factor**multiplicity)``, each factor is monic and
-    square-free and the factors are pairwise coprime (Yun's algorithm).
+    square-free and the factors are pairwise coprime (Yun's algorithm). The
+    steps run on integer polynomials: each gcd is primitive and each
+    division by it is exact.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no square-free decomposition")
     constant = p.leading_coeff
     if p.degree == 0:
         return constant, []
-    f = p.monic()
+    f = _poly(p.primitive_integer_coeffs(), 1)
     deriv = f.derivative()
-    g0 = poly_gcd(f, deriv)
+    g0 = _integer_gcd(f, deriv)
     if g0.degree == 0:
-        return constant, [(f, 1)]
-    b = f // g0
-    c = deriv // g0
-    d = c - b.derivative()
+        return constant, [(p.monic(), 1)]
+    b = _exact_quotient(f, g0)
+    d = _exact_quotient(deriv, g0) - b.derivative()
     factors: list[tuple[RatPoly, int]] = []
     mult = 1
     while b.degree > 0:
-        a = poly_gcd(b, d)
+        a = _integer_gcd(b, d)
         if a.degree > 0:
-            factors.append((a, mult))
-        b = b // a
-        c = d // a
-        d = c - b.derivative()
+            factors.append((a.monic(), mult))
+        b = _exact_quotient(b, a)
+        d = _exact_quotient(d, a) - b.derivative()
         mult += 1
     return constant, factors
 
@@ -337,51 +394,46 @@ def sign_at(poly: RatPoly, x: Rational) -> int:
     """
     if poly.is_zero:
         return 0
-    x = Fraction(x)
     return _int_sign(poly.primitive_integer_coeffs(), x.numerator, x.denominator)
 
 
-def _normalize_signs(p: RatPoly) -> RatPoly:
-    """Rescale by a positive constant to small integer coefficients."""
-    if p.is_zero:
-        return p
-    ints = p.primitive_integer_coeffs()
-    if (ints[-1] > 0) != (p.leading_coeff > 0):
-        ints = tuple(-v for v in ints)
-    return RatPoly(ints)
-
-
-def _remainder_sequence(p: RatPoly, q: RatPoly) -> list[RatPoly]:
+def _remainder_sequence(p: RatPoly, q: RatPoly) -> list[tuple[int, ...]]:
     """Signed remainder sequence ``p, q, -(p mod q), ...`` to its last nonzero member.
 
-    Each member is rescaled by a positive constant (:func:`_normalize_signs`),
-    which changes no sign.
+    Each member is held as primitive integer coefficients, a positive multiple
+    of the rational remainder (:func:`_pseudo_remainder`), which changes no
+    sign.
     """
-    seq = [_normalize_signs(p), _normalize_signs(q)]
-    while not seq[-1].is_zero:
-        seq.append(_normalize_signs(-(seq[-2] % seq[-1])))
+    seq = [p.primitive_integer_coeffs(), q.primitive_integer_coeffs()]
+    while seq[-1]:
+        seq.append(tuple(-v for v in _pseudo_remainder(seq[-2], seq[-1])))
     return seq[:-1]
 
 
-def sturm_chain(p: RatPoly) -> list[RatPoly]:
-    """Canonical chain of sign-alternating remainders used to count roots."""
+def sturm_chain(p: RatPoly) -> list[tuple[int, ...]]:
+    """Canonical chain of sign-alternating remainders used to count roots.
+
+    Members are primitive integer coefficient tuples, lowest power first.
+    """
     if p.is_zero:
         raise ValueError("the zero polynomial has no root-counting chain")
     return _remainder_sequence(p, p.derivative())
 
 
-def _sign_variations(chain: Sequence[RatPoly], x: Fraction) -> int:
-    signs = [s for s in (sign_at(member, x) for member in chain) if s]
+def _sign_variations(chain: Sequence[Sequence[int]], p: int, q: int) -> int:
+    """Sign changes along ``chain`` at ``p/q``, for ``q > 0``, skipping zeros."""
+    signs = [s for s in (_int_sign(member, p, q) for member in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_distinct_roots(chain: Sequence[RatPoly], lo: Fraction, hi: Fraction) -> int:
+def count_distinct_roots(chain: Sequence[Sequence[int]], lo: Rational, hi: Rational) -> int:
     """Number of distinct roots of the chain's polynomial in ``(lo, hi]``.
 
     When that polynomial is square-free, ``lo`` and ``hi`` may be roots;
     otherwise neither may be.
     """
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    return (_sign_variations(chain, lo.numerator, lo.denominator)
+            - _sign_variations(chain, hi.numerator, hi.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -494,26 +546,28 @@ def sign_at_root(poly: RatPoly, record: RootRecord) -> int:
         return sign_at(poly, record.value)
     g = record.factor
     chain = _remainder_sequence(g, g.derivative() * poly)
-    lo, hi = record.interval
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    return count_distinct_roots(chain, *record.interval)  # Var(lo) - Var(hi)
 
 
 # ---------------------------------------------------------------------------
 # Root isolation in the unit interval
 # ---------------------------------------------------------------------------
 
-def _isolate(chain: Sequence[RatPoly], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint subintervals ``(lo', hi']`` of ``(lo, hi]`` each holding one distinct root.
+def _isolate(chain: Sequence[Sequence[int]], a: int, c: int, q: int,
+             var_a: int, var_c: int) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint subintervals ``(lo, hi]`` of ``(a/q, c/q]`` each holding one distinct root.
 
+    ``var_a`` and ``var_c`` are the chain's sign variations at the two ends.
     The chain's polynomial must be square-free, so that endpoints may be roots.
     """
-    count = count_distinct_roots(chain, lo, hi)
+    count = var_a - var_c
     if count == 0:
         return []
     if count == 1:
-        return [(lo, hi)]
-    mid = (lo + hi) / 2
-    return _isolate(chain, lo, mid) + _isolate(chain, mid, hi)
+        return [(Fraction(a, q), Fraction(c, q))]
+    var_mid = _sign_variations(chain, a + c, 2 * q)
+    return (_isolate(chain, 2 * a, a + c, 2 * q, var_a, var_mid)
+            + _isolate(chain, a + c, 2 * c, 2 * q, var_mid, var_c))
 
 
 def roots_in_unit_interval(
@@ -549,12 +603,14 @@ def roots_in_unit_interval(
     n = abs(rad.primitive_integer_coeffs()[-1])
     rational_roots = [Fraction(0)] if sign_at(rad, 0) == 0 else []
     irrational: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in _isolate(sturm_chain(rad), Fraction(0), Fraction(1)):
+    chain = sturm_chain(rad)
+    for lo, hi in _isolate(chain, 0, 1, 1, _sign_variations(chain, 0, 1),
+                           _sign_variations(chain, 1, 1)):
         if sign_at(rad, hi) == 0:
             rational_roots.append(hi)
             continue
-        a, c = _bisect(rad, lo, hi, _wider_than(Fraction(1, n * n)))
-        candidate = ((a + c) / 2).limit_denominator(n)
+        left, right = _bisect(rad, lo, hi, _wider_than(Fraction(1, n * n)))
+        candidate = ((left + right) / 2).limit_denominator(n)
         if lo < candidate < hi and sign_at(rad, candidate) == 0:
             rational_roots.append(candidate)
         else:

@@ -252,7 +252,7 @@ class SAConditions:
         """
         if t_min <= 0:
             raise ValueError("every matrix row must add at least one ball")
-        drift_sup = sum(abs(c) for c in drift.coeffs)
+        drift_sup = drift.abs_sum()
         if drift_sup == 0:
             drift_sup = Fraction(1)
         noise_sup = t_max + drift_sup

@@ -552,19 +552,13 @@ def bias_bound(model: UrnModel) -> Fraction:
     is always a positive usable constant (noise-free rules give 0).
     """
     if model.kind == ONE_DRAW:
-        return max(sum(abs(v) for v in _one_bias_numerator(model.matrix).coeffs), Fraction(1))
+        return max(_one_bias_numerator(model.matrix).abs_sum(), Fraction(1))
     m = model.matrix
-    polys = cond_iv_polys(m)
-    s = m.row_sums
-    s_total = s[0] + s[1] + s[2]
-    degree = max(p.degree for p in polys)
-    total = Fraction(0)
-    for k in range(degree + 1):
-        coeffs = [p.coeff(k) for p in polys]
-        c1_k = sum(cv * (s_total - sj) for cv, sj in zip(coeffs, s))
-        prods = (s[1] * s[2], s[0] * s[2], s[0] * s[1])
-        c2_k = sum(cv * pr for cv, pr in zip(coeffs, prods))
-        total += abs(c1_k) + abs(c2_k)
+    p1, p2, p3 = cond_iv_polys(m)
+    s1, s2, s3 = m.row_sums
+    c1 = (s2 + s3) * p1 + (s1 + s3) * p2 + (s1 + s2) * p3
+    c2 = s2 * s3 * p1 + s1 * s3 * p2 + s1 * s2 * p3
+    total = c1.abs_sum() + c2.abs_sum()
     if model.sampling == WITHOUT_REPLACEMENT:
         total += Fraction(1, 2) * sum(abs(v) for b in _pair_bias_brackets(m) for v in b)
     return max(total, Fraction(1))

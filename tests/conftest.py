@@ -4,6 +4,11 @@ Any test named ``test_criterion_<number>...`` feeds the summary: the
 criterion passes only if its call phase passed and no phase failed or was
 skipped. Values attached with ``record_property`` inside a criterion test are
 echoed on its summary line.
+
+Hypothesis caches constants read from local source files in its storage
+directory even when no example database is kept; that directory is moved
+into pytest's cache so that a test run adds no ``.hypothesis/`` to the
+checkout.
 """
 
 import re
@@ -11,6 +16,13 @@ import re
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 
 _outcomes: dict[int, dict] = {}
+
+
+def pytest_configure(config):
+    if hasattr(config, "cache"):
+        from hypothesis.configuration import set_hypothesis_home_dir
+
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 def pytest_runtest_logreport(report):

@@ -14,6 +14,28 @@ def poly_from_roots(roots, scale=1) -> RatPoly:
     return poly
 
 
+def poly_divmod(poly: RatPoly, divisor: RatPoly) -> tuple[RatPoly, RatPoly]:
+    """Quotient and remainder of long division in ``Fraction`` arithmetic.
+
+    The reference that the library's integer pseudo-remainders are checked
+    against.
+    """
+    if divisor.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    quotient = [Fraction(0)] * max(poly.degree - divisor.degree + 1, 0)
+    rem = list(poly.coeffs)
+    dlc = divisor.leading_coeff
+    ddeg = divisor.degree
+    for k in range(len(rem) - 1, ddeg - 1, -1):
+        factor = rem[k] / dlc
+        if factor == 0:
+            continue
+        quotient[k - ddeg] = factor
+        for j, c in enumerate(divisor.coeffs):
+            rem[k - ddeg + j] -= factor * c
+    return RatPoly(quotient), RatPoly(rem)
+
+
 def initial_state(model: UrnModel) -> UrnState:
     """The state a replicate starts from."""
     return UrnState(model.w0, model.b0, 0)

@@ -337,6 +337,19 @@ def assert_one_line_usage_error(code, out, err):
     assert len(lines) == 1 and lines[0].startswith("polyurn: error:")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--one-draw", "1,0,0,1", "--w0", "1e-99999999"],  # 10**99999999 takes minutes to build
+    ["--one-draw", "1e5000,0,0,1"],  # more digits than the interpreter prints
+    ["--one-draw", "1e4000,0,0,1"],  # parses, but a derived number has too many digits
+])
+def test_analyze_refuses_numbers_too_long_to_print(flags):
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyurn", "analyze", *flags],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert_one_line_usage_error(proc.returncode, proc.stdout, proc.stderr)
+
+
 @VERIFY_MODELS
 def test_verify_zero_replicates_is_a_usage_error(model_flags, capsys):
     # No samples can never refute a prediction: exit 1, not 2 "inconsistent".

@@ -25,7 +25,7 @@ from polyurn.ratpoly import (
     sturm_chain,
 )
 
-from helpers import poly_from_roots, refine_root
+from helpers import poly_divmod, poly_from_roots, refine_root
 
 F = Fraction
 
@@ -59,7 +59,7 @@ def test_format_rational_integers_render_bare():
     assert format_rational(F(1, 8)) == "1/8"
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "x", "1.5.2", "2/3/4"])
+@pytest.mark.parametrize("bad", ["", "1/0", "x", "1.5.2", "2/3/4", "1e-99999999", "1e999999999"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
@@ -90,7 +90,7 @@ def test_arithmetic():
 def test_divmod_reconstructs():
     f = P(3, -22, 48, -32)
     g = P(-1, 4)  # 4x - 1
-    q, r = divmod(f, g)
+    q, r = poly_divmod(f, g)
     assert q * g + r == f
     assert r.degree < g.degree
 
@@ -162,7 +162,8 @@ def test_squarefree_decomposition():
 def test_sturm_chain_counts_roots():
     f = P(3, -22, 48, -32)
     chain = sturm_chain(f)
-    assert chain[0].monic() == f.monic()
+    assert chain[0] == f.primitive_integer_coeffs()
+    assert all(isinstance(v, int) for member in chain for v in member)
     assert count_distinct_roots(chain, F(0), F(1)) == 3
     assert count_distinct_roots(chain, F(0), F(3, 8)) == 1
 

@@ -59,6 +59,13 @@ def _poly(rng, kind):
         return poly_from_roots([r, r + gap, r - gap][: rng.randint(2, 3)]) * (
             _irreducible_quadratic(rng)
         )
+    if kind == "multiple":
+        # Yun's loop runs for several rounds, and the pseudo-remainders meet
+        # leading coefficients of both signs. Degree at most 8.
+        power = rng.choice([0, 2, 3])
+        roots = [_rational(rng)] * rng.randint(1, min(5, 7 - 2 * power)) + [_rational(rng)]
+        scale = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+        return poly_from_roots(roots, scale) * _irreducible_quadratic(rng) ** power
     if kind == "big":
         roots = [_rational(rng, big=True) for _ in range(rng.randint(1, 3))]
         roots.append(rng.choice(roots))
@@ -78,7 +85,8 @@ EPS = F(1, 10**DIGITS)
 def _approximation(root, digits=DIGITS):
     if root.is_Rational:
         return F(int(root.p), int(root.q))
-    approx = root.eval_rational(n=digits)
+    # sympy may return a multiple of a CRootOf, e.g. 3*CRootOf(5x^2 + 13x - 5, 0).
+    approx = sympy.Rational(root.evalf(digits + 10))
     return F(int(approx.p), int(approx.q))
 
 
@@ -105,7 +113,7 @@ def _sympy_sign(query, root, approx):
     value = query.evaluate(approx)
     if root.is_Rational:
         return (value > 0) - (value < 0)
-    if _to_sympy(query).rem(sympy.Poly(root.poly.as_expr(), X)).is_zero:
+    if _to_sympy(query).rem(sympy.Poly(sympy.minimal_polynomial(root, X), X)).is_zero:
         return 0
     # |query(root) - query(approx)| <= EPS * sum |i c_i| on [0, 1].
     assert abs(value) > EPS * sum(abs(i * c) for i, c in enumerate(query.coeffs))
@@ -124,13 +132,13 @@ def _queries(rng, poly, record):
     return queries
 
 
-KINDS = ["repeated", "boundary", "irrational", "close", "big", "dense"]
+KINDS = ["repeated", "boundary", "irrational", "close", "big", "multiple", "dense"]
 
 
 def test_roots_and_signs_match_sympy():
     rng = random.Random(11)
     seen = dict.fromkeys(KINDS, 0)
-    for trial in range(198):
+    for trial in range(33 * len(KINDS)):
         kind = KINDS[trial % len(KINDS)]
         poly = _poly(rng, kind)
         if poly.degree < 1:
