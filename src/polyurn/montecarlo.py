@@ -1,8 +1,8 @@
 """Deterministic simulation and verification of urn limit predictions.
 
 Simulation is exact: each step compares one 53-bit uniform draw against the
-exact rational outcome probabilities (by integer cross-multiplication, never
-floating point), so a run is a pure function of ``(model, steps, seed,
+exact rational outcome probabilities (in floating point where that is exact,
+else on integers), so a run is a pure function of ``(model, steps, seed,
 replicate index)``. Counts are scaled by the common denominator ``s`` of the
 model so that every model runs on integers, in one kernel per draw rule:
 single draws, and pair draws with ``P(WW) = W (W - d) / (T (T - d))`` and
@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import predict_limit, prediction_to_dict
+from .analysis import _as_float, predict_limit, prediction_to_dict
 from .stability import LimitPrediction, PredictionKind
 from .urns import (
     ONE_DRAW,
@@ -77,7 +77,7 @@ def step(state: UrnState, model: UrnModel, rng: random.Random) -> UrnState:
 
     The draw ``u`` selects the outcome whose exact cumulative probability
     first exceeds ``u / 2**53``; the comparison is exact. This is the
-    rational reference for the integer kernels of :func:`simulate`.
+    rational reference for the kernels of :func:`simulate`.
     """
     u = rng.getrandbits(_UNIT_BITS)
     cumulative = Fraction(0)
@@ -155,11 +155,71 @@ def _record_point(traj: list, step_index: int, w: int, b: int) -> None:
     traj.append((step_index, w / (w + b)))
 
 
+def _exact_below(u: int, denominator: float, cut: float) -> bool:
+    """``u / 2**53 * D < n`` by integers, for integer-valued floats ``D``, ``n``."""
+    return u * int(denominator) < int(cut) << _UNIT_BITS
+
+
+def _one_draw_floats(grb, w: int, b: int, rows, segments, traj) -> tuple[int, int]:
+    aw, ab, cw, cb = map(float, rows)
+    at, ct = (aw + ab) / _UNIT, (cw + cb) / _UNIT
+    w, t = float(w), (w + b) / _UNIT  # t is T / 2**53, so u * t = x T
+    for mark, length in segments:
+        for _ in range(length):
+            u = grb(_UNIT_BITS)
+            y = u * t
+            if y < w or y == w and _exact_below(u, t * _UNIT, w):
+                w += aw
+                t += at
+            else:
+                w += cw
+                t += ct
+        if traj is not None:
+            traj.append((mark, w / (t * _UNIT)))
+    return int(w), int(t * _UNIT - w)
+
+
+def _pair_floats(grb, w: int, b: int, rows, d: int, segments, traj) -> tuple[int, int]:
+    aw, ab, cw, cb, ew, eb = map(float, rows)
+    w, b, d = float(w), float(b), float(d)
+    e = 1.0 / _UNIT
+    for mark, length in segments:
+        for _ in range(length):
+            u = grb(_UNIT_BITS)
+            t = w + b
+            dd = t * (t - d)
+            y = u * e * dd
+            n = w * (w - d)
+            if y < n or y == n and _exact_below(u, dd, n):
+                w += aw
+                b += ab
+            else:
+                n += 2.0 * w * b
+                if y < n or y == n and _exact_below(u, dd, n):
+                    w += cw
+                    b += cb
+                else:
+                    w += ew
+                    b += eb
+        if traj is not None:
+            traj.append((mark, w / (w + b)))
+    return int(w), int(b)
+
+
 def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     """Run one replicate; a pure function of the config and the index.
 
-    Steps the scaled counts of :func:`_integer_setup` with one integer kernel
-    per draw rule, drawing the same path as :func:`step`.
+    Steps the scaled counts of :func:`_integer_setup`, drawing the same path
+    as :func:`step`. With ``x = u / 2**53`` for the draw ``u``, each decision
+    is ``x D < n``: ``D = T`` and ``n = W`` for single draws;
+    ``D = T (T - d)`` and ``n = W (W - d)``, then ``W (W - d) + 2 W B``, for
+    pairs. While ``w0 + b0 + steps * (largest row total)`` is below ``2**53``
+    (single draws) or ``2**26`` (pairs, so ``D < 2**52``), a float loop per
+    draw rule decides: ``x``, the counts, ``D`` and ``n`` are exact doubles
+    and ``y = fl(x D)`` is the one rounding. Rounding is monotone and keeps
+    representable numbers, so ``y < n`` or ``y > n`` decides, in every IEEE
+    rounding mode and under x87 double rounding; :func:`_exact_below`
+    settles ``y == n``. Larger totals step Python integers.
     """
     model = config.model
     model.validate_for_simulation()
@@ -172,7 +232,15 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     w, b, rows, scale = _integer_setup(model)
     if record:
         _record_point(traj, 0, w, b)
-    if model.kind == ONE_DRAW:
+    d = scale if model.sampling == WITHOUT_REPLACEMENT else 0
+    t_max = w + b + steps * max(map(sum, zip(rows[::2], rows[1::2])))  # rows are nonnegative
+    ends = [*(range(stride, steps, stride) if record else ()), steps] if steps else []
+    segments = [(end, end - start) for start, end in zip([0, *ends], ends)]
+    if model.kind == ONE_DRAW and t_max < _UNIT:
+        w, b = _one_draw_floats(grb, w, b, rows, segments, traj)
+    elif model.kind != ONE_DRAW and t_max < 1 << 26:
+        w, b = _pair_floats(grb, w, b, rows, d, segments, traj)
+    elif model.kind == ONE_DRAW:
         aw, ab, cw, cb = rows
         for i in range(steps):
             u = grb(_UNIT_BITS)
@@ -186,7 +254,6 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
                 _record_point(traj, i + 1, w, b)
     else:
         aw, ab, cw, cb, ew, eb = rows
-        d = scale if model.sampling == WITHOUT_REPLACEMENT else 0
         for i in range(steps):
             t = w + b
             # q < n  <=>  u * T (T - d) < n * 2**53  for every integer n
@@ -490,8 +557,8 @@ def verify(
     sit closer together than twice the radius, the radius shrinks to just
     under half the smallest gap (recorded in the report). Beta predictions
     are checked by the KS statistic at level ``KS_LEVEL``. No-atoms and
-    unknown predictions are not falsifiable by clustering and come back
-    ``inconclusive`` with the histogram for inspection. A run without
+    unknown predictions, which clustering cannot refute, and Beta laws with a
+    parameter outside the float range come back ``inconclusive``. A run without
     replicates or without steps has no samples to judge by, and a radius
     that is not a positive finite number clusters nothing; each raises
     ``ValueError`` before any simulation.
@@ -570,9 +637,12 @@ def verify(
                     f"excluded point near {center!r} captured {frac:.3f} of replicates "
                     f"(breaks {theorem})"
                 )
+    elif prediction.kind is PredictionKind.BETA_DISTRIBUTION and not all(
+            0 < _as_float(v) < math.inf for v in prediction.beta_params):
+        verdict = VERDICT_INCONCLUSIVE
+        reasons.append("a Beta parameter is outside the float range; KS cannot test the law")
     elif prediction.kind is PredictionKind.BETA_DISTRIBUTION:
-        a, b = prediction.beta_params
-        ks = ks_beta(finals, a, b)
+        ks = ks_beta(finals, *prediction.beta_params)
         ks_statistic = ks.statistic
         ks_threshold = ks.threshold(KS_LEVEL)
         if ks.statistic < ks_threshold:

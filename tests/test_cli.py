@@ -323,7 +323,22 @@ def test_verify_inconclusive_still_exits_zero(capsys):
     assert json.loads(out)["verdict"] == "inconclusive"
 
 
-VERIFY_MODELS = pytest.mark.parametrize("model_flags", [
+@pytest.mark.parametrize("w0", ["1e-400", "1e400"], ids=["underflow", "overflow"])
+def test_verify_beta_parameter_beyond_float_range_is_inconclusive(w0, capsys):
+    # The predicted law Beta(w0, 1) is correct, but its first parameter has
+    # no positive finite float, so the KS test cannot judge it.
+    code, out, err = run_cli(
+        ["verify", "--one-draw", "1,0,0,1", "--w0", w0, "--steps", "5",
+         "--replicates", "2"], capsys
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdict"] == "inconclusive"
+    assert report["ks_statistic"] is None
+    assert any("float range" in reason for reason in report["reasons"])
+
+
+VERIFY_MODELS =pytest.mark.parametrize("model_flags", [
     ["--two-draw", "15,3,4,1,3,21", "--w0", "5", "--b0", "2"],  # point prediction
     ["--one-draw", "1,0,0,1"],  # Beta prediction
 ], ids=["point", "beta"])

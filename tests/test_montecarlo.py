@@ -13,6 +13,8 @@ from fractions import Fraction
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import polyurn.montecarlo as mc
 from polyurn.analysis import predict_limit
@@ -171,6 +173,16 @@ KERNEL_MODELS = [
     two_draw_model([F(9, 2), 1, 2, 3, 1, 7], 2, 2),
     two_draw_model([F(15, 2), F(3, 2), 2, F(1, 2), F(3, 2), F(21, 2)], 5, 2),
     two_draw_model([F(1, 2), 0, 0, F(1, 2), F(1, 2), 0], 2, 2),
+    # totals at or above the float loops' bounds, so the integer loops run:
+    # pairs from near 2**26 (one starts below it and crosses it at once)
+    two_draw_model([3 * 10**7, 2 * 10**7, 2 * 10**7, 3 * 10**7, 10**7, 4 * 10**7],
+                   2**26 - 9, 2**26 - 5),
+    two_draw_model([9 * 10**7, 10**7, 2 * 10**7, 3 * 10**7, 10**7, 7 * 10**7],
+                   2**25 - 4, 2**25 - 4, sampling=WITH),
+    two_draw_model([F(15, 2) * 10**7, 3 * 10**7, 4 * 10**7, 10**7, 3 * 10**7, 21 * 10**7],
+                   2**25, 3),
+    # and single draws from 2**53
+    one_draw_model([3 * 10**7, 2 * 10**7, 2 * 10**7, 3 * 10**7], 2**52, 2**52),
 ]
 
 
@@ -210,6 +222,14 @@ def test_kernels_match_step_oracle_on_random_rational_models():
             assert simulate(config, i) == oracle_run(config, i), (model, config, i)
 
 
+def assert_first_step_matches_oracle(model, u, monkeypatch):
+    """One step of :func:`simulate` on the draw ``u`` lands where :func:`step` does."""
+    monkeypatch.setattr(mc, "replicate_rng", lambda seed, index: ScriptedRng([u]))
+    result = simulate(SimConfig(model=model, steps=1, replicates=1), 0)
+    expected = step(initial_state(model), model, ScriptedRng([u]))
+    assert (result.final_white, result.final_black) == (expected.white, expected.black)
+
+
 @pytest.mark.parametrize("sampling", [WITH, "without"])
 def test_pair_kernel_matches_oracle_at_exact_thresholds(sampling, monkeypatch):
     # From 2 white and 2 black balls the cumulative outcome probabilities are
@@ -221,10 +241,144 @@ def test_pair_kernel_matches_oracle_at_exact_thresholds(sampling, monkeypatch):
         edge = math.floor(cut * (1 << 53))
         draws += [edge - 1, edge, edge + 1]
     for u in draws:
-        monkeypatch.setattr(mc, "replicate_rng", lambda seed, index: ScriptedRng([u]))
-        result = simulate(SimConfig(model=model, steps=1, replicates=1), 0)
-        expected = step(initial_state(model), model, ScriptedRng([u]))
-        assert (result.final_white, result.final_black) == (expected.white, expected.black)
+        assert_first_step_matches_oracle(model, u, monkeypatch)
+
+
+def _near_tie_draws(denominator, cut):
+    """Draws ``u`` whose rounded product ``fl(u / 2**53 * D)`` equals the cut.
+
+    Maps ``"above"`` and ``"below"`` to a draw whose exact product lies on
+    that side of the cut, where one exists next to ``cut * 2**53 / D``.
+    """
+    found = {}
+    centre = (cut << 53) // denominator
+    for u in range(centre - 2, centre + 3):
+        exact = u * denominator - (cut << 53)
+        if exact and u * 2.0**-53 * denominator == cut:
+            found["above" if exact > 0 else "below"] = u
+    return found
+
+
+def kind_model(kind, entries, w0, b0):
+    """A single-draw model for ``kind == "one"``, else a pair model sampling ``kind``."""
+    if kind == "one":
+        return one_draw_model(entries, w0, b0)
+    return two_draw_model(entries, w0, b0, sampling=kind)
+
+
+def _cut_of(kind, cut_index, w, b):
+    """``(D, n)`` of one draw decision from integer counts ``w``, ``b``."""
+    t = w + b
+    if kind == "one":
+        return t, w
+    d = 1 if kind == "without" else 0
+    return t * (t - d), w * (w - d) + cut_index * 2 * w * b
+
+
+#: Totals below which every count and product of a draw is an exact double.
+FLOAT_BOUNDS = {"one": 2**53, WITH: 2**26, "without": 2**26}
+NEAR_TIE_CUTS = [("one", 0), (WITH, 0), (WITH, 1), ("without", 0), ("without", 1)]
+
+
+@pytest.mark.parametrize("kind, cut_index", NEAR_TIE_CUTS)
+def test_kernels_match_oracle_at_float_near_ties(kind, cut_index, monkeypatch):
+    # The float loops round one product, x D with x = u / 2**53. Where it
+    # rounds onto a cut n, the exact product may lie on either side of n by
+    # less than half an ulp; start counts are searched until both sides show.
+    bound = FLOAT_BOUNDS[kind]
+    rows = [3, 2, 2, 3] if kind == "one" else [3, 2, 2, 3, 1, 4]
+    start = 2**50 if kind == "one" else 2**22
+    cases = {}
+    for k in range(1, 2000):
+        w, b = start + 7919 * k, 2 * start + 104729 * k
+        for side, u in _near_tie_draws(*_cut_of(kind, cut_index, w, b)).items():
+            cases.setdefault(side, (w, b, u))
+        if len(cases) == 2:
+            break
+    assert set(cases) == {"above", "below"}
+    for w, b, u in cases.values():
+        denominator, cut = _cut_of(kind, cut_index, w, b)
+        assert u * 2.0**-53 * denominator == cut != F(u, 1 << 53) * denominator
+        assert w + b + 7 < bound  # one step stays in the float loop
+        assert_first_step_matches_oracle(kind_model(kind, rows, w, b), u, monkeypatch)
+
+
+def _double_misjudged_draw(kind, cut_index, w, b):
+    """A draw next to one cut that double-precision arithmetic decides wrongly.
+
+    Rounds the counts, ``D`` and the cut to doubles as a float loop would,
+    and returns a draw whose rounded product lies strictly on the other side
+    of the rounded cut than the exact product lies of the exact cut, or
+    ``None``.
+    """
+    denominator, cut = _cut_of(kind, cut_index, w, b)
+    wf, bf, tf = float(w), float(b), float(w + b)
+    if kind == "one":
+        d_float, n_float = tf, wf
+    else:
+        d = 1.0 if kind == "without" else 0.0
+        d_float, n_float = tf * (tf - d), wf * (wf - d)
+        if cut_index:
+            n_float += 2.0 * wf * bf
+    centre = (cut << 53) // denominator
+    for u in range(centre - 2, centre + 3):
+        y = u * 2.0**-53 * d_float
+        if y != n_float and (y < n_float) != (u * denominator < cut << 53):
+            return u
+    return None
+
+
+@pytest.mark.parametrize("kind, cut_index", NEAR_TIE_CUTS)
+def test_kernels_match_oracle_where_doubles_misjudge(kind, cut_index, monkeypatch):
+    # Above the float loops' bounds the counts and products are no longer
+    # exact doubles; these draws would go wrong in double precision, so
+    # they show that the integer loops decide there.
+    bound = FLOAT_BOUNDS[kind]
+    rows = [3, 2, 2, 3] if kind == "one" else [3, 2, 2, 3, 1, 4]
+    for k in range(1, 4000):
+        w, b = 8 * bound + 7919 * k, bound + 104729 * k
+        u = _double_misjudged_draw(kind, cut_index, w, b)
+        if u is not None:
+            break
+    assert u is not None and w + b >= bound  # the first step runs on integers
+    assert_first_step_matches_oracle(kind_model(kind, rows, w, b), u, monkeypatch)
+
+
+def _start_counts(bound, low):
+    """Small counts, or counts large enough to cross ``bound`` once scaled."""
+    numerators = st.one_of(st.integers(low, 12), st.integers(bound // 4, bound // 2))
+    return st.builds(F, numerators, st.integers(1, 4))
+
+
+@st.composite
+def simulation_configs(draw):
+    kind = draw(st.sampled_from(["one", WITH, "without"]))
+    bound = FLOAT_BOUNDS[kind]
+    magnitude = draw(st.sampled_from([1, 10**7]))
+    entries = draw(st.lists(
+        st.builds(F, st.integers(0, 12), st.integers(1, 4)),
+        min_size=4 if kind == "one" else 6, max_size=4 if kind == "one" else 6,
+    ).filter(any))
+    entries = [e * magnitude for e in entries]
+    low = 8 if kind == "without" else 0  # w0, b0 >= 2 without replacement
+    w0, b0 = draw(_start_counts(bound, low)), draw(_start_counts(bound, max(low, 1)))
+    return SimConfig(
+        model=kind_model(kind, entries, w0, b0), steps=draw(st.integers(0, 50)), replicates=1,
+        base_seed=draw(st.integers(0, 2**32 - 1)), record_trajectory=draw(st.booleans()),
+        trajectory_stride=draw(st.integers(1, 9)),
+    )
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["float-loops", "integer-loops"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_simulate_matches_oracle_on_both_sides_of_the_float_bound(above, data):
+    config = data.draw(simulation_configs())
+    w0, b0, rows, _ = mc._integer_setup(config.model)
+    bound = FLOAT_BOUNDS["one" if config.model.kind == "one-draw" else WITH]
+    largest = max(rows[k] + rows[k + 1] for k in range(0, len(rows), 2))
+    assume((w0 + b0 + config.steps * largest >= bound) == above)
+    assert simulate(config, 0) == oracle_run(config, 0)
 
 
 def test_integer_setup_scaling_rules():
