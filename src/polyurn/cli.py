@@ -298,7 +298,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 prediction = prediction_from_dict(json.load(fh))
         except OSError as exc:
             raise CliError(f"cannot read prediction file {args.prediction}: {exc}") from exc
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CliError(f"invalid prediction file {args.prediction}: {exc}") from exc
     try:
         model.validate_for_simulation()

@@ -150,51 +150,49 @@ def _integer_setup(model: UrnModel):
     return ints[-2], ints[-1], tuple(ints[:-2]), scale
 
 
-def _record_point(traj: list, step_index: int, w: int, b: int) -> None:
-    # int / int is correctly rounded, so this is float(Fraction(w, w + b)).
-    traj.append((step_index, w / (w + b)))
+def _exact_below(u, denominator, cut) -> bool:
+    """``u * D < n`` by integers, for integer-valued ``D`` and ``n``."""
+    return u * int(denominator) < int(cut)
 
 
-def _exact_below(u: int, denominator: float, cut: float) -> bool:
-    """``u / 2**53 * D < n`` by integers, for integer-valued floats ``D``, ``n``."""
-    return u * int(denominator) < int(cut) << _UNIT_BITS
-
-
-def _one_draw_floats(grb, w: int, b: int, rows, segments, traj) -> tuple[int, int]:
-    aw, ab, cw, cb = map(float, rows)
-    at, ct = (aw + ab) / _UNIT, (cw + cb) / _UNIT
-    w, t = float(w), (w + b) / _UNIT  # t is T / 2**53, so u * t = x T
+def _one_draw(grb, w, b, rows, unit, segments, traj):
+    """Single draws on doubles or ints alike, ``unit = 2**53``; white when ``u T < W unit``."""
+    aw, ab, cw, cb = rows
+    aws, at, cws, ct = aw * unit, aw + ab, cw * unit, cw + cb
+    ws, t = w * unit, w + b
     for mark, length in segments:
         for _ in range(length):
             u = grb(_UNIT_BITS)
             y = u * t
-            if y < w or y == w and _exact_below(u, t * _UNIT, w):
-                w += aw
+            if y < ws or y == ws and _exact_below(u, t, ws):
+                ws += aws
                 t += at
             else:
-                w += cw
+                ws += cws
                 t += ct
         if traj is not None:
-            traj.append((mark, w / (t * _UNIT)))
-    return int(w), int(t * _UNIT - w)
+            # int / int is correctly rounded, as is double / double, so this is W / T.
+            traj.append((mark, ws / (t * unit)))
+    w = ws // unit
+    return w, t - w
 
 
-def _pair_floats(grb, w: int, b: int, rows, d: int, segments, traj) -> tuple[int, int]:
-    aw, ab, cw, cb, ew, eb = map(float, rows)
-    w, b, d = float(w), float(b), float(d)
-    e = 1.0 / _UNIT
+def _pair(grb, w, b, rows, d, unit, segments, traj):
+    """Pair draws on doubles or ints alike, ``unit = 2**53``; ``u D`` against ``n unit``."""
+    aw, ab, cw, cb, ew, eb = rows
+    two_units = 2 * unit
     for mark, length in segments:
         for _ in range(length):
             u = grb(_UNIT_BITS)
             t = w + b
             dd = t * (t - d)
-            y = u * e * dd
-            n = w * (w - d)
+            y = u * dd
+            n = w * (w - d) * unit
             if y < n or y == n and _exact_below(u, dd, n):
                 w += aw
                 b += ab
             else:
-                n += 2.0 * w * b
+                n += w * b * two_units
                 if y < n or y == n and _exact_below(u, dd, n):
                     w += cw
                     b += cb
@@ -202,24 +200,29 @@ def _pair_floats(grb, w: int, b: int, rows, d: int, segments, traj) -> tuple[int
                     w += ew
                     b += eb
         if traj is not None:
+            # int / int is correctly rounded, as is double / double.
             traj.append((mark, w / (w + b)))
-    return int(w), int(b)
+    return w, b
 
 
 def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     """Run one replicate; a pure function of the config and the index.
 
     Steps the scaled counts of :func:`_integer_setup`, drawing the same path
-    as :func:`step`. With ``x = u / 2**53`` for the draw ``u``, each decision
-    is ``x D < n``: ``D = T`` and ``n = W`` for single draws;
+    as :func:`step`. For the draw ``u``, each decision is
+    ``u D < n 2**53``: ``D = T`` and ``n = W`` for single draws;
     ``D = T (T - d)`` and ``n = W (W - d)``, then ``W (W - d) + 2 W B``, for
-    pairs. While ``w0 + b0 + steps * (largest row total)`` is below ``2**53``
-    (single draws) or ``2**26`` (pairs, so ``D < 2**52``), a float loop per
-    draw rule decides: ``x``, the counts, ``D`` and ``n`` are exact doubles
-    and ``y = fl(x D)`` is the one rounding. Rounding is monotone and keeps
-    representable numbers, so ``y < n`` or ``y > n`` decides, in every IEEE
+    pairs. One kernel per draw rule makes these comparisons, on Python ints
+    or, while ``w0 + b0 + steps * (largest row total)`` is below ``2**53``
+    (single draws) or ``2**26`` (pairs, so ``D < 2**52``), on doubles. On
+    ints each comparison is exact. On doubles ``u``, the counts, ``D`` and
+    ``n 2**53`` are exact and ``y = fl(u D)`` is the one rounding. Either
+    ``u D = 0`` or ``1 <= u D < 2**106``, so scaling by a power of two is
+    exact and commutes with rounding: the decisions are those of ``x D < n``
+    with ``x = u / 2**53``. Rounding is monotone and keeps representable
+    numbers, so ``y < n 2**53`` or ``y > n 2**53`` decides, in every IEEE
     rounding mode and under x87 double rounding; :func:`_exact_below`
-    settles ``y == n``. Larger totals step Python integers.
+    settles ``y == n 2**53``.
     """
     model = config.model
     model.validate_for_simulation()
@@ -227,55 +230,27 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     steps = config.steps
     record = config.record_trajectory
     stride = config.trajectory_stride
-    traj: list[tuple[int, float]] | None = [] if record else None
 
     w, b, rows, scale = _integer_setup(model)
-    if record:
-        _record_point(traj, 0, w, b)
-    d = scale if model.sampling == WITHOUT_REPLACEMENT else 0
+    # int / int is correctly rounded, so this is float(Fraction(w, w + b)).
+    traj: list[tuple[int, float]] | None = [(0, w / (w + b))] if record else None
     t_max = w + b + steps * max(map(sum, zip(rows[::2], rows[1::2])))  # rows are nonnegative
     ends = [*(range(stride, steps, stride) if record else ()), steps] if steps else []
     segments = [(end, end - start) for start, end in zip([0, *ends], ends)]
-    if model.kind == ONE_DRAW and t_max < _UNIT:
-        w, b = _one_draw_floats(grb, w, b, rows, segments, traj)
-    elif model.kind != ONE_DRAW and t_max < 1 << 26:
-        w, b = _pair_floats(grb, w, b, rows, d, segments, traj)
-    elif model.kind == ONE_DRAW:
-        aw, ab, cw, cb = rows
-        for i in range(steps):
-            u = grb(_UNIT_BITS)
-            if u * (w + b) < (w << _UNIT_BITS):
-                w += aw
-                b += ab
-            else:
-                w += cw
-                b += cb
-            if record and ((i + 1) % stride == 0 or i + 1 == steps):
-                _record_point(traj, i + 1, w, b)
+    one_draw = model.kind == ONE_DRAW
+    num = float if t_max < (_UNIT if one_draw else 1 << 26) else int
+    w, b, rows, unit = num(w), num(b), tuple(map(num, rows)), num(_UNIT)
+    if one_draw:
+        w, b = _one_draw(grb, w, b, rows, unit, segments, traj)
     else:
-        aw, ab, cw, cb, ew, eb = rows
-        for i in range(steps):
-            t = w + b
-            # q < n  <=>  u * T (T - d) < n * 2**53  for every integer n
-            q = (grb(_UNIT_BITS) * t * (t - d)) >> _UNIT_BITS
-            ww = w * (w - d)
-            if q < ww:
-                w += aw
-                b += ab
-            elif q < ww + 2 * w * b:
-                w += cw
-                b += cb
-            else:
-                w += ew
-                b += eb
-            if record and ((i + 1) % stride == 0 or i + 1 == steps):
-                _record_point(traj, i + 1, w, b)
+        d = num(scale if model.sampling == WITHOUT_REPLACEMENT else 0)
+        w, b = _pair(grb, w, b, rows, d, unit, segments, traj)
 
     return ReplicateResult(
         replicate_index=replicate_index,
         steps=steps,
-        final_white=Fraction(w, scale),
-        final_black=Fraction(b, scale),
+        final_white=Fraction(int(w), scale),
+        final_black=Fraction(int(b), scale),
         trajectory=tuple(traj) if record else None,
     )
 

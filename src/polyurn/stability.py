@@ -201,8 +201,8 @@ class SAConditions:
 
     With ``T_n`` the total after ``n`` steps and the step size ``1/T_n``:
 
-    - ``lower_rate <= 1/(n T_n) ... `` more precisely the step size is
-      squeezed between ``lower_rate / n`` and ``upper_rate / n``;
+    - ``lower_rate / n <= 1/T_n <= upper_rate / n`` for every ``n >= 1``,
+      since ``T_0 + n t_min <= T_n <= T_0 + n t_max``;
     - ``drift_sup`` bounds the drift's absolute value on [0, 1];
     - ``noise_sup`` bounds the absolute centered noise of one step;
     - ``increment_sup = upper_rate * (drift_sup + noise_sup)`` bounds the

@@ -455,9 +455,8 @@ def cond_iv_closed_form_one(state: UrnState, m: OneDrawMatrix) -> Fraction:
     return _one_bias_numerator(m).evaluate(z) / ((t + s1) * (t + s2))
 
 
-def _pair_bias_brackets(m: TwoDrawMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Coefficients, lowest power first, of the cubics ``B1, B2, B3`` that
-    both pair-draw bias terms are built from.
+def _pair_bias_brackets(m: TwoDrawMatrix) -> tuple[RatPoly, RatPoly, RatPoly]:
+    """The cubics ``B1, B2, B3`` that both pair-draw bias terms are built from.
 
     With ``alpha, beta, gamma`` from :func:`drift_two`::
 
@@ -468,10 +467,15 @@ def _pair_bias_brackets(m: TwoDrawMatrix) -> tuple[tuple[Fraction, ...], ...]:
     a, b, c, d, e, f = m.entries
     alpha, beta, gamma = _pair_drift_coeffs(m)
     return (
-        (e - a, gamma + a + b, beta, alpha),
-        (2 * (c - e), -2 * (gamma + c + d), -2 * beta, -2 * alpha),
-        (Fraction(0), gamma + e + f, beta, alpha),
+        RatPoly([e - a, gamma + a + b, beta, alpha]),
+        -2 * RatPoly([e - c, gamma + c + d, beta, alpha]),
+        RatPoly([0, gamma + e + f, beta, alpha]),
     )
+
+
+# z^2, z (1-z) and (1-z)^2, the weights of the brackets in :func:`cond_iv_polys`
+_Z_SQUARED, _Z_ONE_MINUS_Z, _ONE_MINUS_Z_SQUARED = (
+    RatPoly([0, 0, 1]), RatPoly([0, 1, -1]), RatPoly([1, -2, 1]))
 
 
 def cond_iv_polys(m: TwoDrawMatrix) -> tuple[RatPoly, RatPoly, RatPoly]:
@@ -487,12 +491,8 @@ def cond_iv_polys(m: TwoDrawMatrix) -> tuple[RatPoly, RatPoly, RatPoly]:
     three polynomials have degree at most five and their coefficients sum to
     zero power by power, which makes the whole bias collapse to ``O(1/T^2)``.
     """
-    (u0, u1, u2, u3), (v0, v1, v2, v3), (_, w1, w2, w3) = _pair_bias_brackets(m)
-    return (
-        RatPoly([0, 0, -u0, -u1, -u2, -u3]),
-        RatPoly([0, v0, v1 - v0, v2 - v1, v3 - v2, -v3]),
-        RatPoly([0, -w1, 2 * w1 - w2, 2 * w2 - w1 - w3, 2 * w3 - w2, -w3]),
-    )
+    b1, b2, b3 = _pair_bias_brackets(m)
+    return -(_Z_SQUARED * b1), _Z_ONE_MINUS_Z * b2, -(_ONE_MINUS_Z_SQUARED * b3)
 
 
 def cond_iv_remainders(state: UrnState, m: TwoDrawMatrix) -> tuple[Fraction, Fraction, Fraction]:
@@ -507,7 +507,7 @@ def cond_iv_remainders(state: UrnState, m: TwoDrawMatrix) -> tuple[Fraction, Fra
     if t <= 1:
         raise ValueError("pair draws without replacement need a total above 1")
     scale = z * (1 - z) / (t - 1)
-    return tuple(scale * RatPoly(bracket).evaluate(z) for bracket in _pair_bias_brackets(m))
+    return tuple(scale * bracket.evaluate(z) for bracket in _pair_bias_brackets(m))
 
 
 def cond_iv_closed_form_two(state: UrnState, m: TwoDrawMatrix, sampling: str) -> Fraction:
@@ -560,7 +560,7 @@ def bias_bound(model: UrnModel) -> Fraction:
     c2 = s2 * s3 * p1 + s1 * s3 * p2 + s1 * s2 * p3
     total = c1.abs_sum() + c2.abs_sum()
     if model.sampling == WITHOUT_REPLACEMENT:
-        total += Fraction(1, 2) * sum(abs(v) for b in _pair_bias_brackets(m) for v in b)
+        total += Fraction(1, 2) * sum(bracket.abs_sum() for bracket in _pair_bias_brackets(m))
     return max(total, Fraction(1))
 
 
@@ -845,6 +845,6 @@ def load_model(path) -> UrnModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"invalid JSON in model file {path}: {exc}") from exc
     return model_from_dict(data)

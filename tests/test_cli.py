@@ -421,6 +421,18 @@ def test_verify_rejects_a_malformed_prediction_file(prediction, tmp_path, capsys
     assert "invalid prediction file" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["analyze", "--model"],
+    ["verify", "--one-draw", "1,0,0,1", "--steps", "5", "--replicates", "2", "--prediction"],
+], ids=["model", "prediction"])
+def test_json_nested_deeper_than_the_decoder_recurses_is_a_one_line_error(flags, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run_cli([*flags, str(path)], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert f"invalid {flags[-1][2:]} file" in err
+
+
 def test_successive_main_calls_share_no_parser_state(monkeypatch, tmp_path, capsys):
     # One parser serves every call in a process; each call must still parse
     # as if it were the first, whatever command or error came before it.

@@ -1,4 +1,4 @@
-"""Simulation engine: replicate seeding, exact stepping, fast-path agreement,
+"""Simulation engine: replicate seeding, exact stepping, kernel-oracle agreement,
 output formats, distribution checks, and the verification pipeline.
 
 ``scipy`` serves as the independent oracle for the Beta distribution function
@@ -173,7 +173,7 @@ KERNEL_MODELS = [
     two_draw_model([F(9, 2), 1, 2, 3, 1, 7], 2, 2),
     two_draw_model([F(15, 2), F(3, 2), 2, F(1, 2), F(3, 2), F(21, 2)], 5, 2),
     two_draw_model([F(1, 2), 0, 0, F(1, 2), F(1, 2), 0], 2, 2),
-    # totals at or above the float loops' bounds, so the integer loops run:
+    # totals at or above the bounds for doubles, so the kernels run on integer counts:
     # pairs from near 2**26 (one starts below it and crosses it at once)
     two_draw_model([3 * 10**7, 2 * 10**7, 2 * 10**7, 3 * 10**7, 10**7, 4 * 10**7],
                    2**26 - 9, 2**26 - 5),
@@ -280,13 +280,8 @@ FLOAT_BOUNDS = {"one": 2**53, WITH: 2**26, "without": 2**26}
 NEAR_TIE_CUTS = [("one", 0), (WITH, 0), (WITH, 1), ("without", 0), ("without", 1)]
 
 
-@pytest.mark.parametrize("kind, cut_index", NEAR_TIE_CUTS)
-def test_kernels_match_oracle_at_float_near_ties(kind, cut_index, monkeypatch):
-    # The float loops round one product, x D with x = u / 2**53. Where it
-    # rounds onto a cut n, the exact product may lie on either side of n by
-    # less than half an ulp; start counts are searched until both sides show.
-    bound = FLOAT_BOUNDS[kind]
-    rows = [3, 2, 2, 3] if kind == "one" else [3, 2, 2, 3, 1, 4]
+def _near_tie_cases(kind, cut_index):
+    """Start counts and draw ``(w, b, u)`` of a near-tie at one cut, per side."""
     start = 2**50 if kind == "one" else 2**22
     cases = {}
     for k in range(1, 2000):
@@ -295,21 +290,32 @@ def test_kernels_match_oracle_at_float_near_ties(kind, cut_index, monkeypatch):
             cases.setdefault(side, (w, b, u))
         if len(cases) == 2:
             break
+    return cases
+
+
+@pytest.mark.parametrize("kind, cut_index", NEAR_TIE_CUTS)
+def test_kernels_match_oracle_at_float_near_ties(kind, cut_index, monkeypatch):
+    # On doubles the kernels round one product, x D with x = u / 2**53. Where it
+    # rounds onto a cut n, the exact product may lie on either side of n by
+    # less than half an ulp; start counts are searched until both sides show.
+    bound = FLOAT_BOUNDS[kind]
+    rows = [3, 2, 2, 3] if kind == "one" else [3, 2, 2, 3, 1, 4]
+    cases = _near_tie_cases(kind, cut_index)
     assert set(cases) == {"above", "below"}
     for w, b, u in cases.values():
         denominator, cut = _cut_of(kind, cut_index, w, b)
         assert u * 2.0**-53 * denominator == cut != F(u, 1 << 53) * denominator
-        assert w + b + 7 < bound  # one step stays in the float loop
+        assert w + b + 7 < bound  # one step stays on doubles
         assert_first_step_matches_oracle(kind_model(kind, rows, w, b), u, monkeypatch)
 
 
 def _double_misjudged_draw(kind, cut_index, w, b):
     """A draw next to one cut that double-precision arithmetic decides wrongly.
 
-    Rounds the counts, ``D`` and the cut to doubles as a float loop would,
-    and returns a draw whose rounded product lies strictly on the other side
-    of the rounded cut than the exact product lies of the exact cut, or
-    ``None``.
+    Rounds the counts, ``D`` and the cut to doubles, as a run on doubles
+    would, and returns a draw whose rounded product lies strictly on the
+    other side of the rounded cut than the exact product lies of the exact
+    cut, or ``None``.
     """
     denominator, cut = _cut_of(kind, cut_index, w, b)
     wf, bf, tf = float(w), float(b), float(w + b)
@@ -330,9 +336,9 @@ def _double_misjudged_draw(kind, cut_index, w, b):
 
 @pytest.mark.parametrize("kind, cut_index", NEAR_TIE_CUTS)
 def test_kernels_match_oracle_where_doubles_misjudge(kind, cut_index, monkeypatch):
-    # Above the float loops' bounds the counts and products are no longer
+    # Above the bounds for doubles the counts and products are no longer
     # exact doubles; these draws would go wrong in double precision, so
-    # they show that the integer loops decide there.
+    # they show that integer counts decide there.
     bound = FLOAT_BOUNDS[kind]
     rows = [3, 2, 2, 3] if kind == "one" else [3, 2, 2, 3, 1, 4]
     for k in range(1, 4000):
@@ -342,6 +348,42 @@ def test_kernels_match_oracle_where_doubles_misjudge(kind, cut_index, monkeypatc
             break
     assert u is not None and w + b >= bound  # the first step runs on integers
     assert_first_step_matches_oracle(kind_model(kind, rows, w, b), u, monkeypatch)
+
+
+def _run_kernel(kind, num, rows, w0, b0, draws, segments):
+    """Final counts and trajectory of one kernel run with every number of type ``num``."""
+    grb = ScriptedRng(draws).getrandbits
+    traj = []
+    counts = num(w0), num(b0), tuple(map(num, rows))
+    if kind == "one":
+        w, b = mc._one_draw(grb, *counts, num(1 << 53), segments, traj)
+    else:
+        d = num(1 if kind == "without" else 0)
+        w, b = mc._pair(grb, *counts, d, num(1 << 53), segments, traj)
+    return w, b, traj
+
+
+@pytest.mark.parametrize("kind", ["one", WITH, "without"])
+def test_kernels_run_alike_on_doubles_and_integer_counts(kind):
+    # The same draws must give the same finals and trajectory on either
+    # number type. The first draw sits on or next to a cut of the start
+    # state, or is a near-tie there, where doubles round onto the cut.
+    rows = [3, 2, 2, 3] if kind == "one" else [3, 2, 2, 3, 1, 4]
+    rng = random.Random(kind)
+    segments = [(7, 7), (14, 7), (20, 6)]
+    starts = []
+    for cut_index in range(1 if kind == "one" else 2):
+        for w0, b0 in [(2, 2), (5, 3), (2**20 + 3, 2**21 - 1)]:
+            denominator, cut = _cut_of(kind, cut_index, w0, b0)
+            edge = (cut << 53) // denominator
+            starts += [(w0, b0, u) for u in (edge - 1, edge, edge + 1)]
+        starts += _near_tie_cases(kind, cut_index).values()
+    for w0, b0, first in starts:
+        assert w0 + b0 + 20 * 5 < FLOAT_BOUNDS[kind]  # every count and product is an exact double
+        draws = [first] + [rng.getrandbits(53) for _ in range(19)]
+        doubles = _run_kernel(kind, float, rows, w0, b0, draws, segments)
+        integers = _run_kernel(kind, int, rows, w0, b0, draws, segments)
+        assert doubles == integers, (w0, b0, draws)
 
 
 def _start_counts(bound, low):
@@ -369,7 +411,7 @@ def simulation_configs(draw):
     )
 
 
-@pytest.mark.parametrize("above", [False, True], ids=["float-loops", "integer-loops"])
+@pytest.mark.parametrize("above", [False, True], ids=["doubles", "integer-counts"])
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(data=st.data())
 def test_simulate_matches_oracle_on_both_sides_of_the_float_bound(above, data):
