@@ -10,7 +10,7 @@ single :class:`~polyurn.stability.LimitPrediction` plus a JSON-ready report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .ratpoly import (
@@ -209,7 +209,7 @@ def _predict_degenerate(
             notes=("the reduced drift is identically zero; no certified statement",),
         )
 
-    ratios = active_white_ratios(model.matrix)
+    ratios = active_white_ratios(model)
     lo_x, hi_x = min(ratios), max(ratios)
     if reduction.case_id == 4:
         span = (2 * lo_x / (1 + lo_x), 2 * hi_x / (1 + hi_x))
@@ -300,13 +300,15 @@ def _case45_sign_uncertain(
     arguments do not settle that configuration. Mirrored for the
     black-black-inactive case.
     """
-    m = model.matrix if reduction.case_id == 4 else model.matrix.color_swap()
+    entries = model.scaled.entries
     boundary_is_one = mapped.location == RIGHT_BOUNDARY
     if reduction.case_id == 5:
+        # The color swap reverses the entries.
+        entries = entries[::-1]
         boundary_is_one = mapped.location == LEFT_BOUNDARY
     if not boundary_is_one:
         return False
-    a, b, c, d, e, f = m.entries
+    a, b, c, d, e, f = entries
     return d == 0 and 2 * c == f
 
 
@@ -333,7 +335,7 @@ def analyze_model(model: UrnModel) -> ModelAnalysis:
     """The one analysis pass: each quantity below is computed once per model."""
     meta = model_meta(model)
     drift = drift_for(model)
-    noise = error_one(model.matrix) if model.kind == ONE_DRAW else error_two(model.matrix)
+    noise = error_one(model) if model.kind == ONE_DRAW else error_two(model)
     degenerate = None
     attain = None
     scheme = None
@@ -504,34 +506,12 @@ def prediction_from_dict(data: dict) -> LimitPrediction:
 
 def analysis_to_dict(analysis: ModelAnalysis) -> dict:
     meta = analysis.meta
-    noise = analysis.noise
-    if isinstance(noise, OneDrawNoise):
-        noise_dict = {
-            "gap": noise.gap.coefficient_strings(),
-            "error": noise.error.coefficient_strings(),
-        }
-    else:
-        noise_dict = {
-            "diff_ww_bb": noise.diff_ww_bb.coefficient_strings(),
-            "diff_wb_bb": noise.diff_wb_bb.coefficient_strings(),
-            "second_diff": noise.second_diff.coefficient_strings(),
-            "variance_factor": noise.variance_factor.coefficient_strings(),
-            "error": noise.error.coefficient_strings(),
-        }
-    scheme = analysis.scheme
+    noise, scheme = analysis.noise, analysis.scheme
+    # Both are rendered field by field, in declaration order.
+    noise_dict = {f.name: getattr(noise, f.name).coefficient_strings() for f in fields(noise)}
     scheme_dict = None
     if scheme is not None:
-        scheme_dict = {
-            "initial_total": format_rational(scheme.initial_total),
-            "t_min": format_rational(scheme.t_min),
-            "t_max": format_rational(scheme.t_max),
-            "lower_rate": format_rational(scheme.lower_rate),
-            "upper_rate": format_rational(scheme.upper_rate),
-            "drift_sup": format_rational(scheme.drift_sup),
-            "noise_sup": format_rational(scheme.noise_sup),
-            "increment_sup": format_rational(scheme.increment_sup),
-            "bias_constant": format_rational(scheme.bias_constant),
-        }
+        scheme_dict = {f.name: format_rational(getattr(scheme, f.name)) for f in fields(scheme)}
     degenerate = analysis.degenerate
     degenerate_dict = None
     if degenerate is not None:

@@ -131,25 +131,6 @@ class ReplicateResult:
         return float(self.final_white / self.final_total)
 
 
-def _integer_setup(model: UrnModel):
-    """Counts and rows scaled to integers by the common denominator ``s``.
-
-    Returns ``(w0, b0, rows, s)``. Single draws and pair draws with
-    replacement depend only on the proportion, which scaling leaves alone.
-    Pair draws without replacement depend on the unscaled counts ``w, b``
-    with total ``t``; on the scaled counts ``W = s w``, ``B = s b``,
-    ``T = s t`` they read ``P(WW) = W (W - s) / (T (T - s))`` and
-    ``P(WB) = 2 W B / (T (T - s))``, the same probabilities. So every model
-    simulates on integers.
-    """
-    values = list(model.matrix.entries) + [model.w0, model.b0]
-    scale = 1
-    for v in values:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    ints = [int(v * scale) for v in values]
-    return ints[-2], ints[-1], tuple(ints[:-2]), scale
-
-
 def _exact_below(u, denominator, cut) -> bool:
     """``u * D < n`` by integers, for integer-valued ``D`` and ``n``."""
     return u * int(denominator) < int(cut)
@@ -208,8 +189,8 @@ def _pair(grb, w, b, rows, d, unit, segments, traj):
 def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     """Run one replicate; a pure function of the config and the index.
 
-    Steps the scaled counts of :func:`_integer_setup`, drawing the same path
-    as :func:`step`. For the draw ``u``, each decision is
+    Steps the model's scaled counts (:attr:`~polyurn.urns.UrnModel.scaled`),
+    drawing the same path as :func:`step`. For the draw ``u``, each decision is
     ``u D < n 2**53``: ``D = T`` and ``n = W`` for single draws;
     ``D = T (T - d)`` and ``n = W (W - d)``, then ``W (W - d) + 2 W B``, for
     pairs. One kernel per draw rule makes these comparisons, on Python ints
@@ -231,10 +212,11 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     record = config.record_trajectory
     stride = config.trajectory_stride
 
-    w, b, rows, scale = _integer_setup(model)
+    view = model.scaled
+    w, b, rows, scale = view.w0, view.b0, view.entries, view.scale
     # int / int is correctly rounded, so this is float(Fraction(w, w + b)).
     traj: list[tuple[int, float]] | None = [(0, w / (w + b))] if record else None
-    t_max = w + b + steps * max(map(sum, zip(rows[::2], rows[1::2])))  # rows are nonnegative
+    t_max = w + b + steps * max(view.row_sums)  # rows are nonnegative
     ends = [*(range(stride, steps, stride) if record else ()), steps] if steps else []
     segments = [(end, end - start) for start, end in zip([0, *ends], ends)]
     one_draw = model.kind == ONE_DRAW

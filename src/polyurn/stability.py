@@ -91,10 +91,13 @@ def classify_all(drift: RatPoly) -> list[Equilibrium]:
     if drift.is_zero:
         raise ValueError("the zero drift has no isolated equilibria to classify")
     records = roots_in_unit_interval(drift)
-    return [_classify_record(drift, records, i) for i in range(len(records))]
+    deriv = drift.derivative()
+    return [_classify_record(drift, deriv, records, i) for i in range(len(records))]
 
 
-def _classify_record(drift: RatPoly, records: list[RootRecord], index: int) -> Equilibrium:
+def _classify_record(
+    drift: RatPoly, deriv: RatPoly, records: list[RootRecord], index: int
+) -> Equilibrium:
     record = records[index]
     lo, hi = record.bounds
 
@@ -142,7 +145,6 @@ def _classify_record(drift: RatPoly, records: list[RootRecord], index: int) -> E
         if crosses != (record.multiplicity % 2 == 1):
             raise ArithmeticError("sign pattern inconsistent with root multiplicity")
 
-    deriv = drift.derivative()
     deriv_sign = sign_at_root(deriv, record)
     deriv_value = deriv.evaluate(record.value) if record.value is not None else None
     return Equilibrium(

@@ -17,12 +17,14 @@ its conditional variance is ``error(Z) + O(1/T)`` for another polynomial
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
-from .ratpoly import RatPoly, format_rational, parse_rational
+from .ratpoly import RatPoly, _poly, format_rational, parse_rational
 
 ONE_DRAW = "one-draw"
 TWO_DRAW = "two-draw"
@@ -37,15 +39,71 @@ _SAMPLINGS = (WITH_REPLACEMENT, WITHOUT_REPLACEMENT)
 # Replacement matrices and models
 # ---------------------------------------------------------------------------
 
-def _check_entries(entries: Sequence[Fraction]) -> None:
-    if any(v < 0 for v in entries):
-        raise ValueError("replacement matrix entries must be nonnegative")
-    if all(v == 0 for v in entries):
-        raise ValueError("replacement matrix must have a positive entry")
+@dataclass(frozen=True)
+class ScaledModel:
+    """A model's rationals as integers over their common denominator ``s``.
+
+    ``entries``, ``w0`` and ``b0`` are the matrix entries and start counts
+    times ``s``, and ``row_sums`` the rows' totals times ``s``. Every closed
+    form of this module is an integer polynomial over a power of ``s`` built
+    from these, and the simulation kernels step these counts. A matrix's own
+    view has no start counts (``w0 = b0 = 0``).
+    """
+
+    scale: int
+    entries: tuple[int, ...]
+    row_sums: tuple[int, ...]
+    w0: int = 0
+    b0: int = 0
+
+    @functools.cached_property
+    def pair_drift(self) -> tuple[int, int, int]:
+        """``s`` times the ``alpha, beta, gamma`` of :func:`drift_two`."""
+        return _pair_drift_coeffs(self.entries)
+
+
+def _scale(entries: Sequence[Fraction], start: Sequence[Fraction] = ()) -> ScaledModel:
+    """The view of a matrix's entries and, for a model, its start counts."""
+    values = (*entries, *start)
+    s = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (s // v.denominator) for v in values]
+    rows = tuple(ints[:len(entries)])
+    sums = tuple(w + b for w, b in zip(rows[::2], rows[1::2]))
+    return ScaledModel(s, rows, sums, *ints[len(entries):])
+
+
+class _Matrix:
+    """What both matrix types derive from their fields, the entries in row order."""
+
+    def __post_init__(self):
+        for field in fields(self):
+            object.__setattr__(self, field.name, parse_rational(getattr(self, field.name)))
+        if any(v < 0 for v in self.entries):
+            raise ValueError("replacement matrix entries must be nonnegative")
+        if not any(self.entries):
+            raise ValueError("replacement matrix must have a positive entry")
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(getattr(self, field.name) for field in fields(self))
+
+    @functools.cached_property
+    def scaled(self) -> ScaledModel:
+        return _scale(self.entries)
+
+    def color_swap(self):
+        """The same rule with the roles of white and black exchanged: the entries reversed."""
+        return type(self)(*self.entries[::-1])
+
+    @classmethod
+    def from_entries(cls, entries: Sequence):
+        if len(entries) != len(fields(cls)):
+            raise ValueError(f"a {cls._RULE} matrix needs exactly {len(fields(cls))} entries")
+        return cls(*entries)
 
 
 @dataclass(frozen=True)
-class OneDrawMatrix:
+class OneDrawMatrix(_Matrix):
     """Replacement rule for single draws.
 
     Drawing a white ball adds ``w_add_white`` white and ``w_add_black`` black
@@ -53,38 +111,15 @@ class OneDrawMatrix:
     black balls. Entries are nonnegative rationals, not all zero.
     """
 
+    _RULE = "single-draw"
     w_add_white: Fraction
     w_add_black: Fraction
     b_add_white: Fraction
     b_add_black: Fraction
 
-    def __post_init__(self):
-        for name in ("w_add_white", "w_add_black", "b_add_white", "b_add_black"):
-            object.__setattr__(self, name, parse_rational(getattr(self, name)))
-        _check_entries(self.entries)
-
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        return (self.w_add_white, self.w_add_black, self.b_add_white, self.b_add_black)
-
-    @property
-    def row_sums(self) -> tuple[Fraction, Fraction]:
-        return (self.w_add_white + self.w_add_black, self.b_add_white + self.b_add_black)
-
-    def color_swap(self) -> "OneDrawMatrix":
-        """The same rule with the roles of white and black exchanged."""
-        a, b, c, d = self.entries
-        return OneDrawMatrix(d, c, b, a)
-
-    @staticmethod
-    def from_entries(entries: Sequence) -> "OneDrawMatrix":
-        if len(entries) != 4:
-            raise ValueError("a single-draw matrix needs exactly 4 entries")
-        return OneDrawMatrix(*entries)
-
 
 @dataclass(frozen=True)
-class TwoDrawMatrix:
+class TwoDrawMatrix(_Matrix):
     """Replacement rule for unordered pair draws.
 
     The drawn pair is white-white, mixed, or black-black; the corresponding
@@ -92,44 +127,13 @@ class TwoDrawMatrix:
     rationals, not all zero.
     """
 
+    _RULE = "pair-draw"
     ww_add_white: Fraction
     ww_add_black: Fraction
     wb_add_white: Fraction
     wb_add_black: Fraction
     bb_add_white: Fraction
     bb_add_black: Fraction
-
-    def __post_init__(self):
-        for name in (
-            "ww_add_white", "ww_add_black", "wb_add_white",
-            "wb_add_black", "bb_add_white", "bb_add_black",
-        ):
-            object.__setattr__(self, name, parse_rational(getattr(self, name)))
-        _check_entries(self.entries)
-
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        return (
-            self.ww_add_white, self.ww_add_black,
-            self.wb_add_white, self.wb_add_black,
-            self.bb_add_white, self.bb_add_black,
-        )
-
-    @property
-    def row_sums(self) -> tuple[Fraction, Fraction, Fraction]:
-        a, b, c, d, e, f = self.entries
-        return (a + b, c + d, e + f)
-
-    def color_swap(self) -> "TwoDrawMatrix":
-        """The same rule with the roles of white and black exchanged."""
-        a, b, c, d, e, f = self.entries
-        return TwoDrawMatrix(f, e, d, c, b, a)
-
-    @staticmethod
-    def from_entries(entries: Sequence) -> "TwoDrawMatrix":
-        if len(entries) != 6:
-            raise ValueError("a pair-draw matrix needs exactly 6 entries")
-        return TwoDrawMatrix(*entries)
 
 
 @dataclass(frozen=True)
@@ -163,6 +167,11 @@ class UrnModel:
             raise ValueError(f"unknown sampling mode: {self.sampling!r}")
         if self.kind == ONE_DRAW:
             object.__setattr__(self, "sampling", WITH_REPLACEMENT)
+
+    @functools.cached_property
+    def scaled(self) -> ScaledModel:
+        """The one scaled-integer view of this model, built on first use."""
+        return _scale(self.matrix.entries, (self.w0, self.b0))
 
     def color_swap(self) -> "UrnModel":
         return UrnModel(self.kind, self.matrix.color_swap(), self.b0, self.w0, self.sampling)
@@ -264,6 +273,26 @@ def step_distribution(state: UrnState, model: UrnModel) -> tuple[StepOutcome, ..
 # ---------------------------------------------------------------------------
 # Drift and noise closed forms
 # ---------------------------------------------------------------------------
+#
+# Each closed form takes a matrix, or a model of the same draw rule, and is
+# computed from its cached scaled view ``m.scaled``: polynomials linear in
+# the entries are integer numerators over ``s``, quadratic ones over ``s^2``.
+
+# x^2, x (1-x) and (1-x)^2: the weights of the noise and bias polynomials
+_SQ, _MIXED, _COMPLEMENT_SQ = (0, 0, 1), (0, 1, -1), (1, -2, 1)
+
+
+def _times(*factors: Sequence[int]) -> list[int]:
+    """The product of integer coefficient lists, lowest power first."""
+    out = [1]
+    for q in factors:
+        product = [0] * (len(out) + len(q) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(q):
+                product[i + j] += x * y
+        out = product
+    return out
+
 
 def drift_one(m: OneDrawMatrix) -> RatPoly:
     """Conditional mean of the centered white increment for single draws.
@@ -272,8 +301,8 @@ def drift_one(m: OneDrawMatrix) -> RatPoly:
     ``(c+d-a-b) x^2 + (a-2c-d) x + c`` with rows ``(a, b)`` on white and
     ``(c, d)`` on black. It is exact at every total (no remainder term).
     """
-    a, b, c, d = m.entries
-    return RatPoly([c, a - 2 * c - d, c + d - a - b])
+    a, b, c, d = m.scaled.entries
+    return _poly([c, a - 2 * c - d, c + d - a - b], m.scaled.scale)
 
 
 def drift_two(m: TwoDrawMatrix) -> RatPoly:
@@ -290,13 +319,14 @@ def drift_two(m: TwoDrawMatrix) -> RatPoly:
     replacement the exact mean is this polynomial plus the remainder
     returned by :func:`mean_noise_residual_two`.
     """
-    alpha, beta, gamma = _pair_drift_coeffs(m)
-    return RatPoly([m.bb_add_white, gamma, beta, alpha])
+    v = m.scaled
+    alpha, beta, gamma = v.pair_drift
+    return _poly([v.entries[4], gamma, beta, alpha], v.scale)
 
 
-def _pair_drift_coeffs(m: TwoDrawMatrix) -> tuple[Fraction, Fraction, Fraction]:
-    """The ``alpha, beta, gamma`` of :func:`drift_two`."""
-    a, b, c, d, e, f = m.entries
+def _pair_drift_coeffs(entries: Sequence[int]) -> tuple[int, int, int]:
+    """The ``alpha, beta, gamma`` of :func:`drift_two` for the given entries."""
+    a, b, c, d, e, f = entries
     return (
         -a - b + 2 * c + 2 * d - e - f,
         a - 4 * c - 2 * d + 3 * e + 2 * f,
@@ -305,7 +335,7 @@ def _pair_drift_coeffs(m: TwoDrawMatrix) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def drift_for(model: UrnModel) -> RatPoly:
-    return drift_one(model.matrix) if model.kind == ONE_DRAW else drift_two(model.matrix)
+    return drift_one(model) if model.kind == ONE_DRAW else drift_two(model)
 
 
 @dataclass(frozen=True)
@@ -323,10 +353,9 @@ class OneDrawNoise:
 
 
 def error_one(m: OneDrawMatrix) -> OneDrawNoise:
-    a, b, c, d = m.entries
-    gap = RatPoly([a - c, c + d - a - b])
-    x_one_minus_x = RatPoly([0, 1, -1])
-    return OneDrawNoise(gap=gap, error=x_one_minus_x * gap * gap)
+    a, b, c, d = m.scaled.entries
+    gap, s = [a - c, c + d - a - b], m.scaled.scale
+    return OneDrawNoise(gap=_poly(gap, s), error=_poly(_times(_MIXED, gap, gap), s * s))
 
 
 @dataclass(frozen=True)
@@ -355,32 +384,27 @@ class TwoDrawNoise:
 
 
 def error_two(m: TwoDrawMatrix) -> TwoDrawNoise:
-    a, b, c, d, e, f = m.entries
-    diff_ww_bb = RatPoly([a - e, e + f - a - b])
-    diff_wb_bb = RatPoly([c - e, e + f - c - d])
-    second_diff = diff_ww_bb - 2 * diff_wb_bb
-    x = RatPoly([0, 1])
-    one_minus_x = RatPoly([1, -1])
-    mixed = second_diff + diff_wb_bb
-    variance_factor = (
-        2 * x * x * mixed * mixed
-        + x * one_minus_x * diff_ww_bb * diff_ww_bb
-        + 2 * one_minus_x * one_minus_x * diff_wb_bb * diff_wb_bb
-    )
+    v = m.scaled
+    a, b, c, d, e, f = v.entries
+    ww, wb = [a - e, e + f - a - b], [c - e, e + f - c - d]
+    mixed = [x - y for x, y in zip(ww, wb)]  # second_diff + diff_wb_bb
+    quartic = [2 * p + q + 2 * r for p, q, r in zip(
+        _times(_SQ, mixed, mixed), _times(_MIXED, ww, ww), _times(_COMPLEMENT_SQ, wb, wb))]
+    s = v.scale
     return TwoDrawNoise(
-        diff_ww_bb=diff_ww_bb,
-        diff_wb_bb=diff_wb_bb,
-        second_diff=second_diff,
-        variance_factor=variance_factor,
-        error=x * one_minus_x * variance_factor,
+        diff_ww_bb=_poly(ww, s),
+        diff_wb_bb=_poly(wb, s),
+        second_diff=_poly([x - 2 * y for x, y in zip(ww, wb)], s),
+        variance_factor=_poly(quartic, s * s),
+        error=_poly(_times(_MIXED, quartic), s * s),
     )
 
 
 def error_for(model: UrnModel) -> RatPoly:
     """The leading-order conditional variance polynomial of the step noise."""
     if model.kind == ONE_DRAW:
-        return error_one(model.matrix).error
-    return error_two(model.matrix).error
+        return error_one(model).error
+    return error_two(model).error
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +462,11 @@ def cond_moments_oracle(state: UrnState, model: UrnModel) -> ExactMoments:
 # Closed forms for the per-step bias E[U / T_next]
 # ---------------------------------------------------------------------------
 
-def _one_bias_numerator(m: OneDrawMatrix) -> RatPoly:
-    """``(c+d-a-b)(C1 z + C2 z^2 + C3 z^3)``, see :func:`cond_iv_closed_form_one`."""
-    a, b, c, d = m.entries
-    return (c + d - a - b) * RatPoly([0, a - c, 2 * c + d - 2 * a - b, a + b - c - d])
+def _one_bias_numerator(v: ScaledModel) -> list[int]:
+    """``s^2 (c+d-a-b)(C1 z + C2 z^2 + C3 z^3)``, see :func:`cond_iv_closed_form_one`."""
+    a, b, c, d = v.entries
+    k = c + d - a - b
+    return [0, k * (a - c), k * (2 * c + d - 2 * a - b), -k * k]
 
 
 def cond_iv_closed_form_one(state: UrnState, m: OneDrawMatrix) -> Fraction:
@@ -450,13 +475,14 @@ def cond_iv_closed_form_one(state: UrnState, m: OneDrawMatrix) -> Fraction:
     Equals ``(C1 z + C2 z^2 + C3 z^3)(c+d-a-b) / ((T+a+b)(T+c+d))`` with
     ``C1 = a-c``, ``C2 = 2c+d-2a-b``, ``C3 = a+b-c-d``.
     """
-    s1, s2 = m.row_sums
-    z, t = state.proportion_white, state.total
-    return _one_bias_numerator(m).evaluate(z) / ((t + s1) * (t + s2))
+    v = m.scaled
+    r1, r2 = v.row_sums
+    z, st = state.proportion_white, state.total * v.scale
+    return _poly(_one_bias_numerator(v), 1).evaluate(z) / ((st + r1) * (st + r2))
 
 
-def _pair_bias_brackets(m: TwoDrawMatrix) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """The cubics ``B1, B2, B3`` that both pair-draw bias terms are built from.
+def _pair_bias_brackets(v: ScaledModel) -> tuple[list[int], list[int], list[int]]:
+    """``s`` times the cubics ``B1, B2, B3`` that both pair-draw bias terms are built from.
 
     With ``alpha, beta, gamma`` from :func:`drift_two`::
 
@@ -464,18 +490,19 @@ def _pair_bias_brackets(m: TwoDrawMatrix) -> tuple[RatPoly, RatPoly, RatPoly]:
         B2 = 2 ((c-e) - (gamma+c+d) z - beta z^2 - alpha z^3)
         B3 = (gamma+e+f) z + beta z^2 + alpha z^3
     """
-    a, b, c, d, e, f = m.entries
-    alpha, beta, gamma = _pair_drift_coeffs(m)
+    a, b, c, d, e, f = v.entries
+    alpha, beta, gamma = v.pair_drift
     return (
-        RatPoly([e - a, gamma + a + b, beta, alpha]),
-        -2 * RatPoly([e - c, gamma + c + d, beta, alpha]),
-        RatPoly([0, gamma + e + f, beta, alpha]),
+        [e - a, gamma + a + b, beta, alpha],
+        [2 * (c - e), -2 * (gamma + c + d), -2 * beta, -2 * alpha],
+        [0, gamma + e + f, beta, alpha],
     )
 
 
-# z^2, z (1-z) and (1-z)^2, the weights of the brackets in :func:`cond_iv_polys`
-_Z_SQUARED, _Z_ONE_MINUS_Z, _ONE_MINUS_Z_SQUARED = (
-    RatPoly([0, 0, 1]), RatPoly([0, 1, -1]), RatPoly([1, -2, 1]))
+def _pair_bias_numerators(v: ScaledModel) -> tuple[list[int], ...]:
+    """``s`` times the ``p1, p2, p3`` of :func:`cond_iv_polys`, each of length six."""
+    b1, b2, b3 = _pair_bias_brackets(v)
+    return _times((0, 0, -1), b1), _times(_MIXED, b2), _times((-1, 2, -1), b3)
 
 
 def cond_iv_polys(m: TwoDrawMatrix) -> tuple[RatPoly, RatPoly, RatPoly]:
@@ -491,8 +518,7 @@ def cond_iv_polys(m: TwoDrawMatrix) -> tuple[RatPoly, RatPoly, RatPoly]:
     three polynomials have degree at most five and their coefficients sum to
     zero power by power, which makes the whole bias collapse to ``O(1/T^2)``.
     """
-    b1, b2, b3 = _pair_bias_brackets(m)
-    return -(_Z_SQUARED * b1), _Z_ONE_MINUS_Z * b2, -(_ONE_MINUS_Z_SQUARED * b3)
+    return tuple(_poly(p, m.scaled.scale) for p in _pair_bias_numerators(m.scaled))
 
 
 def cond_iv_remainders(state: UrnState, m: TwoDrawMatrix) -> tuple[Fraction, Fraction, Fraction]:
@@ -506,20 +532,17 @@ def cond_iv_remainders(state: UrnState, m: TwoDrawMatrix) -> tuple[Fraction, Fra
     z, t = state.proportion_white, state.total
     if t <= 1:
         raise ValueError("pair draws without replacement need a total above 1")
-    scale = z * (1 - z) / (t - 1)
-    return tuple(scale * bracket.evaluate(z) for bracket in _pair_bias_brackets(m))
+    scale = z * (1 - z) / ((t - 1) * m.scaled.scale)
+    return tuple(scale * _poly(b, 1).evaluate(z) for b in _pair_bias_brackets(m.scaled))
 
 
 def cond_iv_closed_form_two(state: UrnState, m: TwoDrawMatrix, sampling: str) -> Fraction:
     """Exact ``E[U / T_next]`` for pair draws, by the split closed form."""
-    p1, p2, p3 = cond_iv_polys(m)
-    s1, s2, s3 = m.row_sums
-    z, t = state.proportion_white, state.total
-    parts = [p1.evaluate(z), p2.evaluate(z), p3.evaluate(z)]
+    parts = [p.evaluate(state.proportion_white) for p in cond_iv_polys(m)]
     if sampling == WITHOUT_REPLACEMENT:
-        r1, r2, r3 = cond_iv_remainders(state, m)
-        parts = [parts[0] + r1, parts[1] + r2, parts[2] + r3]
-    return parts[0] / (t + s1) + parts[1] / (t + s2) + parts[2] / (t + s3)
+        parts = [p + r for p, r in zip(parts, cond_iv_remainders(state, m))]
+    s = m.scaled.scale
+    return sum(p * s / (state.total * s + r) for p, r in zip(parts, m.scaled.row_sums))
 
 
 def mean_noise_residual_two(state: UrnState, m: TwoDrawMatrix) -> Fraction:
@@ -528,12 +551,13 @@ def mean_noise_residual_two(state: UrnState, m: TwoDrawMatrix) -> Fraction:
     Equals ``-z(1-z)(a - 2c + e + alpha z) / (T - 1)``; with replacement the
     noise has mean exactly zero.
     """
-    a, _, c, _, e, _ = m.entries
-    alpha, _, _ = _pair_drift_coeffs(m)
+    v = m.scaled
+    a, _, c, _, e, _ = v.entries
+    alpha = v.pair_drift[0]
     z, t = state.proportion_white, state.total
     if t <= 1:
         raise ValueError("pair draws without replacement need a total above 1")
-    return -z * (1 - z) * (a - 2 * c + e + alpha * z) / (t - 1)
+    return -z * (1 - z) * (a - 2 * c + e + alpha * z) / ((t - 1) * v.scale)
 
 
 def bias_bound(model: UrnModel) -> Fraction:
@@ -550,18 +574,24 @@ def bias_bound(model: UrnModel) -> Fraction:
     replacement adds remainder terms bounded by ``z(1-z) <= 1/4`` over
     ``(T-1)(T+s) >= T^2/2`` for ``T >= 2``. The result is floored at 1 so it
     is always a positive usable constant (noise-free rules give 0).
+
+    On the scaled view ``c1`` is over ``s^2``, ``c2`` over ``s^3`` and the
+    brackets over ``s``, so the sum is one integer over ``2 s^3``.
     """
+    v = model.scaled
+    s = v.scale
     if model.kind == ONE_DRAW:
-        return max(_one_bias_numerator(model.matrix).abs_sum(), Fraction(1))
-    m = model.matrix
-    p1, p2, p3 = cond_iv_polys(m)
-    s1, s2, s3 = m.row_sums
-    c1 = (s2 + s3) * p1 + (s1 + s3) * p2 + (s1 + s2) * p3
-    c2 = s2 * s3 * p1 + s1 * s3 * p2 + s1 * s2 * p3
-    total = c1.abs_sum() + c2.abs_sum()
-    if model.sampling == WITHOUT_REPLACEMENT:
-        total += Fraction(1, 2) * sum(bracket.abs_sum() for bracket in _pair_bias_brackets(m))
-    return max(total, Fraction(1))
+        total, den = sum(map(abs, _one_bias_numerator(v))), s * s
+    else:
+        r1, r2, r3 = v.row_sums
+        c1 = c2 = 0
+        for p1, p2, p3 in zip(*_pair_bias_numerators(v)):
+            c1 += abs((r2 + r3) * p1 + (r1 + r3) * p2 + (r1 + r2) * p3)
+            c2 += abs(r2 * r3 * p1 + r1 * r3 * p2 + r1 * r2 * p3)
+        total, den = 2 * (s * c1 + c2), 2 * s * s * s
+        if model.sampling == WITHOUT_REPLACEMENT:
+            total += s * s * sum(abs(x) for b in _pair_bias_brackets(v) for x in b)
+    return Fraction(total, den) if total > den else Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -583,18 +613,19 @@ class AttainableInterval:
     closed_bounds: bool
 
 
-def active_white_ratios(matrix: OneDrawMatrix | TwoDrawMatrix) -> list[Fraction]:
+def active_white_ratios(m: OneDrawMatrix | TwoDrawMatrix | UrnModel) -> list[Fraction]:
     """White ratio (added white over added total) of each row that adds balls, in row order."""
-    return [w / s for w, s in zip(matrix.entries[::2], matrix.row_sums) if s > 0]
+    v = m.scaled
+    return [Fraction(w, r) for w, r in zip(v.entries[::2], v.row_sums) if r > 0]
 
 
 def attainable_interval(model: UrnModel) -> AttainableInterval:
     """Attainable-proportion interval; requires every row sum positive."""
-    if min(model.matrix.row_sums) <= 0:
+    if min(model.scaled.row_sums) <= 0:
         raise ValueError("attainability needs every matrix row to add at least one ball")
     if model.kind == ONE_DRAW:
         return AttainableInterval(Fraction(0), Fraction(1), closed_bounds=False)
-    ratios = active_white_ratios(model.matrix)
+    ratios = active_white_ratios(model)
     return AttainableInterval(min(ratios), max(ratios), closed_bounds=True)
 
 
@@ -606,17 +637,22 @@ def white_count_diverges_at_zero(model: UrnModel) -> bool:
     through white-involving outcomes, whose own white addition then feeds the
     count.
     """
-    if model.kind == ONE_DRAW:
-        return model.matrix.w_add_white > 0
-    a, b, c, d, e, f = model.matrix.entries
-    if c > 0:
-        return True
-    return c == 0 and e == 0 and f == 0 and a > 0
+    return _white_diverges(model.kind, model.scaled.entries)
 
 
 def black_count_diverges_at_one(model: UrnModel) -> bool:
-    """Mirror flag at proportion 1, by the color-swap symmetry."""
-    return white_count_diverges_at_zero(model.color_swap())
+    """Mirror flag at proportion 1, by the color-swap symmetry.
+
+    Swapping the colors reverses the order of the matrix entries.
+    """
+    return _white_diverges(model.kind, model.scaled.entries[::-1])
+
+
+def _white_diverges(kind: str, entries: Sequence[int]) -> bool:
+    if kind == ONE_DRAW:
+        return entries[0] > 0
+    a, b, c, d, e, f = entries
+    return c > 0 or (e == f == 0 and a > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +690,7 @@ def degenerate_case_id(model: UrnModel) -> int:
     inactive. Single draws reuse 1 (only the white row active) and 2 (only
     the black row active).
     """
-    sums = model.matrix.row_sums
+    sums = model.scaled.row_sums
     if min(sums) > 0:
         return 0
     if model.kind == ONE_DRAW:
@@ -674,12 +710,12 @@ def degenerate_case_id(model: UrnModel) -> int:
 
 
 def model_meta(model: UrnModel) -> ModelMeta:
-    sums = model.matrix.row_sums
+    v = model.scaled
     return ModelMeta(
         kind=model.kind,
         sampling=model.sampling,
-        t_min=min(sums),
-        t_max=max(sums),
+        t_min=Fraction(min(v.row_sums), v.scale),
+        t_max=Fraction(max(v.row_sums), v.scale),
         bias_bound=bias_bound(model),
         degenerate_case=degenerate_case_id(model),
         white_count_diverges_at_zero=white_count_diverges_at_zero(model),
@@ -716,9 +752,9 @@ class DegenerateReduction:
     variable_map: str = "identity"
 
 
-def _case4_reduced_drift(m: TwoDrawMatrix) -> RatPoly:
-    a, b, c, d, e, f = m.entries
-    return RatPoly([2 * e, 2 * c - 4 * e - f, -2 * c - d + 2 * e + f])
+def _case4_reduced_drift(entries: Sequence[int], scale: int) -> RatPoly:
+    a, b, c, d, e, f = entries
+    return _poly([2 * e, 2 * c - 4 * e - f, -2 * c - d + 2 * e + f], scale)
 
 
 def degenerate_reduce(model: UrnModel) -> DegenerateReduction:
@@ -726,25 +762,25 @@ def degenerate_reduce(model: UrnModel) -> DegenerateReduction:
     case = degenerate_case_id(model)
     if case == 0:
         raise ValueError("the model has no inactive matrix row; nothing to reduce")
-    m = model.matrix
+    v = model.scaled
     if model.kind == ONE_DRAW or case <= 3:
-        (limit,) = active_white_ratios(m)
+        (limit,) = active_white_ratios(model)
         return DegenerateReduction(case_id=case, fixed_limit=limit)
     if case == 4:
         return DegenerateReduction(
             case_id=4,
-            reduced_drift=_case4_reduced_drift(m),
+            reduced_drift=_case4_reduced_drift(v.entries, v.scale),
             variable_map="x = y/(2-y)",
         )
     if case == 5:
         return DegenerateReduction(
             case_id=5,
-            reduced_drift=_case4_reduced_drift(m.color_swap()),
+            reduced_drift=_case4_reduced_drift(v.entries[::-1], v.scale),
             variable_map="x = 1 - y/(2-y)",
         )
     return DegenerateReduction(
         case_id=6,
-        reduced_drift=drift_two(m),
+        reduced_drift=drift_two(model),
         weight_denominator=RatPoly([1, -2, 2]),
         variable_map="identity",
     )
@@ -841,10 +877,10 @@ def model_from_dict(data) -> UrnModel:
 
 
 def load_model(path) -> UrnModel:
-    """Read a model from a JSON file path."""
+    """Read a model from a JSON file path; errors leave naming the path to the caller."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"invalid JSON in model file {path}: {exc}") from exc
+            raise ValueError(f"invalid JSON: {exc}") from exc
     return model_from_dict(data)

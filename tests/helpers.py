@@ -3,7 +3,14 @@
 from fractions import Fraction
 
 from polyurn.ratpoly import RatPoly, RootRecord, _bisect, _wider_than
-from polyurn.urns import UrnModel, UrnState
+from polyurn.urns import (
+    ONE_DRAW,
+    WITHOUT_REPLACEMENT,
+    OneDrawNoise,
+    TwoDrawNoise,
+    UrnModel,
+    UrnState,
+)
 
 
 def poly_from_roots(roots, scale=1) -> RatPoly:
@@ -54,3 +61,62 @@ def refine_root(record: RootRecord, width) -> RootRecord:
     if lo == hi:
         raise ArithmeticError("isolating interval midpoint unexpectedly a root")
     return RootRecord(record.multiplicity, interval=(lo, hi), factor=record.factor)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of ``urns`` in ``Fraction`` arithmetic on the matrix entries.
+# The library computes them from the model's scaled integers; these are the
+# references its results are checked against.
+# ---------------------------------------------------------------------------
+
+_X, _ONE = RatPoly([0, 1]), RatPoly([1])
+
+
+def reference_drift(model: UrnModel) -> RatPoly:
+    if model.kind == ONE_DRAW:
+        a, b, c, d = model.matrix.entries
+        return RatPoly([c, a - 2 * c - d, c + d - a - b])
+    a, b, c, d, e, f = model.matrix.entries
+    return RatPoly([
+        e, 2 * c - 3 * e - f, a - 4 * c - 2 * d + 3 * e + 2 * f, -a - b + 2 * c + 2 * d - e - f,
+    ])
+
+
+def reference_noise(model: UrnModel) -> OneDrawNoise | TwoDrawNoise:
+    x, one_minus_x = _X, _ONE - _X
+    if model.kind == ONE_DRAW:
+        a, b, c, d = model.matrix.entries
+        gap = RatPoly([a - c, c + d - a - b])
+        return OneDrawNoise(gap, x * one_minus_x * gap * gap)
+    a, b, c, d, e, f = model.matrix.entries
+    ww, wb = RatPoly([a - e, e + f - a - b]), RatPoly([c - e, e + f - c - d])
+    second = ww - 2 * wb
+    quartic = (2 * x * x * (second + wb) ** 2 + x * one_minus_x * ww ** 2
+               + 2 * one_minus_x ** 2 * wb ** 2)
+    return TwoDrawNoise(ww, wb, second, quartic, x * one_minus_x * quartic)
+
+
+def reference_bias_bound(model: UrnModel) -> Fraction:
+    """The constant of ``urns.bias_bound``, term by term in ``Fraction`` arithmetic."""
+    if model.kind == ONE_DRAW:
+        a, b, c, d = model.matrix.entries
+        numerator = (c + d - a - b) * RatPoly([0, a - c, 2 * c + d - 2 * a - b, a + b - c - d])
+        return max(numerator.abs_sum(), Fraction(1))
+    a, b, c, d, e, f = model.matrix.entries
+    alpha = -a - b + 2 * c + 2 * d - e - f
+    beta = a - 4 * c - 2 * d + 3 * e + 2 * f
+    gamma = 2 * c - 3 * e - f
+    brackets = b1, b2, b3 = (
+        RatPoly([e - a, gamma + a + b, beta, alpha]),
+        -2 * RatPoly([e - c, gamma + c + d, beta, alpha]),
+        RatPoly([0, gamma + e + f, beta, alpha]),
+    )
+    x, one_minus_x = _X, _ONE - _X
+    p1, p2, p3 = -(x * x * b1), x * one_minus_x * b2, -(one_minus_x ** 2 * b3)
+    s1, s2, s3 = a + b, c + d, e + f
+    c1 = (s2 + s3) * p1 + (s1 + s3) * p2 + (s1 + s2) * p3
+    c2 = s2 * s3 * p1 + s1 * s3 * p2 + s1 * s2 * p3
+    total = c1.abs_sum() + c2.abs_sum()
+    if model.sampling == WITHOUT_REPLACEMENT:
+        total += Fraction(1, 2) * sum(bracket.abs_sum() for bracket in brackets)
+    return max(total, Fraction(1))

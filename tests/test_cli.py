@@ -433,6 +433,17 @@ def test_json_nested_deeper_than_the_decoder_recurses_is_a_one_line_error(flags,
     assert f"invalid {flags[-1][2:]} file" in err
 
 
+@pytest.mark.parametrize("text", ["{bad", '{"model": "one-draw", "matrix": 1}'],
+                         ids=["json", "schema"])
+def test_malformed_model_file_names_its_path_once(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(["analyze", "--model", str(path)], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err.count(str(path)) == 1
+    assert err.startswith(f"polyurn: error: invalid model file {path}: ")
+
+
 def test_successive_main_calls_share_no_parser_state(monkeypatch, tmp_path, capsys):
     # One parser serves every call in a process; each call must still parse
     # as if it were the first, whatever command or error came before it.

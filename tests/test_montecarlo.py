@@ -187,13 +187,13 @@ KERNEL_MODELS = [
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=range(len(KERNEL_MODELS)))
-def test_fast_and_generic_paths_draw_identical_runs(model):
+def test_kernels_match_oracle_on_fixed_models(model):
     config = SimConfig(
         model=model, steps=60, replicates=3, base_seed=9,
         record_trajectory=True, trajectory_stride=7,
     )
-    fast = [simulate(config, i) for i in range(config.replicates)]
-    assert fast == [oracle_run(config, i) for i in range(config.replicates)]
+    runs = [simulate(config, i) for i in range(config.replicates)]
+    assert runs == [oracle_run(config, i) for i in range(config.replicates)]
 
 
 def _random_rational(rng, low=0):
@@ -416,24 +416,30 @@ def simulation_configs(draw):
 @given(data=st.data())
 def test_simulate_matches_oracle_on_both_sides_of_the_float_bound(above, data):
     config = data.draw(simulation_configs())
-    w0, b0, rows, _ = mc._integer_setup(config.model)
+    view = config.model.scaled
     bound = FLOAT_BOUNDS["one" if config.model.kind == "one-draw" else WITH]
-    largest = max(rows[k] + rows[k + 1] for k in range(0, len(rows), 2))
-    assume((w0 + b0 + config.steps * largest >= bound) == above)
+    assume((view.w0 + view.b0 + config.steps * max(view.row_sums) >= bound) == above)
     assert simulate(config, 0) == oracle_run(config, 0)
 
 
+def _kernel_inputs(model):
+    """The scaled counts, rows and scale that :func:`simulate` steps."""
+    view = model.scaled
+    return view.w0, view.b0, view.entries, view.scale
+
+
 def test_integer_setup_scaling_rules():
-    scaled = mc._integer_setup(one_draw_model([F(1, 2), F(1, 3), F(1, 4), F(1, 5)], 1, 1))
+    scaled = _kernel_inputs(one_draw_model([F(1, 2), F(1, 3), F(1, 4), F(1, 5)], 1, 1))
     w0, b0, rows, scale = scaled
     assert scale == 60 and (w0, b0) == (60, 60)
     assert rows == (30, 20, 15, 12)
     # Pair draws without replacement scale too: the kernel subtracts the
     # scale, not 1, from the scaled counts.
     fractional = two_draw_model([F(1, 2), 0, 0, F(1, 2), F(1, 2), 0], 2, 2)
-    assert mc._integer_setup(fractional) == (4, 4, (1, 0, 0, 1, 1, 0), 2)
+    assert _kernel_inputs(fractional) == (4, 4, (1, 0, 0, 1, 1, 0), 2)
     integral = two_draw_model([3, 2, 2, 3, 1, 4], 2, 2)
-    assert mc._integer_setup(integral) == (2, 2, (3, 2, 2, 3, 1, 4), 1)
+    assert _kernel_inputs(integral) == (2, 2, (3, 2, 2, 3, 1, 4), 1)
+    assert integral.scaled.row_sums == (5, 5, 5)
 
 
 def test_without_replacement_fraction_path_runs():

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 
+from polyurn import urns
+from polyurn.analysis import analysis_to_dict, analyze_model
 from polyurn.ratpoly import RatPoly, RootRecord
 from polyurn.urns import (
     ONE_DRAW,
@@ -89,8 +91,10 @@ def test_matrix_entry_validation():
 
 
 def test_row_sums():
-    assert TwoDrawMatrix.from_entries([15, 3, 4, 1, 3, 21]).row_sums == (18, 5, 24)
-    assert OneDrawMatrix.from_entries([3, 2, 2, 3]).row_sums == (5, 5)
+    assert TwoDrawMatrix.from_entries([15, 3, 4, 1, 3, 21]).scaled.row_sums == (18, 5, 24)
+    assert OneDrawMatrix.from_entries([3, 2, 2, 3]).scaled.row_sums == (5, 5)
+    halves = OneDrawMatrix.from_entries([F(1, 2), F(1, 3), 2, 3])
+    assert (halves.scaled.scale, halves.scaled.row_sums) == (6, (5, 30))
 
 
 def test_color_swap_involution():
@@ -418,6 +422,25 @@ def test_model_meta_fields():
     assert meta.t_min == 5 and meta.t_max == 24
     assert meta.degenerate_case == 0
     assert meta.white_count_diverges_at_zero and meta.black_count_diverges_at_one
+
+
+@pytest.mark.parametrize("model, pair_drifts", [
+    (lambda: one_draw_model([3, 1, 1, 2]), 0),
+    (lambda: two_draw_model([15, 3, 4, 1, 3, 21], 5, 2), 1),
+    (lambda: two_draw_model([F(15, 2), 3, 4, 1, 3, 21], 5, 2, sampling=WITH_REPLACEMENT), 1),
+    (lambda: two_draw_model([2, 1, 1, 1, 1, 0]), 1),
+    (lambda: two_draw_model([1, 2, 3, 1, 0, 0], F(5, 2), 3), 1),  # black-black row inactive
+    (lambda: two_draw_model([1, 2, 0, 0, 1, 3]), 1),  # mixed row inactive
+], ids=["one-draw", "pair", "pair-fractional-with", "irrational-root", "case-5", "case-6"])
+def test_one_analysis_builds_the_scaled_view_once(model, pair_drifts, monkeypatch):
+    calls = {"_scale": 0, "_pair_drift_coeffs": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(urns, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(urns, name, counted)
+    analysis_to_dict(analyze_model(model()))
+    assert calls == {"_scale": 1, "_pair_drift_coeffs": pair_drifts}
 
 
 # ---------------------------------------------------------------------------
