@@ -187,7 +187,7 @@ KERNEL_MODELS = [
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=range(len(KERNEL_MODELS)))
-def test_kernels_match_oracle_on_fixed_models(model):
+def test_fast_and_generic_paths_draw_identical_runs(model):
     config = SimConfig(
         model=model, steps=60, replicates=3, base_seed=9,
         record_trajectory=True, trajectory_stride=7,
