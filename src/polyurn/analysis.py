@@ -449,6 +449,11 @@ def _as_float(x) -> float:
         return math.inf
 
 
+def beta_in_float_range(beta_params) -> bool:
+    """Whether both Beta parameters are positive and finite as floats, as the KS test needs."""
+    return all(0 < _as_float(v) < math.inf for v in beta_params)
+
+
 def _point_from_dict(entry: dict) -> tuple[RootRecord, EquilibriumClass | None]:
     """Rebuild a point record and its classification from their serialized form.
 
@@ -492,7 +497,7 @@ def prediction_from_dict(data: dict) -> LimitPrediction:
         if not (isinstance(raw_beta, list) and len(raw_beta) == 2):
             raise ValueError(f"beta_params must be a list of two numbers, not {raw_beta!r}")
         beta_params = (parse_rational(raw_beta[0]), parse_rational(raw_beta[1]))
-        if not all(0 < _as_float(v) < math.inf for v in beta_params):
+        if not beta_in_float_range(beta_params):
             raise ValueError(f"beta_params must be positive and within float range: {raw_beta!r}")
     return LimitPrediction(
         kind=kind,

@@ -30,6 +30,7 @@ from .analysis import (
 )
 from .montecarlo import (
     DEFAULT_RADIUS,
+    VERDICT_INCONSISTENT,
     SimConfig,
     VerificationReport,
     finals_csv_lines,
@@ -220,7 +221,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.replicates < 1:
         raise CliError("--replicates must be at least 1")
     try:
-        model.validate_for_simulation()
         config = SimConfig(
             model=model,
             steps=args.steps,
@@ -301,7 +301,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CliError(f"invalid prediction file {args.prediction}: {exc}") from exc
     try:
-        model.validate_for_simulation()
         report = verify(
             model,
             prediction,
@@ -317,7 +316,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(args, _rendered(_render_report_text, report))
     else:
         _emit(args, _json_text(_rendered(VerificationReport.to_dict, report)))
-    return EXIT_INCONSISTENT if report.verdict == "inconsistent" else EXIT_OK
+    return EXIT_INCONSISTENT if report.verdict == VERDICT_INCONSISTENT else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

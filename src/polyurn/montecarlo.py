@@ -15,20 +15,23 @@ seed and the replicate index, which makes results independent of execution
 order and parallelism: running on one worker or many yields byte-identical
 output.
 
-Verification compares the empirical final proportions of many replicates
-against a :class:`~polyurn.stability.LimitPrediction`: point predictions via
-clustering around the predicted and excluded points, Beta-law predictions
-via a Kolmogorov-Smirnov test with the exact Beta distribution function.
+:func:`verify` simulates replicates and then calls :func:`judge`, a pure
+function that compares final proportions from any source against a
+:class:`~polyurn.stability.LimitPrediction`: point predictions by clustering
+around the predicted and excluded points, Beta-law predictions by a
+Kolmogorov-Smirnov test with the exact Beta distribution function.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import _as_float, predict_limit, prediction_to_dict
+from .analysis import beta_in_float_range, predict_limit, prediction_to_dict
 from .stability import LimitPrediction, PredictionKind
 from .urns import (
     ONE_DRAW,
@@ -94,7 +97,7 @@ def step(state: UrnState, model: UrnModel, rng: random.Random) -> UrnState:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A reproducible simulation request."""
+    """A reproducible simulation request; construction refuses a model it cannot simulate."""
 
     model: UrnModel
     steps: int
@@ -104,6 +107,7 @@ class SimConfig:
     trajectory_stride: int = 100
 
     def __post_init__(self):
+        self.model.validate_for_simulation()
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
         if self.replicates < 0:
@@ -206,7 +210,6 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     settles ``y == n 2**53``.
     """
     model = config.model
-    model.validate_for_simulation()
     grb = replicate_rng(config.base_seed, replicate_index).getrandbits
     steps = config.steps
     record = config.record_trajectory
@@ -306,12 +309,8 @@ def cluster_finals(samples, centers, radius) -> ClusterCounts:
     radius = float(radius)
     if not 0 < radius < math.inf:
         raise ValueError("radius must be a positive finite number")
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            if abs(centers[i] - centers[j]) <= 2 * radius:
-                raise ValueError(
-                    "cluster centers closer than twice the radius make assignment ambiguous"
-                )
+    if any(abs(a - b) <= 2 * radius for a, b in itertools.combinations(centers, 2)):
+        raise ValueError("cluster centers closer than twice the radius make assignment ambiguous")
     counts = [0] * len(centers)
     unassigned = 0
     for s in samples:
@@ -442,7 +441,7 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of comparing simulated finals against a prediction."""
+    """Outcome of comparing final proportions against a prediction."""
 
     prediction: LimitPrediction
     steps: int
@@ -453,13 +452,13 @@ class VerificationReport:
     mean_final: float
     histogram: tuple[int, ...]
     radius_requested: float
-    radius_used: float | None
-    allowed_points: tuple[dict, ...]
-    excluded_points: tuple[dict, ...]
-    unassigned: int | None
-    allowed_fraction: float | None
-    ks_statistic: float | None
-    ks_threshold: float | None
+    radius_used: float | None = None
+    allowed_points: tuple[dict, ...] = ()
+    excluded_points: tuple[dict, ...] = ()
+    unassigned: int | None = None
+    allowed_fraction: float | None = None
+    ks_statistic: float | None = None
+    ks_threshold: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -495,6 +494,93 @@ def finals_summary(finals: list[float]) -> tuple[float, tuple[int, ...]]:
     return sum(finals) / len(finals), tuple(bins)
 
 
+def judge(
+    prediction: LimitPrediction,
+    finals: list[float],
+    *,
+    steps: int,
+    base_seed: int,
+    radius: float = DEFAULT_RADIUS,
+) -> VerificationReport:
+    """Judge final proportions from any source against a prediction, without simulating.
+
+    ``finals`` is nonempty; ``steps`` and ``base_seed`` only label the report.
+    Point predictions cluster the finals around the allowed and excluded points
+    together: consistency needs at least ``MIN_ALLOWED_FRACTION`` of them on
+    allowed points and at most ``MAX_EXCLUDED_FRACTION`` on each excluded point.
+    Centers closer than twice the positive finite ``radius`` shrink it to just
+    under half the smallest gap, as the reasons state. Beta laws are judged by the
+    KS statistic at level ``KS_LEVEL``. No-atoms and unknown predictions, which
+    clustering cannot refute, and Beta laws with a parameter outside the float
+    range are ``inconclusive``.
+    """
+    n = len(finals)
+    mean_final, histogram = finals_summary(finals)
+    report = functools.partial(
+        VerificationReport, prediction, steps, n, base_seed,
+        mean_final=mean_final, histogram=histogram, radius_requested=float(radius),
+    )
+    kind = prediction.kind
+    if kind is PredictionKind.POINT_MASS_SET and prediction.points:
+        allowed = [(p.root.approx, p.verdict) for p in prediction.points]
+        excluded = [(p.root.approx, p.theorem) for p in prediction.excluded]
+        centers = [c for c, _ in allowed + excluded]
+        reasons = []
+        radius_used = float(radius)
+        min_gap = min((abs(a - b) for a, b in itertools.combinations(centers, 2)),
+                      default=math.inf)
+        if min_gap <= 2 * radius_used:
+            radius_used = 0.49 * min_gap
+            reasons.append(f"radius shrunk to {radius_used!r} so clusters cannot overlap")
+        clusters = cluster_finals(finals, centers, radius_used)
+        allowed_counts = clusters.counts[:len(allowed)]
+        excluded_counts = clusters.counts[len(allowed):]
+        allowed_fraction = sum(allowed_counts) / n
+        consistent = allowed_fraction >= MIN_ALLOWED_FRACTION
+        if not consistent:
+            reasons.append(
+                f"only {allowed_fraction:.3f} of replicates landed on allowed points "
+                f"(need >= {MIN_ALLOWED_FRACTION})"
+            )
+        for (center, theorem), count in zip(excluded, excluded_counts):
+            frac = count / n
+            if frac > MAX_EXCLUDED_FRACTION:
+                consistent = False
+                reasons.append(
+                    f"excluded point near {center!r} captured {frac:.3f} of replicates "
+                    f"(breaks {theorem})"
+                )
+        return report(
+            VERDICT_CONSISTENT if consistent else VERDICT_INCONSISTENT,
+            tuple(reasons),
+            radius_used=radius_used,
+            allowed_points=tuple({"approx": c, "verdict": v, "count": k}
+                                 for (c, v), k in zip(allowed, allowed_counts)),
+            excluded_points=tuple({"approx": c, "theorem": t, "count": k}
+                                  for (c, t), k in zip(excluded, excluded_counts)),
+            unassigned=clusters.unassigned,
+            allowed_fraction=allowed_fraction,
+        )
+    if kind is PredictionKind.BETA_DISTRIBUTION:
+        if not beta_in_float_range(prediction.beta_params):
+            return report(VERDICT_INCONCLUSIVE, (
+                "a Beta parameter is outside the float range; KS cannot test the law",))
+        ks = ks_beta(finals, *prediction.beta_params)
+        threshold = ks.threshold(KS_LEVEL)
+        if ks.statistic < threshold:
+            verdict, reasons = VERDICT_CONSISTENT, ()
+        else:
+            verdict, reasons = VERDICT_INCONSISTENT, (
+                f"KS statistic {ks.statistic!r} is not below the level-{KS_LEVEL} "
+                f"threshold {threshold!r}",)
+        return report(verdict, reasons, ks_statistic=ks.statistic, ks_threshold=threshold)
+    if kind is PredictionKind.CONTINUOUS_NO_ATOMS:
+        return report(VERDICT_INCONCLUSIVE, (
+            "a no-atoms prediction cannot be refuted by finite clustering; "
+            "histogram reported for inspection",))
+    return report(VERDICT_INCONCLUSIVE, ("no certified prediction to test against",))
+
+
 def verify(
     model: UrnModel,
     prediction: LimitPrediction | None = None,
@@ -505,20 +591,12 @@ def verify(
     parallelism: int = 1,
     radius: float = DEFAULT_RADIUS,
 ) -> VerificationReport:
-    """Simulate and compare against the (given or derived) prediction.
+    """Simulate the model and :func:`judge` its finals against the (given or derived) prediction.
 
-    Point predictions are checked by clustering the final proportions around
-    the allowed and excluded points together: consistency needs at least
-    ``MIN_ALLOWED_FRACTION`` of replicates on allowed points and at most
-    ``MAX_EXCLUDED_FRACTION`` on each excluded point. When predicted points
-    sit closer together than twice the radius, the radius shrinks to just
-    under half the smallest gap (recorded in the report). Beta predictions
-    are checked by the KS statistic at level ``KS_LEVEL``. No-atoms and
-    unknown predictions, which clustering cannot refute, and Beta laws with a
-    parameter outside the float range come back ``inconclusive``. A run without
-    replicates or without steps has no samples to judge by, and a radius
-    that is not a positive finite number clusters nothing; each raises
-    ``ValueError`` before any simulation.
+    A run without replicates or without steps has no samples to judge by, a
+    radius that is not a positive finite number clusters nothing, and a model
+    that :class:`SimConfig` refuses cannot be simulated; each raises
+    ``ValueError`` before any analysis or simulation.
     """
     if replicates < 1:
         raise ValueError("verification needs at least one replicate")
@@ -526,115 +604,8 @@ def verify(
         raise ValueError("verification needs at least one step per replicate")
     if not 0 < float(radius) < math.inf:
         raise ValueError("the clustering radius must be a positive finite number")
+    config = SimConfig(model=model, steps=steps, replicates=replicates, base_seed=base_seed)
     if prediction is None:
         prediction = predict_limit(model)
-    config = SimConfig(model=model, steps=steps, replicates=replicates, base_seed=base_seed)
-    results = run_replicates(config, parallelism=parallelism)
-    finals = [r.final_z for r in results]
-    mean_final, histogram = finals_summary(finals)
-
-    reasons: list[str] = []
-    radius_used = None
-    allowed_dicts: tuple[dict, ...] = ()
-    excluded_dicts: tuple[dict, ...] = ()
-    unassigned = None
-    allowed_fraction = None
-    ks_statistic = None
-    ks_threshold = None
-
-    if prediction.kind is PredictionKind.POINT_MASS_SET and prediction.points:
-        allowed = [(p.root.approx, p.verdict) for p in prediction.points]
-        excluded = [(p.root.approx, p.theorem) for p in prediction.excluded]
-        centers = [c for c, _ in allowed] + [c for c, _ in excluded]
-        radius_used = float(radius)
-        if len(centers) > 1:
-            min_gap = min(
-                abs(centers[i] - centers[j])
-                for i in range(len(centers))
-                for j in range(i + 1, len(centers))
-            )
-            if min_gap <= 2 * radius_used:
-                radius_used = 0.49 * min_gap
-                reasons.append(
-                    f"radius shrunk to {radius_used!r} so clusters cannot overlap"
-                )
-        clusters = cluster_finals(finals, centers, radius_used)
-        n_allowed = len(allowed)
-        allowed_count = sum(clusters.counts[:n_allowed])
-        allowed_fraction = allowed_count / replicates
-        unassigned = clusters.unassigned
-        allowed_dicts = tuple(
-            {
-                "approx": centers[k],
-                "verdict": allowed[k][1],
-                "count": clusters.counts[k],
-            }
-            for k in range(n_allowed)
-        )
-        excluded_dicts = tuple(
-            {
-                "approx": centers[n_allowed + k],
-                "theorem": excluded[k][1],
-                "count": clusters.counts[n_allowed + k],
-            }
-            for k in range(len(excluded))
-        )
-        verdict = VERDICT_CONSISTENT
-        if allowed_fraction < MIN_ALLOWED_FRACTION:
-            verdict = VERDICT_INCONSISTENT
-            reasons.append(
-                f"only {allowed_fraction:.3f} of replicates landed on allowed points "
-                f"(need >= {MIN_ALLOWED_FRACTION})"
-            )
-        for k, (center, theorem) in enumerate(excluded):
-            frac = clusters.counts[n_allowed + k] / replicates
-            if frac > MAX_EXCLUDED_FRACTION:
-                verdict = VERDICT_INCONSISTENT
-                reasons.append(
-                    f"excluded point near {center!r} captured {frac:.3f} of replicates "
-                    f"(breaks {theorem})"
-                )
-    elif prediction.kind is PredictionKind.BETA_DISTRIBUTION and not all(
-            0 < _as_float(v) < math.inf for v in prediction.beta_params):
-        verdict = VERDICT_INCONCLUSIVE
-        reasons.append("a Beta parameter is outside the float range; KS cannot test the law")
-    elif prediction.kind is PredictionKind.BETA_DISTRIBUTION:
-        ks = ks_beta(finals, *prediction.beta_params)
-        ks_statistic = ks.statistic
-        ks_threshold = ks.threshold(KS_LEVEL)
-        if ks.statistic < ks_threshold:
-            verdict = VERDICT_CONSISTENT
-        else:
-            verdict = VERDICT_INCONSISTENT
-            reasons.append(
-                f"KS statistic {ks.statistic!r} is not below the level-{KS_LEVEL} "
-                f"threshold {ks_threshold!r}"
-            )
-    elif prediction.kind is PredictionKind.CONTINUOUS_NO_ATOMS:
-        verdict = VERDICT_INCONCLUSIVE
-        reasons.append(
-            "a no-atoms prediction cannot be refuted by finite clustering; "
-            "histogram reported for inspection"
-        )
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-        reasons.append("no certified prediction to test against")
-
-    return VerificationReport(
-        prediction=prediction,
-        steps=steps,
-        replicates=replicates,
-        base_seed=base_seed,
-        verdict=verdict,
-        reasons=tuple(reasons),
-        mean_final=mean_final,
-        histogram=histogram,
-        radius_requested=float(radius),
-        radius_used=radius_used,
-        allowed_points=allowed_dicts,
-        excluded_points=excluded_dicts,
-        unassigned=unassigned,
-        allowed_fraction=allowed_fraction,
-        ks_statistic=ks_statistic,
-        ks_threshold=ks_threshold,
-    )
+    finals = [r.final_z for r in run_replicates(config, parallelism=parallelism)]
+    return judge(prediction, finals, steps=steps, base_seed=base_seed, radius=radius)

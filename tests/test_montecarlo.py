@@ -31,6 +31,7 @@ from polyurn.montecarlo import (
     SimConfig,
     cluster_finals,
     finals_csv_lines,
+    judge,
     ks_beta,
     regularized_incomplete_beta,
     replicate_rng,
@@ -173,7 +174,10 @@ KERNEL_MODELS = [
     two_draw_model([F(9, 2), 1, 2, 3, 1, 7], 2, 2),
     two_draw_model([F(15, 2), F(3, 2), 2, F(1, 2), F(3, 2), F(21, 2)], 5, 2),
     two_draw_model([F(1, 2), 0, 0, F(1, 2), F(1, 2), 0], 2, 2),
-    # totals at or above the bounds for doubles, so the kernels run on integer counts:
+]
+
+# Totals at or above the bounds for doubles, so the kernels run on integer counts:
+INTEGER_COUNT_MODELS = [
     # pairs from near 2**26 (one starts below it and crosses it at once)
     two_draw_model([3 * 10**7, 2 * 10**7, 2 * 10**7, 3 * 10**7, 10**7, 4 * 10**7],
                    2**26 - 9, 2**26 - 5),
@@ -186,14 +190,23 @@ KERNEL_MODELS = [
 ]
 
 
-@pytest.mark.parametrize("model", KERNEL_MODELS, ids=range(len(KERNEL_MODELS)))
-def test_fast_and_generic_paths_draw_identical_runs(model):
+def assert_kernel_runs_match_oracle(model):
     config = SimConfig(
         model=model, steps=60, replicates=3, base_seed=9,
         record_trajectory=True, trajectory_stride=7,
     )
     runs = [simulate(config, i) for i in range(config.replicates)]
     assert runs == [oracle_run(config, i) for i in range(config.replicates)]
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS, ids=range(len(KERNEL_MODELS)))
+def test_fast_and_generic_paths_draw_identical_runs(model):
+    assert_kernel_runs_match_oracle(model)
+
+
+@pytest.mark.parametrize("model", INTEGER_COUNT_MODELS, ids=range(len(INTEGER_COUNT_MODELS)))
+def test_kernels_match_oracle_on_integer_count_models(model):
+    assert_kernel_runs_match_oracle(model)
 
 
 def _random_rational(rng, low=0):
@@ -679,3 +692,78 @@ def test_verify_report_serializes_to_json():
     assert again["conventions"]["max_excluded_fraction"] == MAX_EXCLUDED_FRACTION
     assert again["conventions"]["ks_level"] == KS_LEVEL
     assert "parallelism" not in again
+
+
+# ---------------------------------------------------------------------------
+# The judge on synthetic finals
+# ---------------------------------------------------------------------------
+
+BISTABLE = two_draw_model([15, 3, 4, 1, 3, 21], 5, 2)  # points 1/4 and 3/4, excluded 1/2
+
+
+def judged(finals, radius=DEFAULT_RADIUS):
+    """The judge's report on ``finals`` against the bistable prediction; nothing is simulated."""
+    prediction = predict_limit(BISTABLE)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("simulate", "run_replicates"):
+            patch.setattr(mc, name, lambda *args, **kwargs: pytest.fail("the judge simulated"))
+        return judge(prediction, finals, steps=123, base_seed=4, radius=radius)
+
+
+@pytest.mark.parametrize("on_allowed, verdict", [(90, VERDICT_CONSISTENT),
+                                                 (89, VERDICT_INCONSISTENT)])
+def test_judge_needs_the_allowed_fraction_on_allowed_points(on_allowed, verdict):
+    low = on_allowed // 2
+    finals = [0.25] * low + [0.75] * (on_allowed - low) + [0.1] * (100 - on_allowed)
+    report = judged(finals)
+    assert (report.verdict, report.allowed_fraction) == (verdict, on_allowed / 100)
+    assert (report.unassigned, report.radius_used) == (100 - on_allowed, DEFAULT_RADIUS)
+    assert [p["count"] for p in report.allowed_points] == [low, on_allowed - low]
+    assert report.excluded_points == ({"approx": 0.5, "theorem": "theorem:pem", "count": 0},)
+    expected = () if verdict == VERDICT_CONSISTENT else (
+        "only 0.890 of replicates landed on allowed points (need >= 0.9)",)
+    assert report.reasons == expected
+    assert (report.steps, report.replicates, report.base_seed) == (123, 100, 4)
+    assert sum(report.histogram) == 100
+
+
+@pytest.mark.parametrize("on_excluded, verdict", [(2, VERDICT_CONSISTENT),
+                                                  (3, VERDICT_INCONSISTENT)])
+def test_judge_tolerates_at_most_the_excluded_fraction(on_excluded, verdict):
+    finals = [0.5] * on_excluded + [0.25] * 49 + [0.75] * (51 - on_excluded)
+    report = judged(finals)
+    assert report.verdict == verdict
+    assert report.excluded_points[0]["count"] == on_excluded
+    expected = () if verdict == VERDICT_CONSISTENT else (
+        "excluded point near 0.5 captured 0.030 of replicates (breaks theorem:pem)",)
+    assert report.reasons == expected
+
+
+def test_judge_shrinks_a_radius_wider_than_half_the_gap_and_says_so():
+    # 0.13 is within the shrunk radius 0.1225 of 1/4; 0.12 is not.
+    report = judged([0.25, 0.13, 0.12, 0.75], radius=0.2)
+    assert (report.radius_requested, report.radius_used) == (0.2, 0.49 * 0.25)
+    assert report.reasons[0] == "radius shrunk to 0.1225 so clusters cannot overlap"
+    assert [p["count"] for p in report.allowed_points] == [2, 1]
+    assert report.unassigned == 1
+    # The smallest gap is 0.25: a radius of half of it shrinks, a smaller one does not.
+    assert judged([0.25, 0.75], radius=0.125).radius_used == 0.49 * 0.25
+    assert judged([0.25, 0.75], radius=0.12).radius_used == 0.12
+
+
+@pytest.mark.parametrize("model, radius", [
+    (BISTABLE, 0.2),
+    (one_draw_model([1, 0, 0, 1], 1, 1), DEFAULT_RADIUS),  # Beta(1, 1) by KS
+    (two_draw_model([2, 0, 1, 1, 0, 2], 2, 2), DEFAULT_RADIUS),  # no atoms
+], ids=["points", "beta", "no-atoms"])
+def test_judge_on_simulated_finals_is_verify(model, radius):
+    config = SimConfig(model=model, steps=300, replicates=20, base_seed=5)
+    finals = [r.final_z for r in run_replicates(config)]
+    report = judge(predict_limit(model), finals, steps=300, base_seed=5, radius=radius)
+    assert report == verify(model, steps=300, replicates=20, base_seed=5, radius=radius)
+
+
+def test_verify_refuses_an_unsimulable_model_before_any_analysis(monkeypatch):
+    monkeypatch.setattr(mc, "predict_limit", lambda model: pytest.fail("analysis ran"))
+    with pytest.raises(ValueError, match="need w0 >= 2 and b0 >= 2"):
+        verify(two_draw_model([1, 1, 1, 1, 1, 1], 1, 5), steps=10, replicates=2)
