@@ -479,8 +479,9 @@ def prediction_from_dict(data: dict) -> LimitPrediction:
     """Inverse of :func:`prediction_to_dict` (up to irrational-point records).
 
     Raises ``ValueError``, ``KeyError`` or ``TypeError`` for data that is not
-    a prediction: in particular a point without a finite location, and a Beta
-    law without two positive parameters in float range.
+    a prediction: in particular a point without a finite location, two points
+    (predicted or excluded) at one location, and a Beta law without two
+    positive parameters in float range.
     """
     kind = PredictionKind(data["kind"])
     points = tuple(
@@ -491,6 +492,13 @@ def prediction_from_dict(data: dict) -> LimitPrediction:
         ExcludedPoint(*_point_from_dict(entry), entry["theorem"])
         for entry in data.get("excluded", ())
     )
+    # The judge clusters around the float locations, so these must be distinct.
+    seen = {}
+    for p in points + excluded:
+        if p.root.approx in seen:
+            first, value = format_rational(seen[p.root.approx]), format_rational(p.root.value)
+            raise ValueError(f"two points at the same location: {first} and {value}")
+        seen[p.root.approx] = p.root.value
     raw_beta = data.get("beta_params")
     beta_params = None
     if raw_beta or kind is PredictionKind.BETA_DISTRIBUTION:

@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
+import stat
 import sys
 from fractions import Fraction
 
@@ -115,9 +117,22 @@ def model_from_args(args: argparse.Namespace) -> UrnModel:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, overwriting an existing file in place.
+
+    The file is opened without ``O_TRUNC`` and trimmed to the written length
+    afterwards, because ext4, XFS and btrfs start writeback on the ``close``
+    of a file truncated to zero: a forced flush on every rewrite. Inode, mode
+    and hard links are kept. Only a regular file is trimmed, so devices such
+    as ``/dev/null`` still work.
+    """
     try:
-        with open(path, "w", newline="") as fh:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "w", newline="") as fh:
             fh.write(text)
+            fh.flush()
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode) and info.st_size > fh.buffer.tell():
+                os.ftruncate(fd, fh.buffer.tell())
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
 

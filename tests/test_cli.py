@@ -5,6 +5,7 @@ Exit-code contract: 0 for success (including an inconclusive verification),
 a failed selftest.
 """
 
+import ast
 import importlib.metadata
 import json
 import os
@@ -18,6 +19,7 @@ import pytest
 
 import polyurn
 import polyurn.cli as cli
+import polyurn.montecarlo as montecarlo
 import polyurn.urns as urns
 from polyurn.montecarlo import SimConfig, finals_csv_lines, run_replicates
 from polyurn.ratpoly import RatPoly
@@ -496,6 +498,166 @@ def test_verify_text_format_and_out_file(tmp_path, capsys):
     text = out_path.read_text()
     assert "verdict: consistent" in text
     assert "allowed near" in text
+
+
+@pytest.mark.parametrize("second", ["1/3", "3333333333333333/10000000000000000"],
+                         ids=["same-point", "same-float"])
+@pytest.mark.parametrize("field", ["points", "excluded"])
+def test_verify_refuses_two_points_at_one_location_before_simulating(
+        field, second, monkeypatch, tmp_path, capsys):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the prediction was checked")
+
+    monkeypatch.setattr(montecarlo, "run_replicates", no_simulation)
+    prediction = {"kind": "point-mass-set",
+                  "points": [{"point": "1/3", "verdict": "unique"}], "excluded": []}
+    prediction[field].append({"point": second, "verdict": "unique", "theorem": "T"})
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(prediction))
+    code, out, err = run_cli(
+        ["verify", "--two-draw", "3,2,2,3,1,4", "--steps", "50", "--replicates", "3",
+         "--prediction", str(path)], capsys
+    )
+    assert_one_line_usage_error(code, out, err)
+    assert err == (f"polyurn: error: invalid prediction file {path}: "
+                   f"two points at the same location: 1/3 and {second}\n")
+
+
+# ---------------------------------------------------------------------------
+# Output files: rewritten in place
+# ---------------------------------------------------------------------------
+
+LONG_ANALYSIS = ["--two-draw", "15,3,4,1,3,21", "--w0", "5", "--b0", "2"]
+SHORT_ANALYSIS = ["--one-draw", "1,0,0,1"]
+
+
+def _simulate_args(replicates, finals, traj):
+    return ["simulate", "--one-draw", "1,0,0,1", "--steps", "50", "--replicates",
+            str(replicates), "--seed", "3", "--out", str(finals),
+            "--trajectory-out", str(traj), "--trajectory-stride", "10"]
+
+
+def test_shorter_analysis_rewrite_leaves_no_stale_tail(tmp_path, capsys):
+    out_path = tmp_path / "analysis.json"
+    assert run_cli(["analyze", *LONG_ANALYSIS, "--out", str(out_path)], capsys)[0] == 0
+    long_size = out_path.stat().st_size
+    assert run_cli(["analyze", *SHORT_ANALYSIS, "--out", str(out_path)], capsys)[0] == 0
+    code, out, _ = run_cli(["analyze", *SHORT_ANALYSIS], capsys)
+    assert code == 0
+    assert len(out) < long_size
+    assert out_path.read_bytes() == out.encode()
+
+
+def test_shorter_simulate_rewrite_leaves_no_stale_tail(tmp_path, capsys):
+    finals, traj = tmp_path / "finals.csv", tmp_path / "traj.csv"
+    fresh_finals, fresh_traj = tmp_path / "fresh-finals.csv", tmp_path / "fresh-traj.csv"
+    assert run_cli(_simulate_args(5, finals, traj), capsys)[0] == 0
+    sizes = finals.stat().st_size, traj.stat().st_size
+    assert run_cli(_simulate_args(2, finals, traj), capsys)[0] == 0
+    assert run_cli(_simulate_args(2, fresh_finals, fresh_traj), capsys)[0] == 0
+    assert (fresh_finals.stat().st_size, fresh_traj.stat().st_size) < sizes
+    assert finals.read_bytes() == fresh_finals.read_bytes()
+    assert traj.read_bytes() == fresh_traj.read_bytes()
+
+
+def _simulate_out_flag(flag):
+    return ["simulate", "--one-draw", "1,0,0,1", "--steps", "10", "--replicates", "2", flag]
+
+
+OUT_FLAGS = {
+    "analyze": ["analyze", *SHORT_ANALYSIS, "--out"],
+    "simulate-out": _simulate_out_flag("--out"),
+    "simulate-trajectory-out": _simulate_out_flag("--trajectory-out"),
+}
+
+
+@pytest.mark.parametrize("flags", OUT_FLAGS.values(), ids=OUT_FLAGS.keys())
+def test_writing_to_the_null_device_succeeds(flags, capsys):
+    code, _, err = run_cli([*flags, os.devnull], capsys)
+    assert code == 0
+    assert err == ""
+
+
+@pytest.mark.parametrize("flags", OUT_FLAGS.values(), ids=OUT_FLAGS.keys())
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_output_path_is_a_one_line_error(flags, target, tmp_path, capsys):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "out.txt"
+    with pytest.raises(OSError) as opened:  # the message of a plain open for writing
+        open(path, "w")
+    code, out, err = run_cli([*flags, str(path)], capsys)
+    assert code == 1
+    assert (out, err) == ("", f"polyurn: error: cannot write {path}: {opened.value}\n")
+
+
+def test_rewrite_keeps_the_inode_mode_and_hard_links(tmp_path, capsys):
+    out_path, link = tmp_path / "analysis.json", tmp_path / "link.json"
+    assert run_cli(["analyze", *LONG_ANALYSIS, "--out", str(out_path)], capsys)[0] == 0
+    os.link(out_path, link)
+    out_path.chmod(0o640)
+    before = out_path.stat()
+    assert run_cli(["analyze", *SHORT_ANALYSIS, "--out", str(out_path)], capsys)[0] == 0
+    after = out_path.stat()
+    assert (after.st_ino, after.st_mode, after.st_nlink) == (
+        before.st_ino, before.st_mode, before.st_nlink)
+    expected = run_cli(["analyze", *SHORT_ANALYSIS], capsys)[1].encode()
+    assert link.read_bytes() == out_path.read_bytes() == expected
+
+
+def test_output_files_are_never_opened_with_truncation(monkeypatch, tmp_path, capsys):
+    flags_seen = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        flags_seen.append(flags)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    finals, traj = tmp_path / "finals.csv", tmp_path / "traj.csv"
+    for _ in range(2):  # create, then rewrite
+        assert run_cli(["analyze", *SHORT_ANALYSIS, "--out", str(tmp_path / "a.json")],
+                       capsys)[0] == 0
+        assert run_cli(_simulate_args(2, finals, traj), capsys)[0] == 0
+    assert len(flags_seen) == 6
+    assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for flags in flags_seen)
+
+
+def _opens_to_write(call):
+    """Whether ``call`` opens a file for writing, or may: ``open(path, mode)`` with
+    a mode that is not a read-only literal, ``os.open``/``os.fdopen`` with flags
+    or a mode, or ``Path.write_text``/``write_bytes``."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name not in ("open", "fdopen"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None:
+        return False
+    read_only = isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not (
+        set(mode.value) & set("wax+"))
+    return not read_only
+
+
+def _writers(node, function=None):
+    """``(line, enclosing function)`` of each call under ``node`` that opens to write."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Call) and _opens_to_write(node):
+        yield node.lineno, function
+    for child in ast.iter_child_nodes(node):
+        yield from _writers(child, function)
+
+
+def test_the_in_place_writer_is_the_only_file_writer():
+    writers = {}
+    for path in sorted((REPO_ROOT / "src" / "polyurn").glob("*.py")):
+        calls = list(_writers(ast.parse(path.read_text(), str(path))))
+        if calls:
+            writers[path.name] = calls
+    assert set(writers) == {"cli.py"}, writers
+    assert {function for _, function in writers["cli.py"]} == {"_write_text"}, writers
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ def assert_kernel_runs_match_oracle(model):
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=range(len(KERNEL_MODELS)))
-def test_fast_and_generic_paths_draw_identical_runs(model):
+def test_kernels_match_oracle_on_fixed_models(model):
     assert_kernel_runs_match_oracle(model)
 
 
