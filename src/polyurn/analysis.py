@@ -5,13 +5,22 @@ derives the drift and noise polynomials, classifies the drift's equilibria,
 applies the exclusion criteria, handles the families with special closed-form
 answers (identically zero drift; matrices with inactive rows), and produces a
 single :class:`~polyurn.stability.LimitPrediction` plus a JSON-ready report.
+
+Every object of that report is a record written out as its fields in
+declaration order, so a field added to one of these records becomes a JSON
+key. Data meant only to explain a decision (the planned ``--explain``
+output, ROADMAP item 4) therefore stays out of these records until that
+output adds an opt-in.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 
 from .ratpoly import (
     INTERIOR,
@@ -88,6 +97,13 @@ def _map_record(record: RootRecord, reduction: DegenerateReduction) -> RootRecor
 # Prediction
 # ---------------------------------------------------------------------------
 
+def _count_diverges(meta: ModelMeta, boundary: str) -> bool:
+    """Whether the count of the color absent at ``boundary`` (0 or 1) diverges."""
+    if boundary == LEFT_BOUNDARY:
+        return meta.white_count_diverges_at_zero
+    return meta.black_count_diverges_at_one
+
+
 def _predict_from_equilibria(
     drift: RatPoly,
     error_poly: RatPoly,
@@ -106,13 +122,8 @@ def _predict_from_equilibria(
                     excluded.append(ExcludedPoint(rec, cls, THEOREM_NOISE_FLOOR_EXCLUSION))
                     continue
             else:
-                boundary = Fraction(0) if rec.location == LEFT_BOUNDARY else Fraction(1)
-                diverges = (
-                    meta.white_count_diverges_at_zero
-                    if boundary == 0
-                    else meta.black_count_diverges_at_one
-                )
-                if check_boundary_exclusion(drift, error_poly, boundary, diverges):
+                diverges = _count_diverges(meta, rec.location)
+                if check_boundary_exclusion(drift, error_poly, rec.value, diverges):
                     excluded.append(ExcludedPoint(rec, cls, THEOREM_BOUNDARY_EXCLUSION))
                     continue
             points.append(PredictedPoint(rec, cls, VERDICT_UNKNOWN, None))
@@ -237,12 +248,7 @@ def _predict_degenerate(
             and mapped.location != INTERIOR
             and reduction.case_id in (4, 5)
         ):
-            diverges = (
-                meta.white_count_diverges_at_zero
-                if mapped.location == LEFT_BOUNDARY
-                else meta.black_count_diverges_at_one
-            )
-            if diverges:
+            if _count_diverges(meta, mapped.location):
                 # The reduced noise curve vanishes at the boundary (it keeps
                 # the proportion-times-complement factor), so the boundary
                 # non-convergence criterion applies when the count diverges.
@@ -386,59 +392,56 @@ def sa_conditions_for(model: UrnModel) -> SAConditions | None:
 # JSON rendering
 # ---------------------------------------------------------------------------
 
-def _record_to_dict(record: RootRecord) -> dict:
-    out = {
-        "point": format_rational(record.value) if record.value is not None else None,
-        "interval": (
-            [format_rational(record.interval[0]), format_rational(record.interval[1])]
-            if record.interval is not None
-            else None
-        ),
-        "approx": record.approx,
-        "location": record.location,
-        "multiplicity": record.multiplicity,
-    }
-    return out
+def _to_json(value):
+    """The JSON form of an analysis value, as :func:`_json_form` decides for its type."""
+    return _json_form(type(value))(value)
 
 
-def _equilibrium_to_dict(eq: Equilibrium) -> dict:
-    out = _record_to_dict(eq.root)
-    out["classification"] = eq.classification.value
-    out["sign_left"] = eq.sign_left
-    out["sign_right"] = eq.sign_right
-    out["drift_derivative_sign"] = eq.drift_derivative_sign
-    out["drift_derivative"] = (
-        format_rational(eq.drift_derivative) if eq.drift_derivative is not None else None
-    )
-    return out
+@functools.cache
+def _json_form(cls: type):
+    """How a value of type ``cls`` becomes JSON; every format decision is made here.
+
+    A rational becomes its :func:`format_rational` string, a polynomial its
+    coefficient strings, an enum its value and a tuple a list. A
+    :class:`RootRecord` becomes ``point, interval, approx, location,
+    multiplicity``, spread into the object that holds it. Any other record
+    becomes its fields in declaration order; other values are already JSON.
+    """
+    if issubclass(cls, Fraction):
+        return format_rational
+    if issubclass(cls, RatPoly):
+        return RatPoly.coefficient_strings
+    if issubclass(cls, Enum):
+        return attrgetter("value")
+    if issubclass(cls, tuple):
+        return lambda items: [_to_json(item) for item in items]
+    if issubclass(cls, RootRecord):
+        return lambda root: {
+            "point": _to_json(root.value),
+            "interval": _to_json(root.interval),
+            "approx": root.approx,
+            "location": root.location,
+            "multiplicity": root.multiplicity,
+        }
+    if not is_dataclass(cls):
+        return lambda value: value
+    names = tuple(f.name for f in fields(cls))
+
+    def record(value) -> dict:
+        out = {}
+        for name in names:
+            field = getattr(value, name)
+            if isinstance(field, RootRecord):
+                out.update(_to_json(field))
+            else:
+                out[name] = _to_json(field)
+        return out
+
+    return record
 
 
 def prediction_to_dict(prediction: LimitPrediction) -> dict:
-    points = []
-    for p in prediction.points:
-        entry = _record_to_dict(p.root)
-        entry["classification"] = p.classification.value if p.classification else None
-        entry["verdict"] = p.verdict
-        entry["theorem"] = p.theorem
-        points.append(entry)
-    excluded = []
-    for p in prediction.excluded:
-        entry = _record_to_dict(p.root)
-        entry["classification"] = p.classification.value if p.classification else None
-        entry["theorem"] = p.theorem
-        excluded.append(entry)
-    return {
-        "kind": prediction.kind.value,
-        "beta_params": (
-            [format_rational(prediction.beta_params[0]), format_rational(prediction.beta_params[1])]
-            if prediction.beta_params
-            else None
-        ),
-        "theorem": prediction.theorem,
-        "points": points,
-        "excluded": excluded,
-        "notes": list(prediction.notes),
-    }
+    return _to_json(prediction)
 
 
 def _as_float(x) -> float:
@@ -518,63 +521,17 @@ def prediction_from_dict(data: dict) -> LimitPrediction:
 
 
 def analysis_to_dict(analysis: ModelAnalysis) -> dict:
-    meta = analysis.meta
-    noise, scheme = analysis.noise, analysis.scheme
-    # Both are rendered field by field, in declaration order.
-    noise_dict = {f.name: getattr(noise, f.name).coefficient_strings() for f in fields(noise)}
-    scheme_dict = None
-    if scheme is not None:
-        scheme_dict = {f.name: format_rational(getattr(scheme, f.name)) for f in fields(scheme)}
-    degenerate = analysis.degenerate
-    degenerate_dict = None
+    degenerate = _to_json(analysis.degenerate)
     if degenerate is not None:
-        degenerate_dict = {
-            "case": degenerate.case_id,
-            "fixed_limit": (
-                format_rational(degenerate.fixed_limit)
-                if degenerate.fixed_limit is not None
-                else None
-            ),
-            "reduced_drift": (
-                degenerate.reduced_drift.coefficient_strings()
-                if degenerate.reduced_drift is not None
-                else None
-            ),
-            "weight_denominator": (
-                degenerate.weight_denominator.coefficient_strings()
-                if degenerate.weight_denominator is not None
-                else None
-            ),
-            "variable_map": degenerate.variable_map,
-        }
+        degenerate = {"case": degenerate.pop("case_id"), **degenerate}
     return {
         "model": model_to_dict(analysis.model),
-        "meta": {
-            "kind": meta.kind,
-            "sampling": meta.sampling,
-            "t_min": format_rational(meta.t_min),
-            "t_max": format_rational(meta.t_max),
-            "bias_bound": format_rational(meta.bias_bound),
-            "degenerate_case": meta.degenerate_case,
-            "white_count_diverges_at_zero": meta.white_count_diverges_at_zero,
-            "black_count_diverges_at_one": meta.black_count_diverges_at_one,
-        },
-        "drift": {
-            "coefficients": analysis.drift.coefficient_strings(),
-            "text": analysis.drift.to_text(),
-        },
-        "noise": noise_dict,
-        "scheme_constants": scheme_dict,
-        "attainable": (
-            {
-                "lower": format_rational(analysis.attainable.lower),
-                "upper": format_rational(analysis.attainable.upper),
-                "closed_bounds": analysis.attainable.closed_bounds,
-            }
-            if analysis.attainable is not None
-            else None
-        ),
-        "equilibria": [_equilibrium_to_dict(eq) for eq in analysis.equilibria],
-        "prediction": prediction_to_dict(analysis.prediction),
-        "degenerate": degenerate_dict,
+        "meta": _to_json(analysis.meta),
+        "drift": {"coefficients": _to_json(analysis.drift), "text": analysis.drift.to_text()},
+        "noise": _to_json(analysis.noise),
+        "scheme_constants": _to_json(analysis.scheme),
+        "attainable": _to_json(analysis.attainable),
+        "equilibria": _to_json(analysis.equilibria),
+        "prediction": _to_json(analysis.prediction),
+        "degenerate": degenerate,
     }

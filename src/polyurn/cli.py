@@ -309,7 +309,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     prediction = None
     if args.prediction:
         try:
-            with open(args.prediction) as fh:
+            with open(args.prediction, encoding="utf-8") as fh:
                 prediction = prediction_from_dict(json.load(fh))
         except OSError as exc:
             raise CliError(f"cannot read prediction file {args.prediction}: {exc}") from exc

@@ -255,7 +255,7 @@ def run_replicates(config: SimConfig, parallelism: int = 1) -> list[ReplicateRes
     chunk = max(1, -(-n // (parallelism * 4)))
     ranges = [(config, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     out: list[ReplicateResult] = []
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=min(parallelism, len(ranges))) as pool:
         for part in pool.map(_simulate_range, ranges):
             out.extend(part)
     return out

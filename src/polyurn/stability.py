@@ -311,12 +311,13 @@ class LimitPrediction:
     per-point verdicts); ``excluded`` lists drift roots proven impossible.
     ``BETA_DISTRIBUTION``: the limit law is the Beta distribution with
     ``beta_params``. ``CONTINUOUS_NO_ATOMS``: a limit exists and its law has
-    no interior point masses. ``UNKNOWN``: no certified statement.
+    no interior point masses. ``UNKNOWN``: no certified statement. The
+    fields are declared in the key order of the prediction JSON.
     """
 
     kind: PredictionKind
-    points: tuple[PredictedPoint, ...] = ()
-    excluded: tuple[ExcludedPoint, ...] = ()
     beta_params: tuple[Fraction, Fraction] | None = None
     theorem: str | None = None
+    points: tuple[PredictedPoint, ...] = ()
+    excluded: tuple[ExcludedPoint, ...] = ()
     notes: tuple[str, ...] = ()

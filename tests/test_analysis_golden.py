@@ -159,6 +159,54 @@ def test_analysis_outputs_match_golden_digests():
     assert not changed, "analysis output changed for:\n" + "\n".join(changed)
 
 
+_ROOT_KEYS = ["point", "interval", "approx", "location", "multiplicity"]
+
+#: The exact key order of every object in the analysis JSON. The digests
+#: above hash with sorted keys, so this pins the order the CLI prints.
+KEY_ORDER = {
+    "top": ["model", "meta", "drift", "noise", "scheme_constants", "attainable",
+            "equilibria", "prediction", "degenerate"],
+    "meta": ["kind", "sampling", "t_min", "t_max", "bias_bound", "degenerate_case",
+             "white_count_diverges_at_zero", "black_count_diverges_at_one"],
+    "drift": ["coefficients", "text"],
+    "noise-one": ["gap", "error"],
+    "noise-pair": ["diff_ww_bb", "diff_wb_bb", "second_diff", "variance_factor", "error"],
+    "scheme": ["initial_total", "t_min", "t_max", "lower_rate", "upper_rate",
+               "drift_sup", "noise_sup", "increment_sup", "bias_constant"],
+    "attainable": ["lower", "upper", "closed_bounds"],
+    "equilibrium": _ROOT_KEYS + ["classification", "sign_left", "sign_right",
+                                 "drift_derivative_sign", "drift_derivative"],
+    "prediction": ["kind", "beta_params", "theorem", "points", "excluded", "notes"],
+    "point": _ROOT_KEYS + ["classification", "verdict", "theorem"],
+    "excluded": _ROOT_KEYS + ["classification", "theorem"],
+    "degenerate": ["case", "fixed_limit", "reduced_drift", "weight_denominator",
+                   "variable_map"],
+}
+
+
+def test_analysis_json_key_order_over_the_corpus():
+    seen: dict[str, list] = {name: [] for name in KEY_ORDER}
+    for model in corpus():
+        data = analysis_to_dict(analyze_model(model))
+        prediction = data["prediction"]
+        seen["top"].append(data)
+        seen["meta"].append(data["meta"])
+        seen["drift"].append(data["drift"])
+        seen["noise-one" if model.kind == ONE_DRAW else "noise-pair"].append(data["noise"])
+        for name, key in (("scheme", "scheme_constants"), ("attainable", "attainable"),
+                          ("degenerate", "degenerate")):
+            if data[key] is not None:
+                seen[name].append(data[key])
+        seen["equilibrium"] += data["equilibria"]
+        seen["prediction"] += [prediction, prediction_to_dict(predict_limit(model))]
+        seen["point"] += prediction["points"]
+        seen["excluded"] += prediction["excluded"]
+    for name, objects in seen.items():
+        assert objects, f"the corpus has no {name} object"
+        wrong = [list(obj) for obj in objects if list(obj) != KEY_ORDER[name]]
+        assert not wrong, f"{name} keys out of order: {wrong[0]}"
+
+
 def test_prediction_json_round_trips_over_the_corpus():
     # An irrational point comes back as the exact binary fraction of its float.
     changed = []

@@ -279,6 +279,26 @@ def test_verify_reads_prediction_file(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "consistent"
 
 
+def test_verify_reads_a_utf8_prediction_file_in_the_c_locale(tmp_path, capsys):
+    # Model files are read as UTF-8 whatever the locale, and so are predictions.
+    code, out, _ = run_cli(["analyze", "--two-draw", "3,2,2,3,1,4"], capsys)
+    assert code == 0
+    prediction = json.loads(out)["prediction"]
+    prediction["notes"].append("vérifié")
+    path = tmp_path / "prediction.json"
+    path.write_text(json.dumps(prediction, ensure_ascii=False), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyurn", "verify", "--two-draw", "3,2,2,3,1,4",
+         "--prediction", str(path), "--steps", "400", "--replicates", "30", "--seed", "7"],
+        env=dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["verdict"] == "consistent"
+    assert payload["prediction"]["notes"][-1] == "vérifié"
+
+
 def test_verify_wrong_prediction_exits_two(tmp_path, capsys):
     # A prediction borrowed from a different model points at 1/2; the
     # simulated model settles near 1/3.

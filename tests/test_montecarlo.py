@@ -527,6 +527,40 @@ def test_parallel_results_identical_to_serial():
     assert [r.replicate_index for r in parallel] == list(range(9))
 
 
+class _InProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers``, starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("replicates, parallelism, workers", [
+    (2, 500, 2),  # two chunks: two workers, not 500
+    (9, 3, 3),  # more chunks than workers: every requested worker
+])
+def test_run_replicates_opens_no_more_workers_than_chunks(
+    replicates, parallelism, workers, monkeypatch
+):
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    config = SimConfig(model=two_draw_model([3, 2, 2, 3, 1, 4], 2, 2), steps=20,
+                       replicates=replicates)
+    out = run_replicates(config, parallelism=parallelism)
+    assert _InProcessPool.sizes == [workers]
+    assert out == run_replicates(config, parallelism=1)
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
