@@ -10,6 +10,10 @@ Four subcommands:
 Exit status: 0 on success (including an inconclusive verification),
 1 on usage or input errors, 2 when verification finds an inconsistency or a
 selftest suite fails.
+
+JSON output is exactly the bytes of ``json.dumps(payload, indent=2)`` and a
+newline. The process pool machinery is imported only by runs with
+``--jobs`` of 2 or more.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import stat
@@ -153,7 +158,69 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, written by :func:`_write_json`.
+
+    The stdlib's indenting encoder is pure Python and builds closures that
+    refer to each other, so every call would leave a reference cycle for the
+    cyclic collector.
+    """
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the indented JSON of ``value`` to ``out``; ``newline`` opens a line at its depth.
+
+    Plain ``str``, ``dict`` with ``str`` keys, ``list``, ``tuple``, ``int``,
+    finite ``float``, ``True``, ``False`` and ``None`` are written here.
+    Anything else (NaN and infinities, subclasses, other keys, values JSON
+    cannot hold) is ``json.dumps(value, indent=2)`` moved to this depth, with
+    its output or its exception unchanged.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            out.append(separator)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif kind is float and math.isfinite(value):
+        out.append(float.__repr__(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", newline))
 
 
 # ---------------------------------------------------------------------------

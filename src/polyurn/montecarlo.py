@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -254,6 +253,9 @@ def run_replicates(config: SimConfig, parallelism: int = 1) -> list[ReplicateRes
         return [simulate(config, i) for i in range(n)]
     chunk = max(1, -(-n // (parallelism * 4)))
     ranges = [(config, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    # Imported here: the pool machinery costs every other process tens of milliseconds.
+    from concurrent.futures import ProcessPoolExecutor
+
     out: list[ReplicateResult] = []
     with ProcessPoolExecutor(max_workers=min(parallelism, len(ranges))) as pool:
         for part in pool.map(_simulate_range, ranges):
@@ -512,7 +514,7 @@ def judge(
     under half the smallest gap, as the reasons state. Beta laws are judged by the
     KS statistic at level ``KS_LEVEL``. No-atoms and unknown predictions, which
     clustering cannot refute, and Beta laws with a parameter outside the float
-    range are ``inconclusive``.
+    range or a distribution function that does not converge are ``inconclusive``.
     """
     n = len(finals)
     mean_final, histogram = finals_summary(finals)
@@ -565,7 +567,12 @@ def judge(
         if not beta_in_float_range(prediction.beta_params):
             return report(VERDICT_INCONCLUSIVE, (
                 "a Beta parameter is outside the float range; KS cannot test the law",))
-        ks = ks_beta(finals, *prediction.beta_params)
+        try:
+            ks = ks_beta(finals, *prediction.beta_params)
+        except RuntimeError:  # the continued fraction of the Beta CDF did not converge
+            return report(VERDICT_INCONCLUSIVE, (
+                "the Beta distribution function did not converge at these parameters; "
+                "KS cannot test the law",))
         threshold = ks.threshold(KS_LEVEL)
         if ks.statistic < threshold:
             verdict, reasons = VERDICT_CONSISTENT, ()

@@ -360,6 +360,19 @@ def test_verify_beta_parameter_beyond_float_range_is_inconclusive(w0, capsys):
     assert any("float range" in reason for reason in report["reasons"])
 
 
+@pytest.mark.parametrize("start", ["1e6", "1e8"])
+def test_verify_beta_law_whose_distribution_function_does_not_converge_is_inconclusive(start):
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyurn", "verify", "--one-draw", "1,0,0,1", "--w0", start,
+         "--b0", start, "--steps", "200", "--replicates", "20", "--format", "text"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    verdicts = [line for line in proc.stdout.splitlines() if line.startswith("verdict:")]
+    assert verdicts == ["verdict: inconclusive"]
+    assert "the Beta distribution function did not converge" in proc.stdout
+
+
 VERIFY_MODELS =pytest.mark.parametrize("model_flags", [
     ["--two-draw", "15,3,4,1,3,21", "--w0", "5", "--b0", "2"],  # point prediction
     ["--one-draw", "1,0,0,1"],  # Beta prediction
@@ -719,6 +732,51 @@ def test_selftest_detects_a_broken_identity(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
+
+#: Prints which pool modules are loaded after the import and after each run.
+_LOADED_AFTER = """
+import contextlib, io, sys
+import polyurn.cli as cli
+pool = ("multiprocessing", "concurrent.futures.process")
+seen = {{"import": [m for m in pool if m in sys.modules]}}
+for name, argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    seen[name] = [m for m in pool if m in sys.modules]
+print(seen)
+"""
+
+
+def test_serial_commands_never_load_the_process_pool():
+    runs = [
+        ("analyze", ["analyze", "--two-draw", "15,3,4,1,3,21", "--w0", "5", "--b0", "2"]),
+        ("simulate", ["simulate", "--two-draw", "15,3,4,1,3,21", "--w0", "5", "--b0", "2",
+                      "--steps", "50", "--replicates", "4", "--jobs", "1"]),
+        ("verify", ["verify", "--one-draw", "1,0,0,1", "--steps", "50", "--replicates", "4"]),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER.format(runs=runs)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == {
+        "import": [], "analyze": [], "simulate": [], "verify": []}
+
+
+def test_parallel_simulate_prints_the_serial_bytes():
+    outputs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyurn", "simulate", "--two-draw", "15,3,4,1,3,21",
+             "--w0", "5", "--b0", "2", "--steps", "200", "--replicates", "6",
+             "--format", "csv", "--jobs", jobs],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 7
+
 
 def test_python_dash_m_entry_point():
     proc = subprocess.run(

@@ -5,6 +5,7 @@ output formats, distribution checks, and the verification pipeline.
 and the KS statistic; the library itself has no third-party dependencies.
 """
 
+import concurrent.futures
 import json
 import math
 import random
@@ -552,7 +553,8 @@ class _InProcessPool:
 def test_run_replicates_opens_no_more_workers_than_chunks(
     replicates, parallelism, workers, monkeypatch
 ):
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", _InProcessPool)
+    # run_replicates imports the pool class from its package when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     config = SimConfig(model=two_draw_model([3, 2, 2, 3, 1, 4], 2, 2), steps=20,
                        replicates=replicates)
@@ -783,6 +785,22 @@ def test_judge_shrinks_a_radius_wider_than_half_the_gap_and_says_so():
     # The smallest gap is 0.25: a radius of half of it shrinks, a smaller one does not.
     assert judged([0.25, 0.75], radius=0.125).radius_used == 0.49 * 0.25
     assert judged([0.25, 0.75], radius=0.12).radius_used == 0.12
+
+
+def test_judge_calls_a_beta_law_it_cannot_evaluate_inconclusive():
+    # Beta(1e6, 1e6): the continued fraction of its distribution function
+    # needs far more terms than it is given near the mean.
+    prediction = predict_limit(one_draw_model([1, 0, 0, 1], 10**6, 10**6))
+    assert prediction.beta_params == (10**6, 10**6)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        regularized_incomplete_beta(1e6, 1e6, 0.5)
+    report = judge(prediction, [0.4999, 0.5, 0.5001], steps=200, base_seed=3)
+    assert report.verdict == VERDICT_INCONCLUSIVE
+    assert report.reasons == (
+        "the Beta distribution function did not converge at these parameters; "
+        "KS cannot test the law",)
+    assert (report.ks_statistic, report.ks_threshold) == (None, None)
+    assert (report.replicates, sum(report.histogram)) == (3, 3)
 
 
 @pytest.mark.parametrize("model, radius", [
