@@ -1,10 +1,13 @@
 """Whole-model analysis: from an urn specification to a limit prediction.
 
 This module wires the exact building blocks together. Given a model it
-derives the drift and noise polynomials, classifies the drift's equilibria,
-applies the exclusion criteria, handles the families with special closed-form
-answers (identically zero drift; matrices with inactive rows), and produces a
-single :class:`~polyurn.stability.LimitPrediction` plus a JSON-ready report.
+derives the drift and noise polynomials, classifies the drift's equilibria
+(or the reduced drift's, when a matrix row is inactive), handles the
+closed-form families (zero drift; one active row), and decides every
+classified root's verdict in one table, where the noise-floor exclusion
+(``theorem:pem``), the touchpoint verdict (``theorem:pem2``) and the
+promotion of a lone undecided root need every matrix row active. The result
+is one :class:`~polyurn.stability.LimitPrediction` plus a JSON-ready report.
 
 Every object of that report is a record written out as its fields in
 declaration order, so a field added to one of these records becomes a JSON
@@ -21,6 +24,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
+from typing import Sequence
 
 from .ratpoly import (
     INTERIOR,
@@ -83,9 +87,12 @@ __all__ = [
 ]
 
 
-def _map_record(record: RootRecord, reduction: DegenerateReduction) -> RootRecord:
-    """Send a reduced-coordinate root record back to the original proportion."""
-    if reduction.case_id not in (4, 5):
+def _map_record(record: RootRecord, reduction: DegenerateReduction | None) -> RootRecord:
+    """Send a reduced-coordinate root record back to the original proportion.
+
+    A mapped irrational root keeps an isolating interval but no factor.
+    """
+    if reduction is None or reduction.case_id not in (4, 5):
         return record
     if record.value is not None:
         return RootRecord(record.multiplicity, value=degenerate_map_back(reduction, record.value))
@@ -97,67 +104,96 @@ def _map_record(record: RootRecord, reduction: DegenerateReduction) -> RootRecor
 # Prediction
 # ---------------------------------------------------------------------------
 
-def _count_diverges(meta: ModelMeta, boundary: str) -> bool:
-    """Whether the count of the color absent at ``boundary`` (0 or 1) diverges."""
-    if boundary == LEFT_BOUNDARY:
-        return meta.white_count_diverges_at_zero
-    return meta.black_count_diverges_at_one
+def _borderline_boundary(model: UrnModel, reduction: DegenerateReduction) -> str | None:
+    """The boundary where a root of a case-4 or case-5 reduced drift is borderline, or None.
+
+    With the white-white row inactive, a root of the reduced drift at the
+    all-white boundary (which needs the mixed row to add no black) sits at a
+    degenerate repeller/attractor transition exactly when twice the mixed
+    row's white addition equals the black-black row's total; the available
+    arguments do not settle that configuration. Mirrored for the
+    black-black-inactive case, whose color swap reverses the entries.
+    """
+    if reduction.case_id not in (4, 5):
+        return None
+    entries = model.scaled.entries if reduction.case_id == 4 else model.scaled.entries[::-1]
+    a, b, c, d, e, f = entries
+    if d != 0 or 2 * c != f:
+        return None
+    return RIGHT_BOUNDARY if reduction.case_id == 4 else LEFT_BOUNDARY
 
 
-def _predict_from_equilibria(
+def _predict_from_roots(
+    meta: ModelMeta,
     drift: RatPoly,
     error_poly: RatPoly,
-    equilibria: tuple[Equilibrium, ...],
-    attain: AttainableInterval,
-    meta: ModelMeta,
+    equilibria: Sequence[Equilibrium],
+    span: AttainableInterval,
+    reduction: DegenerateReduction | None = None,
+    borderline: str | None = None,
 ) -> LimitPrediction:
+    """The verdict of every classified drift root, decided in one table.
+
+    ``equilibria`` and ``span`` use the classified drift's variable: the
+    proportion when every row is active (``reduction`` is None) or in case 6,
+    the reduced one in cases 4 and 5, whose roots are mapped back. The
+    noise-floor exclusion, the touchpoint verdict and the promotion of a lone
+    ``unknown`` candidate need every row active. A root at the ``borderline``
+    boundary (cases 4 and 5 only) leaves the limit unsettled.
+    """
+    full_support = reduction is None
+    diverges = {
+        LEFT_BOUNDARY: meta.white_count_diverges_at_zero,
+        RIGHT_BOUNDARY: meta.black_count_diverges_at_one,
+    }
+    unsettled = False
     points: list[PredictedPoint] = []
     excluded: list[ExcludedPoint] = []
     for eq in equilibria:
         rec = eq.root
         cls = eq.classification
-        if cls is EquilibriumClass.STRICTLY_UNSTABLE:
-            if rec.location == INTERIOR:
-                if check_noise_floor(error_poly, rec):
-                    excluded.append(ExcludedPoint(rec, cls, THEOREM_NOISE_FLOOR_EXCLUSION))
-                    continue
-            else:
-                diverges = _count_diverges(meta, rec.location)
-                if check_boundary_exclusion(drift, error_poly, rec.value, diverges):
-                    excluded.append(ExcludedPoint(rec, cls, THEOREM_BOUNDARY_EXCLUSION))
-                    continue
-            points.append(PredictedPoint(rec, cls, VERDICT_UNKNOWN, None))
+        mapped = _map_record(rec, reduction)
+        verdict, theorem = VERDICT_UNKNOWN, None
+        if mapped.location == borderline:
+            # Neither exclusion nor retention is certified, whatever the exact
+            # local sign says, and the chain of effective draws need not run
+            # forever, so no "limit lies in this set" statement survives.
+            unsettled = True
+        elif cls is EquilibriumClass.STRICTLY_UNSTABLE:
+            if mapped.location != INTERIOR:
+                diverging = diverges[mapped.location]
+                if check_boundary_exclusion(drift, error_poly, mapped.value, diverging):
+                    theorem = THEOREM_BOUNDARY_EXCLUSION
+            elif full_support and check_noise_floor(error_poly, rec):
+                theorem = THEOREM_NOISE_FLOOR_EXCLUSION
+            if theorem is not None:
+                excluded.append(ExcludedPoint(mapped, cls, theorem))
+                continue
         elif cls is EquilibriumClass.STABLE:
-            if rec.within(attain.lower, attain.upper, strict=not attain.closed_bounds):
-                points.append(
-                    PredictedPoint(rec, cls, VERDICT_POSITIVE_PROBABILITY, THEOREM_STABLE_ATTRACTION)
-                )
-            else:
-                points.append(PredictedPoint(rec, cls, VERDICT_UNKNOWN, None))
-        elif cls is EquilibriumClass.TOUCHPOINT:
-            if rec.within(attain.lower, attain.upper, strict=True):
-                points.append(
-                    PredictedPoint(rec, cls, VERDICT_TOUCHPOINT, THEOREM_TOUCHPOINT_POSSIBLE)
-                )
-            else:
-                points.append(PredictedPoint(rec, cls, VERDICT_UNKNOWN, None))
-        else:
-            points.append(PredictedPoint(rec, cls, VERDICT_UNKNOWN, None))
-    if not points:
-        return LimitPrediction(
-            kind=PredictionKind.UNKNOWN,
-            excluded=tuple(excluded),
-            notes=("every drift root was excluded; no certified candidate remains",),
-        )
-    if len(points) == 1:
+            if rec.within(span.lower, span.upper, strict=not span.closed_bounds):
+                verdict, theorem = VERDICT_POSITIVE_PROBABILITY, THEOREM_STABLE_ATTRACTION
+        elif full_support and rec.within(span.lower, span.upper, strict=True):  # touchpoint
+            verdict, theorem = VERDICT_TOUCHPOINT, THEOREM_TOUCHPOINT_POSSIBLE
+        points.append(PredictedPoint(mapped, cls, verdict, theorem))
+
+    notes = () if full_support else (
+        "inactive matrix rows: the analysis runs on the chain of effective draws "
+        f"({reduction.variable_map})",
+    )
+    if unsettled:
+        notes += ("a borderline boundary root leaves the long-run behaviour unsettled",)
+    elif not points and full_support:
+        notes = ("every drift root was excluded; no certified candidate remains",)
+    elif len(points) == 1 and (full_support or points[0].verdict != VERDICT_UNKNOWN):
         only = points[0]
         points = [
             PredictedPoint(only.root, only.classification, VERDICT_UNIQUE, THEOREM_LIMIT_EXISTS)
         ]
     return LimitPrediction(
-        kind=PredictionKind.POINT_MASS_SET,
+        kind=PredictionKind.POINT_MASS_SET if points and not unsettled else PredictionKind.UNKNOWN,
         points=tuple(points),
         excluded=tuple(excluded),
+        notes=notes,
     )
 
 
@@ -197,6 +233,8 @@ def _predict_flat(model: UrnModel) -> LimitPrediction:
 def _predict_degenerate(
     model: UrnModel,
     meta: ModelMeta,
+    drift: RatPoly,
+    error_poly: RatPoly,
     reduction: DegenerateReduction,
     equilibria: tuple[Equilibrium, ...],
 ) -> LimitPrediction:
@@ -220,102 +258,19 @@ def _predict_degenerate(
             notes=("the reduced drift is identically zero; no certified statement",),
         )
 
+    # The span of the active rows' white ratios, in the reduced variable
+    # y = 2u/(1+u) of u = x (case 4) or u = 1 - x (case 5).
     ratios = active_white_ratios(model)
-    lo_x, hi_x = min(ratios), max(ratios)
-    if reduction.case_id == 4:
-        span = (2 * lo_x / (1 + lo_x), 2 * hi_x / (1 + hi_x))
-    elif reduction.case_id == 5:
-        span = (2 * (1 - hi_x) / (2 - hi_x), 2 * (1 - lo_x) / (2 - lo_x))
-    else:
-        span = (lo_x, hi_x)
-
-    points: list[PredictedPoint] = []
-    excluded: list[ExcludedPoint] = []
-    borderline = False
-    reduced_equilibria = equilibria if reduction.case_id == 6 else classify_all(reduced)
-    for eq in reduced_equilibria:
-        rec = eq.root
-        cls = eq.classification
-        mapped = _map_record(rec, reduction)
-        if reduction.case_id in (4, 5) and _case45_sign_uncertain(model, reduction, mapped):
-            # Borderline boundary configuration: neither exclusion nor
-            # retention is certified, whatever the exact local sign says.
-            borderline = True
-            points.append(PredictedPoint(mapped, cls, VERDICT_UNKNOWN, None))
-            continue
-        if (
-            cls is EquilibriumClass.STRICTLY_UNSTABLE
-            and mapped.location != INTERIOR
-            and reduction.case_id in (4, 5)
-        ):
-            if _count_diverges(meta, mapped.location):
-                # The reduced noise curve vanishes at the boundary (it keeps
-                # the proportion-times-complement factor), so the boundary
-                # non-convergence criterion applies when the count diverges.
-                excluded.append(ExcludedPoint(mapped, cls, THEOREM_BOUNDARY_EXCLUSION))
-                continue
-            points.append(PredictedPoint(mapped, cls, VERDICT_UNKNOWN, None))
-        elif cls is EquilibriumClass.STABLE and rec.within(*span, strict=False):
-            points.append(
-                PredictedPoint(mapped, cls, VERDICT_POSITIVE_PROBABILITY, THEOREM_STABLE_ATTRACTION)
-            )
-        else:
-            points.append(PredictedPoint(mapped, cls, VERDICT_UNKNOWN, None))
-
-    notes = (
-        "inactive matrix rows: the analysis runs on the chain of effective draws "
-        f"({reduction.variable_map})",
-    )
-    if borderline:
-        # The borderline boundary also voids the guarantee that the chain of
-        # effective draws runs forever, so no "limit lies in this set"
-        # statement survives either.
-        return LimitPrediction(
-            kind=PredictionKind.UNKNOWN,
-            points=tuple(points),
-            excluded=tuple(excluded),
-            notes=notes
-            + ("a borderline boundary root leaves the long-run behaviour unsettled",),
-        )
-    if not points:
-        return LimitPrediction(
-            kind=PredictionKind.UNKNOWN, excluded=tuple(excluded), notes=notes
-        )
-    if len(points) == 1 and points[0].verdict != VERDICT_UNKNOWN:
-        only = points[0]
-        points = [
-            PredictedPoint(only.root, only.classification, VERDICT_UNIQUE, THEOREM_LIMIT_EXISTS)
-        ]
-    return LimitPrediction(
-        kind=PredictionKind.POINT_MASS_SET,
-        points=tuple(points),
-        excluded=tuple(excluded),
-        notes=notes,
-    )
-
-
-def _case45_sign_uncertain(
-    model: UrnModel, reduction: DegenerateReduction, mapped: RootRecord
-) -> bool:
-    """Borderline sub-case where no exclusion or retention is certified.
-
-    With the white-white row inactive, a root of the reduced drift at the
-    all-white boundary (which needs the mixed row to add no black) sits at a
-    degenerate repeller/attractor transition exactly when twice the mixed
-    row's white addition equals the black-black row's total; the available
-    arguments do not settle that configuration. Mirrored for the
-    black-black-inactive case.
-    """
-    entries = model.scaled.entries
-    boundary_is_one = mapped.location == RIGHT_BOUNDARY
+    lo, hi = min(ratios), max(ratios)
     if reduction.case_id == 5:
-        # The color swap reverses the entries.
-        entries = entries[::-1]
-        boundary_is_one = mapped.location == LEFT_BOUNDARY
-    if not boundary_is_one:
-        return False
-    a, b, c, d, e, f = entries
-    return d == 0 and 2 * c == f
+        lo, hi = 1 - hi, 1 - lo
+    if reduction.case_id != 6:
+        lo, hi = 2 * lo / (1 + lo), 2 * hi / (1 + hi)
+        equilibria = classify_all(reduced)
+    return _predict_from_roots(
+        meta, drift, error_poly, equilibria, AttainableInterval(lo, hi, closed_bounds=True),
+        reduction, _borderline_boundary(model, reduction),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +297,13 @@ def analyze_model(model: UrnModel) -> ModelAnalysis:
     meta = model_meta(model)
     drift = drift_for(model)
     noise = error_one(model) if model.kind == ONE_DRAW else error_two(model)
-    degenerate = None
-    attain = None
-    scheme = None
+    degenerate = attain = scheme = None
     equilibria: tuple[Equilibrium, ...] = ()
     if meta.degenerate_case != 0:
         degenerate = degenerate_reduce(model)
         if degenerate.case_id == 6 and not drift.is_zero:
             equilibria = tuple(classify_all(drift))
-        prediction = _predict_degenerate(model, meta, degenerate, equilibria)
+        prediction = _predict_degenerate(model, meta, drift, noise.error, degenerate, equilibria)
     else:
         attain = attainable_interval(model)
         scheme = SAConditions.build(
@@ -364,7 +317,7 @@ def analyze_model(model: UrnModel) -> ModelAnalysis:
             prediction = _predict_flat(model)
         else:
             equilibria = tuple(classify_all(drift))
-            prediction = _predict_from_equilibria(drift, noise.error, equilibria, attain, meta)
+            prediction = _predict_from_roots(meta, drift, noise.error, equilibria, attain)
     return ModelAnalysis(
         model=model,
         meta=meta,

@@ -447,8 +447,9 @@ class RootRecord:
     Exactly one of ``value`` (exact rational root) and ``interval`` (open
     isolating interval with rational endpoints around an irrational root) is
     set. ``factor`` is the monic square-free factor whose simple sign change
-    pins this root; it drives :meth:`within` and exact sign queries. The
-    location, the float approximation and the bounds follow from these.
+    pins an irrational root; it drives :meth:`within` and exact sign
+    queries, which raise ``ValueError`` for an irrational root without one.
+    The location, the float approximation and the bounds follow from these.
     """
 
     multiplicity: int
@@ -485,8 +486,14 @@ class RootRecord:
         if self.value is not None:
             v = self.value
             return lower < v < upper if strict else lower <= v <= upper
-        lo, hi = _bisect(self.factor, *self.interval, _holding((lower, upper)))
+        lo, hi = _bisect(self.defining_factor(), *self.interval, _holding((lower, upper)))
         return lower < lo and hi < upper
+
+    def defining_factor(self) -> RatPoly:
+        """The factor that pins an irrational root; ``ValueError`` if there is none."""
+        if self.factor is None:
+            raise ValueError("the irrational root has no defining factor")
+        return self.factor
 
 
 def _bisect(poly: RatPoly, lo: Fraction, hi: Fraction, keep_halving) -> tuple[Fraction, Fraction]:
@@ -544,7 +551,7 @@ def sign_at_root(poly: RatPoly, record: RootRecord) -> int:
     """
     if record.value is not None:
         return sign_at(poly, record.value)
-    g = record.factor
+    g = record.defining_factor()
     chain = _remainder_sequence(g, g.derivative() * poly)
     return count_distinct_roots(chain, *record.interval)  # Var(lo) - Var(hi)
 

@@ -12,7 +12,7 @@ from polyurn.analysis import (
     prediction_to_dict,
     sa_conditions_for,
 )
-from polyurn.ratpoly import RatPoly, roots_in_unit_interval
+from polyurn.ratpoly import RatPoly, roots_in_unit_interval, sign_at_root
 from polyurn.stability import (
     THEOREM_BOUNDARY_EXCLUSION,
     THEOREM_LIMIT_EXISTS,
@@ -24,6 +24,7 @@ from polyurn.stability import (
     VERDICT_POSITIVE_PROBABILITY,
     VERDICT_TOUCHPOINT,
     VERDICT_UNIQUE,
+    VERDICT_UNKNOWN,
     EquilibriumClass,
     PredictionKind,
     check_boundary_exclusion,
@@ -272,6 +273,41 @@ def test_case6_prediction():
     assert [(p.root.value, p.verdict) for p in prediction.points] == [
         (F(1, 2), VERDICT_UNIQUE)
     ]
+
+
+def test_case6_repeller_is_not_excluded_by_the_noise_floor():
+    # The noise-floor exclusion needs every row active; with the mixed row
+    # inactive the interior repeller 1/2 stays a candidate.
+    model = two_draw_model([1, 0, 0, 0, 0, 1], 2, 2)
+    prediction = predict_limit(model)
+    assert check_noise_floor(error_for(model), roots_in_unit_interval(drift_for(model))[1])
+    assert prediction.excluded == ()
+    assert [(p.root.value, p.classification, p.verdict) for p in prediction.points] == [
+        (F(0), EquilibriumClass.STABLE, VERDICT_POSITIVE_PROBABILITY),
+        (F(1, 2), EquilibriumClass.STRICTLY_UNSTABLE, VERDICT_UNKNOWN),
+        (F(1), EquilibriumClass.STABLE, VERDICT_POSITIVE_PROBABILITY),
+    ]
+
+
+def test_case6_touchpoint_is_not_a_possible_touchpoint():
+    # The touchpoint verdict needs every row active, too; 1/2 lies inside
+    # the span (1/3, 1) of the active rows' white ratios.
+    prediction = predict_limit(two_draw_model([1, 0, 0, 0, 1, 2], 2, 2))
+    assert [(p.root.value, p.classification, p.verdict, p.theorem) for p in prediction.points] == [
+        (F(1, 2), EquilibriumClass.TOUCHPOINT, VERDICT_UNKNOWN, None),
+        (F(1), EquilibriumClass.STABLE, VERDICT_POSITIVE_PROBABILITY, THEOREM_STABLE_ATTRACTION),
+    ]
+
+
+def test_mapped_irrational_root_has_no_defining_factor():
+    # Case 4 maps the reduced root back by x = y/(2-y); the mapped record
+    # keeps an interval around sqrt(2) - 1 but no factor to refine it with.
+    (point,) = predict_limit(two_draw_model([0, 0, 0, 1, 1, 0], 2, 2)).points
+    assert point.root.value is None and point.root.approx == pytest.approx(2**0.5 - 1)
+    with pytest.raises(ValueError, match="no defining factor"):
+        point.root.within(F(0), F(1), strict=True)
+    with pytest.raises(ValueError, match="no defining factor"):
+        sign_at_root(P(0, 1), point.root)
 
 
 # ---------------------------------------------------------------------------
