@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
@@ -31,6 +30,7 @@ from .ratpoly import (
     LEFT_BOUNDARY,
     RIGHT_BOUNDARY,
     RatPoly,
+    Record,
     RootRecord,
     format_rational,
     parse_rational,
@@ -277,8 +277,7 @@ def _predict_degenerate(
 # Full analysis bundle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelAnalysis:
+class ModelAnalysis(Record):
     """Everything the exact pipeline can say about one model."""
 
     model: UrnModel
@@ -376,9 +375,9 @@ def _json_form(cls: type):
             "location": root.location,
             "multiplicity": root.multiplicity,
         }
-    if not is_dataclass(cls):
+    if not issubclass(cls, Record):
         return lambda value: value
-    names = tuple(f.name for f in fields(cls))
+    names = cls._fields
 
     def record(value) -> dict:
         out = {}

@@ -47,7 +47,6 @@ from .montecarlo import (
     verify,
 )
 from .ratpoly import RatPoly, RootRecord, format_rational, parse_rational
-from .stability import PredictionKind
 from .urns import (
     ONE_DRAW,
     WITH_REPLACEMENT,

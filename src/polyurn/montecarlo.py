@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import beta_in_float_range, predict_limit, prediction_to_dict
@@ -39,7 +38,7 @@ from .urns import (
     UrnState,
     step_distribution,
 )
-from .ratpoly import format_rational
+from .ratpoly import Record, format_rational
 
 import random
 
@@ -94,8 +93,7 @@ def step(state: UrnState, model: UrnModel, rng: random.Random) -> UrnState:
     raise ArithmeticError("outcome probabilities do not reach 1")
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """A reproducible simulation request; construction refuses a model it cannot simulate."""
 
     model: UrnModel
@@ -115,8 +113,7 @@ class SimConfig:
             raise ValueError("trajectory_stride must be positive")
 
 
-@dataclass(frozen=True)
-class ReplicateResult:
+class ReplicateResult(Record):
     """Final state (and optional trajectory) of one replicate."""
 
     replicate_index: int
@@ -291,8 +288,7 @@ def trajectory_csv_lines(results: list[ReplicateResult]) -> list[str]:
 # Clustering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClusterCounts:
+class ClusterCounts(Record):
     """Counts of samples within ``radius`` of each center, plus the rest."""
 
     centers: tuple[float, ...]
@@ -387,8 +383,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
 
 
-@dataclass(frozen=True)
-class KSResult:
+class KSResult(Record):
     """Kolmogorov-Smirnov comparison of samples against a Beta law."""
 
     statistic: float
@@ -441,8 +436,7 @@ VERDICT_INCONSISTENT = "inconsistent"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of comparing final proportions against a prediction."""
 
     prediction: LimitPrediction

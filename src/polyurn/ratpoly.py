@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -91,8 +90,71 @@ def format_rational(value: Rational) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class RatPoly:
+# The record base lives in this module because every other module imports it.
+class Record:
+    """Base of polyurn's frozen value records.
+
+    A subclass declares its fields as annotations, after those it inherits,
+    and gives defaults as class attributes. One shared constructor takes the
+    fields by position or name, fills in the defaults and runs
+    ``__post_init__``, which may normalise fields with ``object.__setattr__``
+    and refuse bad values. Records are equal when their classes are the same
+    and their field tuples equal, hash by that tuple, and refuse assignment
+    and deletion. ``_fields`` is the field order, also the key order of the
+    JSON report. Unlike ``dataclasses``, no code is generated per class.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _field_set: frozenset = frozenset()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__annotations__)
+        cls._fields = cls._fields + own
+        cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
+        cls._field_set = frozenset(cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs) if args else kwargs
+        passed = len(values)
+        if passed < len(self._fields):
+            values = {**self._defaults, **values}
+        # A surplus positional value, dropped by zip, or a name repeating a
+        # positional one leaves fewer keys than values passed.
+        if passed < len(args) + len(kwargs) or values.keys() != self._field_set:
+            raise TypeError(f"{type(self).__name__}() takes each field of {self._fields} "
+                            f"once, all but those with defaults; got {len(args)} by "
+                            f"position and {list(kwargs)} by name")
+        vars(self).update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check or normalise the fields; the base accepts them as given."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a frozen {type(self).__name__}")
+
+
+class RatPoly(Record):
     """A polynomial with exact rational coefficients ``num[i] / den``, lowest power first.
 
     The form is canonical: no trailing zero numerators, ``den > 0`` and
@@ -440,8 +502,7 @@ def count_distinct_roots(chain: Sequence[Sequence[int]], lo: Rational, hi: Ratio
 # Root records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootRecord:
+class RootRecord(Record):
     """One root of a polynomial within the closed unit interval.
 
     Exactly one of ``value`` (exact rational root) and ``interval`` (open

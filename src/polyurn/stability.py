@@ -17,7 +17,6 @@ including at irrational roots (via their isolating intervals).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratpoly import (
@@ -25,6 +24,7 @@ from .ratpoly import (
     LEFT_BOUNDARY,
     RIGHT_BOUNDARY,
     RatPoly,
+    Record,
     RootRecord,
     roots_in_unit_interval,
     sign_at,
@@ -63,8 +63,7 @@ class EquilibriumClass(enum.Enum):
     TOUCHPOINT = "touchpoint"
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(Record):
     """A classified root of the drift.
 
     ``sign_left``/``sign_right`` are the exact drift signs strictly between
@@ -197,8 +196,7 @@ def check_boundary_exclusion(
 # Scheme constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SAConditions:
+class SAConditions(Record):
     """Constants certifying the proportion process is a well-behaved scheme.
 
     With ``T_n`` the total after ``n`` steps and the step size ``1/T_n``:
@@ -284,8 +282,7 @@ class PredictionKind(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class PredictedPoint:
+class PredictedPoint(Record):
     """A candidate limit point with the strongest verdict we can certify."""
 
     root: RootRecord
@@ -294,8 +291,7 @@ class PredictedPoint:
     theorem: str | None
 
 
-@dataclass(frozen=True)
-class ExcludedPoint:
+class ExcludedPoint(Record):
     """A drift root ruled out as a limit, with the excluding result."""
 
     root: RootRecord
@@ -303,8 +299,7 @@ class ExcludedPoint:
     theorem: str
 
 
-@dataclass(frozen=True)
-class LimitPrediction:
+class LimitPrediction(Record):
     """What the analysis says about the long-run white proportion.
 
     ``POINT_MASS_SET``: the limit exists and lies among ``points`` (with

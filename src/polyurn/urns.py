@@ -20,11 +20,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
-from .ratpoly import RatPoly, _poly, format_rational, parse_rational
+from .ratpoly import RatPoly, Record, _poly, format_rational, parse_rational
 
 ONE_DRAW = "one-draw"
 TWO_DRAW = "two-draw"
@@ -39,8 +38,7 @@ _SAMPLINGS = (WITH_REPLACEMENT, WITHOUT_REPLACEMENT)
 # Replacement matrices and models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScaledModel:
+class ScaledModel(Record):
     """A model's rationals as integers over their common denominator ``s``.
 
     ``entries``, ``w0`` and ``b0`` are the matrix entries and start counts
@@ -72,12 +70,12 @@ def _scale(entries: Sequence[Fraction], start: Sequence[Fraction] = ()) -> Scale
     return ScaledModel(s, rows, sums, *ints[len(entries):])
 
 
-class _Matrix:
+class _Matrix(Record):
     """What both matrix types derive from their fields, the entries in row order."""
 
     def __post_init__(self):
-        for field in fields(self):
-            object.__setattr__(self, field.name, parse_rational(getattr(self, field.name)))
+        for name in self._fields:
+            object.__setattr__(self, name, parse_rational(getattr(self, name)))
         if any(v < 0 for v in self.entries):
             raise ValueError("replacement matrix entries must be nonnegative")
         if not any(self.entries):
@@ -85,7 +83,7 @@ class _Matrix:
 
     @property
     def entries(self) -> tuple[Fraction, ...]:
-        return tuple(getattr(self, field.name) for field in fields(self))
+        return tuple(getattr(self, name) for name in self._fields)
 
     @functools.cached_property
     def scaled(self) -> ScaledModel:
@@ -97,12 +95,11 @@ class _Matrix:
 
     @classmethod
     def from_entries(cls, entries: Sequence):
-        if len(entries) != len(fields(cls)):
-            raise ValueError(f"a {cls._RULE} matrix needs exactly {len(fields(cls))} entries")
+        if len(entries) != len(cls._fields):
+            raise ValueError(f"a {cls._RULE} matrix needs exactly {len(cls._fields)} entries")
         return cls(*entries)
 
 
-@dataclass(frozen=True)
 class OneDrawMatrix(_Matrix):
     """Replacement rule for single draws.
 
@@ -118,7 +115,6 @@ class OneDrawMatrix(_Matrix):
     b_add_black: Fraction
 
 
-@dataclass(frozen=True)
 class TwoDrawMatrix(_Matrix):
     """Replacement rule for unordered pair draws.
 
@@ -136,8 +132,7 @@ class TwoDrawMatrix(_Matrix):
     bb_add_black: Fraction
 
 
-@dataclass(frozen=True)
-class UrnModel:
+class UrnModel(Record):
     """A complete urn specification: draw rule, replacement matrix, start.
 
     ``sampling`` selects pair draws with or without replacement; it is
@@ -198,8 +193,7 @@ def two_draw_model(entries: Sequence, w0=2, b0=2, sampling=WITHOUT_REPLACEMENT) 
 # States and one-step outcome distributions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UrnState:
+class UrnState(Record):
     """Exact urn contents after ``step`` draws."""
 
     white: Fraction
@@ -223,8 +217,7 @@ class UrnState:
         return self.white / self.total
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(Record):
     """One possible draw outcome with its exact probability and effect."""
 
     label: str  # "W" / "B" for single draws; "WW" / "WB" / "BB" for pairs
@@ -338,8 +331,7 @@ def drift_for(model: UrnModel) -> RatPoly:
     return drift_one(model) if model.kind == ONE_DRAW else drift_two(model)
 
 
-@dataclass(frozen=True)
-class OneDrawNoise:
+class OneDrawNoise(Record):
     """Noise structure of single draws.
 
     ``gap`` is the difference between the centered white increments of the
@@ -358,8 +350,7 @@ def error_one(m: OneDrawMatrix) -> OneDrawNoise:
     return OneDrawNoise(gap=_poly(gap, s), error=_poly(_times(_MIXED, gap, gap), s * s))
 
 
-@dataclass(frozen=True)
-class TwoDrawNoise:
+class TwoDrawNoise(Record):
     """Noise structure of pair draws.
 
     Write ``y_ww``, ``y_wb``, ``y_bb`` for the centered white increments of
@@ -411,8 +402,7 @@ def error_for(model: UrnModel) -> RatPoly:
 # Conditional-moment oracle (brute-force enumeration of outcomes)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExactMoments:
+class ExactMoments(Record):
     """Exact conditional moments of one step from a given state.
 
     With ``Y = dW - Z dT`` the centered white increment, ``U`` the noise
@@ -598,8 +588,7 @@ def bias_bound(model: UrnModel) -> Fraction:
 # Attainability and boundary-divergence flags
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AttainableInterval:
+class AttainableInterval(Record):
     """Interval of proportions the process can approach in the long run.
 
     For pair draws this is the closed span of the per-outcome white ratios
@@ -659,8 +648,7 @@ def _white_diverges(kind: str, entries: Sequence[int]) -> bool:
 # Model metadata
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelMeta:
+class ModelMeta(Record):
     """Summary constants used by the convergence framework.
 
     ``t_min``/``t_max`` bound the per-step growth of the total;
@@ -727,8 +715,7 @@ def model_meta(model: UrnModel) -> ModelMeta:
 # Reductions for models with an inactive row (degenerate cases)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DegenerateReduction:
+class DegenerateReduction(Record):
     """Exact reduction of a model with inactive matrix rows.
 
     - Cases 1-3 (single active row): the proportion converges almost surely

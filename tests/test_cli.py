@@ -733,21 +733,22 @@ def test_selftest_detects_a_broken_identity(monkeypatch, capsys):
 # Entry points
 # ---------------------------------------------------------------------------
 
-#: Prints which pool modules are loaded after the import and after each run.
+#: Prints which of the process pool and the dataclass machinery (with the
+#: ``inspect`` module it imports) are loaded after the import and each run.
 _LOADED_AFTER = """
 import contextlib, io, sys
 import polyurn.cli as cli
-pool = ("multiprocessing", "concurrent.futures.process")
-seen = {{"import": [m for m in pool if m in sys.modules]}}
+unwanted = ("multiprocessing", "concurrent.futures.process", "dataclasses", "inspect")
+seen = {{"import": [m for m in unwanted if m in sys.modules]}}
 for name, argv in {runs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    seen[name] = [m for m in pool if m in sys.modules]
+    seen[name] = [m for m in unwanted if m in sys.modules]
 print(seen)
 """
 
 
-def test_serial_commands_never_load_the_process_pool():
+def test_serial_commands_never_load_the_pool_or_dataclasses():
     runs = [
         ("analyze", ["analyze", "--two-draw", "15,3,4,1,3,21", "--w0", "5", "--b0", "2"]),
         ("simulate", ["simulate", "--two-draw", "15,3,4,1,3,21", "--w0", "5", "--b0", "2",

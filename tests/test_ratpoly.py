@@ -1,6 +1,5 @@
 """Exact-polynomial kernel: arithmetic, factoring, and root isolation."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -453,7 +452,7 @@ def test_within_matches_fraction_halving_oracle():
 
 
 def test_root_record_derives_location_and_approximation():
-    assert [f.name for f in dataclasses.fields(RootRecord)] == [
+    assert list(RootRecord._fields) == [
         "multiplicity", "value", "interval", "factor"
     ]
     assert [RootRecord(1, value=F(v)).location for v in (0, F(1, 3), 1)] == [
