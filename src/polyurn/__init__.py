@@ -13,12 +13,13 @@ The package has three layers:
   (:mod:`polyurn.montecarlo`), plus a command-line interface
   (:mod:`polyurn.cli`).
 
-Only the names the demos and the README quick start use are exported here;
-everything else is imported from its submodule.
+Only the names the demos and the README quick start use are exported here
+(``__all__``); everything else is imported from its submodule. The
+simulation names load :mod:`polyurn.montecarlo` on first use, so a process
+that only analyzes never compiles it.
 """
 
 from .analysis import analysis_to_dict, analyze_model, predict_limit
-from .montecarlo import SimConfig, cluster_finals, ks_beta, run_replicates, verify
 from .stability import classify_all
 from .urns import (
     attainable_interval,
@@ -28,4 +29,20 @@ from .urns import (
     two_draw_model,
 )
 
+_MONTECARLO = ("SimConfig", "cluster_finals", "ks_beta", "run_replicates", "verify")
+
+__all__ = [
+    "analysis_to_dict", "analyze_model", "predict_limit", "classify_all",
+    "attainable_interval", "degenerate_reduce", "drift_for", "one_draw_model",
+    "two_draw_model", *_MONTECARLO,
+]
+
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

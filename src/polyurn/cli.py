@@ -12,8 +12,9 @@ Exit status: 0 on success (including an inconclusive verification),
 selftest suite fails.
 
 JSON output is exactly the bytes of ``json.dumps(payload, indent=2)`` and a
-newline. The process pool machinery is imported only by runs with
-``--jobs`` of 2 or more.
+newline. The simulation engine (:mod:`polyurn.montecarlo`) is imported only
+by ``simulate`` and ``verify``, and the process pool machinery only by runs
+with ``--jobs`` of 2 or more.
 """
 
 from __future__ import annotations
@@ -34,17 +35,6 @@ from .analysis import (
     analysis_to_dict,
     analyze_model,
     prediction_from_dict,
-)
-from .montecarlo import (
-    DEFAULT_RADIUS,
-    VERDICT_INCONSISTENT,
-    SimConfig,
-    VerificationReport,
-    finals_csv_lines,
-    finals_summary,
-    run_replicates,
-    trajectory_csv_lines,
-    verify,
 )
 from .ratpoly import RatPoly, RootRecord, format_rational, parse_rational
 from .urns import (
@@ -298,6 +288,9 @@ def _render_histogram(bins: tuple[int, ...]) -> list[str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .montecarlo import (
+        SimConfig, finals_csv_lines, finals_summary, run_replicates, trajectory_csv_lines)
+
     model = model_from_args(args)
     if args.replicates < 1:
         raise CliError("--replicates must be at least 1")
@@ -371,6 +364,8 @@ def _render_report_text(report: VerificationReport) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .montecarlo import DEFAULT_RADIUS, VERDICT_INCONSISTENT, VerificationReport, verify
+
     model = model_from_args(args)
     prediction = None
     if args.prediction:
@@ -389,7 +384,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             replicates=args.replicates,
             base_seed=args.seed,
             parallelism=args.jobs,
-            radius=args.radius,
+            radius=DEFAULT_RADIUS if args.radius is None else args.radius,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -615,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON prediction to test (default: derive it from the model)",
     )
     p.add_argument(
-        "--radius", type=float, default=DEFAULT_RADIUS,
+        "--radius", type=float,
         help="clustering radius around predicted points",
     )
     p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")

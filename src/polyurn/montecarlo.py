@@ -10,6 +10,15 @@ single draws, and pair draws with ``P(WW) = W (W - d) / (T (T - d))`` and
 ``d = 0`` with replacement. :func:`step` is the rational reference oracle
 the kernels are tested against; simulation does not call it.
 
+Most steps are decided by one to three integer comparisons. Over a window of
+``k`` steps the counts stay in a box whose lower corner is the current state,
+because rows are nonnegative, and every cut is monotone on that box: it rises
+with ``W`` and falls with ``B``. So the exact integer ceilings of the cuts at
+two opposite corners bracket every cut the window meets; a draw outside the
+bracket is decided against it, and only a draw inside takes the exact test.
+Windows open only in long enough segments once ``T`` is large against the row
+totals (see :func:`simulate`).
+
 Replicates use independent streams derived by an avalanche mix of the base
 seed and the replicate index, which makes results independent of execution
 order and parallelism: running on one worker or many yields byte-identical
@@ -46,6 +55,12 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _UNIT_BITS = 53
 _UNIT = 1 << _UNIT_BITS
+#: The fewest steps of a bracketed window, and the total, in largest row
+#: totals, from which a window of ``2 isqrt(T / m)`` steps is that long.
+_WINDOW_MIN = 32
+_WINDOW_OPEN = (_WINDOW_MIN // 2) ** 2
+#: Steps after which a run without a trajectory looks again for a window.
+_PIECE = 512
 
 
 def _mix64(x: int) -> int:
@@ -136,12 +151,68 @@ def _exact_below(u, denominator, cut) -> bool:
     return u * int(denominator) < int(cut)
 
 
+def _ceilings(w: int, b: int, d: int | None) -> tuple[int, ...]:
+    """Each cut of the state as ``c = ceil(n 2**53 / D)``, so that ``u D < n 2**53`` iff ``u < c``.
+
+    ``d`` is ``None`` for single draws (one cut, ``n = W`` over ``D = T``),
+    else the pair cuts ``n = W (W - d)`` and ``W (W - d) + 2 W B`` over
+    ``D = T (T - d)``.
+    """
+    t = w + b
+    if d is None:
+        return (-(-(w << _UNIT_BITS) // t),)
+    dd = t * (t - d)
+    n = w * (w - d)
+    return -(-(n << _UNIT_BITS) // dd), -(-((n + 2 * w * b) << _UNIT_BITS) // dd)
+
+
+def _bracket(w: int, b: int, d: int | None, reach_w: int, reach_b: int) -> tuple[tuple, tuple]:
+    """Bounds ``lo <= c <= hi`` on each cut of every state in the box ``[w, w + reach_w]
+    x [b, b + reach_b]``.
+
+    Each cut rises with ``W`` and falls with ``B`` on the box, so its least
+    value is at ``(w, b + reach_b)`` and its greatest at ``(w + reach_w, b)``.
+    """
+    return _ceilings(w, b + reach_b, d), _ceilings(w + reach_w, b, d)
+
+
+def _largest_adds(rows) -> tuple[int, int, int]:
+    """The largest row total, and the most white and the most black balls a row adds."""
+    whites, blacks = rows[::2], rows[1::2]
+    return int(max(map(sum, zip(whites, blacks)))), int(max(whites)), int(max(blacks))
+
+
 def _one_draw(grb, w, b, rows, unit, segments, traj):
-    """Single draws on doubles or ints alike, ``unit = 2**53``; white when ``u T < W unit``."""
+    """Single draws on doubles or ints alike, ``unit = 2**53``; white when ``u T < W unit``.
+
+    Windows of steps run on the bracket of their cut (see :func:`simulate`).
+    """
     aw, ab, cw, cb = rows
     aws, at, cws, ct = aw * unit, aw + ab, cw * unit, cw + cb
     ws, t = w * unit, w + b
+    top, most_w, most_b = _largest_adds(rows)
+    t_open = _WINDOW_OPEN * top
     for mark, length in segments:
+        while length >= _WINDOW_MIN and t >= t_open:
+            k = min(length, 2 * math.isqrt(int(t) // top))
+            wi = int(ws) >> _UNIT_BITS
+            (lo,), (hi,) = _bracket(wi, int(t) - wi, None, (k - 1) * most_w, (k - 1) * most_b)
+            white = 0
+            for i in range(k):
+                u = grb(_UNIT_BITS)
+                if u < lo:
+                    white += 1
+                elif u < hi:  # the bracket does not decide: the exact test
+                    black = i - white
+                    wsi = ws + white * aws + black * cws
+                    ti = t + white * at + black * ct
+                    y = u * ti
+                    if y < wsi or y == wsi and _exact_below(u, ti, wsi):
+                        white += 1
+            black = k - white
+            ws += white * aws + black * cws
+            t += white * at + black * ct
+            length -= k
         for _ in range(length):
             u = grb(_UNIT_BITS)
             y = u * t
@@ -159,10 +230,46 @@ def _one_draw(grb, w, b, rows, unit, segments, traj):
 
 
 def _pair(grb, w, b, rows, d, unit, segments, traj):
-    """Pair draws on doubles or ints alike, ``unit = 2**53``; ``u D`` against ``n unit``."""
+    """Pair draws on doubles or ints alike, ``unit = 2**53``; ``u D`` against ``n unit``.
+
+    Windows of steps run on the brackets of their cuts (see :func:`simulate`).
+    """
     aw, ab, cw, cb, ew, eb = rows
     two_units = 2 * unit
+    top, most_w, most_b = _largest_adds(rows)
+    t_open, di = _WINDOW_OPEN * top, int(d)
     for mark, length in segments:
+        while length >= _WINDOW_MIN and w + b >= t_open:
+            k = min(length, 2 * math.isqrt(int(w + b) // top))
+            (lo1, lo2), (hi1, hi2) = _bracket(
+                int(w), int(b), di, (k - 1) * most_w, (k - 1) * most_b)
+            ww = wb = 0
+            for i in range(k):
+                u = grb(_UNIT_BITS)
+                if u < lo1:
+                    ww += 1
+                elif u >= hi2:
+                    pass  # BB from every state the window reaches
+                elif hi1 <= u < lo2:
+                    wb += 1
+                else:  # the bracket does not decide: the exact test
+                    bb = i - ww - wb
+                    wi = w + ww * aw + wb * cw + bb * ew
+                    bi = b + ww * ab + wb * cb + bb * eb
+                    t = wi + bi
+                    dd = t * (t - d)
+                    y = u * dd
+                    n = wi * (wi - d) * unit
+                    if y < n or y == n and _exact_below(u, dd, n):
+                        ww += 1
+                    else:
+                        n += wi * bi * two_units
+                        if y < n or y == n and _exact_below(u, dd, n):
+                            wb += 1
+            bb = k - ww - wb
+            w += ww * aw + wb * cw + bb * ew
+            b += ww * ab + wb * cb + bb * eb
+            length -= k
         for _ in range(length):
             u = grb(_UNIT_BITS)
             t = w + b
@@ -204,6 +311,31 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     numbers, so ``y < n 2**53`` or ``y > n 2**53`` decides, in every IEEE
     rounding mode and under x87 double rounding; :func:`_exact_below`
     settles ``y == n 2**53``.
+
+    Most draws skip that test. As ``u`` is an integer, ``u D < n 2**53`` iff
+    ``u < c`` with the integer ceiling ``c = ceil(n 2**53 / D)``
+    (:func:`_ceilings`). A window of ``k`` steps from ``(W, B)`` meets only
+    states in the box ``[W, W + (k - 1) a] x [B, B + (k - 1) a']``, where
+    ``a`` and ``a'`` are the most white and black balls a row adds; its lower
+    corner is the current state because rows are nonnegative. On the box each
+    cut rises with ``W`` and falls with ``B``: ``W / T`` plainly;
+    ``W (W - d) / (T (T - d))`` because its ``W``-derivative has numerator
+    ``B (B (2W - d) + 2W (W - d) + d**2) >= 0`` and its ``B``-derivative the
+    numerator ``-W (W - d) (2T - d) <= 0`` for ``W, B >= d``; and
+    ``(W (W - d) + 2 W B) / (T (T - d)) = 1 - B (B - d) / (T (T - d))`` by the
+    same argument with the colours swapped. ``W, B >= d`` always holds: ``d
+    = 0`` with replacement, and pairs without replacement start from at least
+    two balls of each colour. So the ceilings at ``(W, B + (k - 1) a')`` and
+    ``(W + (k - 1) a, B)`` bound every ``c`` the window meets, ``lo <= c <=
+    hi`` (:func:`_bracket`): a draw ``u < lo`` is below the cut and ``u >= hi``
+    is not, and only ``lo <= u < hi`` takes the exact test, on the counts that
+    the window has reached. Every decision, and so every output byte, is that
+    of the exact comparison. A window has ``k = 2 isqrt(T / m)`` steps, ``m``
+    the largest row total, cut to the rest of its segment. It opens only
+    while at least ``_WINDOW_MIN`` steps of the segment remain and ``T >= 256
+    m``, where ``k >= _WINDOW_MIN``: short trajectory strides and small totals
+    run the plain loop. A run without a trajectory looks for a window every
+    ``_PIECE`` steps.
     """
     model = config.model
     grb = replicate_rng(config.base_seed, replicate_index).getrandbits
@@ -216,7 +348,8 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     # int / int is correctly rounded, so this is float(Fraction(w, w + b)).
     traj: list[tuple[int, float]] | None = [(0, w / (w + b))] if record else None
     t_max = w + b + steps * max(view.row_sums)  # rows are nonnegative
-    ends = [*(range(stride, steps, stride) if record else ()), steps] if steps else []
+    gap = stride if record else _PIECE
+    ends = [*range(gap, steps, gap), steps] if steps else []
     segments = [(end, end - start) for start, end in zip([0, *ends], ends)]
     one_draw = model.kind == ONE_DRAW
     num = float if t_max < (_UNIT if one_draw else 1 << 26) else int

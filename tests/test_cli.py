@@ -733,12 +733,14 @@ def test_selftest_detects_a_broken_identity(monkeypatch, capsys):
 # Entry points
 # ---------------------------------------------------------------------------
 
-#: Prints which of the process pool and the dataclass machinery (with the
-#: ``inspect`` module it imports) are loaded after the import and each run.
+#: Prints which of the process pool, the dataclass machinery (with the
+#: ``inspect`` module it imports) and the simulation engine are loaded after
+#: the import and each run.
 _LOADED_AFTER = """
 import contextlib, io, sys
 import polyurn.cli as cli
-unwanted = ("multiprocessing", "concurrent.futures.process", "dataclasses", "inspect")
+unwanted = ("multiprocessing", "concurrent.futures.process", "dataclasses", "inspect",
+            "polyurn.montecarlo")
 seen = {{"import": [m for m in unwanted if m in sys.modules]}}
 for name, argv in {runs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -760,8 +762,10 @@ def test_serial_commands_never_load_the_pool_or_dataclasses():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    # Only the commands that simulate load the simulation engine.
     assert ast.literal_eval(proc.stdout) == {
-        "import": [], "analyze": [], "simulate": [], "verify": []}
+        "import": [], "analyze": [],
+        "simulate": ["polyurn.montecarlo"], "verify": ["polyurn.montecarlo"]}
 
 
 def test_parallel_simulate_prints_the_serial_bytes():

@@ -43,7 +43,7 @@ from polyurn.montecarlo import (
     trajectory_csv_lines,
     verify,
 )
-from polyurn.urns import UrnState, one_draw_model, two_draw_model
+from polyurn.urns import UrnState, one_draw_model, step_distribution, two_draw_model
 
 from helpers import initial_state
 
@@ -434,6 +434,145 @@ def test_simulate_matches_oracle_on_both_sides_of_the_float_bound(above, data):
     bound = FLOAT_BOUNDS["one" if config.model.kind == "one-draw" else WITH]
     assume((view.w0 + view.b0 + config.steps * max(view.row_sums) >= bound) == above)
     assert simulate(config, 0) == oracle_run(config, 0)
+
+
+# ---------------------------------------------------------------------------
+# Bracketed windows: the kernels against the oracle where windows open
+# ---------------------------------------------------------------------------
+
+#: Start counts large against the rows, so that windows open at step 0; the
+#: last model runs on integer counts, the others on doubles.
+WINDOW_MODELS = [
+    one_draw_model([3, 2, 2, 3], 10**5, 3 * 10**5),
+    one_draw_model([F(5, 2), 1, F(1, 3), 4], 10**5 + F(1, 2), 2 * 10**5),
+    two_draw_model([3, 2, 2, 3, 1, 4], 10**5, 2 * 10**5),
+    two_draw_model([9, 1, 2, 3, 1, 7], 10**5, 10**5, sampling=WITH),
+    two_draw_model([F(7, 2), 3, 0, 5, 9, 7], 3 * 10**5, 10**5 + F(1, 2), sampling=WITH),
+    one_draw_model([3, 2, 2, 3], 2**53, 2**52 + 1),
+]
+
+
+def _cut_draws(state, model):
+    """Each exact cut of ``state`` as the least draw ``u`` at or above it."""
+    cumulative, cuts = F(0), []
+    for outcome in step_distribution(state, model)[:-1]:
+        cumulative += outcome.probability
+        cuts.append(-(-(cumulative.numerator << 53) // cumulative.denominator))
+    return cuts
+
+
+def _first_window(model, length):
+    """Steps and bracket of the first window of a ``length``-step segment from the start."""
+    view = model.scaled
+    top = max(view.row_sums)
+    total = view.w0 + view.b0
+    assert length >= mc._WINDOW_MIN and total >= mc._WINDOW_OPEN * top  # a window opens
+    k = min(length, 2 * math.isqrt(total // top))
+    d = None if model.kind == "one-draw" else view.scale if model.sampling == "without" else 0
+    rows = view.entries
+    lo, hi = mc._bracket(view.w0, view.b0, d, (k - 1) * max(rows[::2]), (k - 1) * max(rows[1::2]))
+    return k, lo, hi
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["finals", "trajectory"])
+@pytest.mark.parametrize("model", WINDOW_MODELS, ids=range(len(WINDOW_MODELS)))
+def test_kernels_match_oracle_where_windows_open(model, record):
+    config = SimConfig(model=model, steps=400, replicates=2, base_seed=3,
+                       record_trajectory=record, trajectory_stride=60)
+    _first_window(model, 60 if record else 400)  # asserts that a window opens at step 0
+    for i in range(config.replicates):
+        assert simulate(config, i) == oracle_run(config, i)
+
+
+def test_kernels_match_oracle_on_a_long_run_of_wide_windows():
+    # A fractional pair model with replacement whose counts dwarf its rows,
+    # so that every window spans a whole piece of the run.
+    model = two_draw_model([F(7, 2), 3, 0, 5, 9, 7], 6 * 10**7, 4 * 10**6, sampling=WITH)
+    config = SimConfig(model=model, steps=3000, replicates=2, base_seed=5)
+    assert simulate(config, 1) == oracle_run(config, 1)
+
+
+def assert_window_matches_oracle(model, k, choose, monkeypatch):
+    """``k`` steps of :func:`simulate` on the draws ``choose(i, cuts of the oracle's state)``."""
+    state, draws = initial_state(model), []
+    for i in range(k):
+        u = choose(i, _cut_draws(state, model))
+        draws.append(u)
+        state = step(state, model, ScriptedRng([u]))
+    monkeypatch.setattr(mc, "replicate_rng", lambda seed, index: ScriptedRng(draws))
+    result = simulate(SimConfig(model=model, steps=k, replicates=1), 0)
+    assert (result.final_white, result.final_black) == (state.white, state.black), draws[0]
+
+
+@pytest.mark.parametrize("model", WINDOW_MODELS, ids=range(len(WINDOW_MODELS)))
+def test_window_draws_at_its_bounds_and_at_each_cut_match_oracle(model, monkeypatch):
+    # The first draw sits at or next to a bound of the first window; every
+    # later draw of the window sits at or just below an exact cut of the
+    # oracle's state, where a bracket that missed any reachable cut decides wrong.
+    k, lo, hi = _first_window(model, 64)
+    for first in sorted({u for bound in lo + hi for u in (bound - 1, bound)}):
+        assert_window_matches_oracle(
+            model, k,
+            lambda i, cuts: first if i == 0 else cuts[i % len(cuts)] - (i // len(cuts)) % 2,
+            monkeypatch)
+
+
+#: Models whose first outcome adds only white balls and whose last adds only
+#: black ones, the most of each, so that a window reaches both corners of its box.
+CORNER_MODELS = [
+    one_draw_model([1, 0, 0, 1], 10**5, 10**5),
+    two_draw_model([2, 0, 1, 1, 0, 2], 10**5, 10**5),
+    two_draw_model([F(3, 2), 0, 1, 1, 0, 2], 10**5, 10**5, sampling=WITH),
+]
+
+
+@pytest.mark.parametrize("model", CORNER_MODELS, ids=range(len(CORNER_MODELS)))
+def test_window_walks_to_each_corner_of_its_box_and_matches_oracle(model, monkeypatch):
+    # All but the last draw pick the first (or the last) outcome, which walks
+    # the state to a corner of the box; the last draw sits at or just below
+    # each exact cut there.
+    k, _, _ = _first_window(model, 64)
+    for push in (0, (1 << 53) - 1):
+        for cut_index in range(1 if model.kind == "one-draw" else 2):
+            for below in (0, 1):
+                assert_window_matches_oracle(
+                    model, k,
+                    lambda i, cuts: push if i < k - 1 else cuts[cut_index] - below,
+                    monkeypatch)
+
+
+@st.composite
+def window_boxes(draw):
+    kind = draw(st.sampled_from(["one", WITH, "without"]))
+    entries = draw(st.lists(st.builds(F, st.integers(0, 10), st.integers(1, 3)),
+                            min_size=4 if kind == "one" else 6,
+                            max_size=4 if kind == "one" else 6).filter(any))
+    low = 2 if kind == "without" else 0  # w0, b0 >= 2 without replacement
+    counts = st.one_of(st.integers(low, 40), st.integers(10**4, 10**9))
+    w0, b0 = draw(counts), draw(counts.filter(bool))
+    steps = draw(st.integers(1, 24 if kind == "one" else 9))
+    return kind_model(kind, entries, w0, b0), steps
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(box=window_boxes())
+def test_bracket_holds_every_cut_of_every_state_a_window_reaches(box):
+    model, k = box
+    view = model.scaled
+    rows = list(zip(view.entries[::2], view.entries[1::2]))
+    d = None if model.kind == "one-draw" else view.scale if model.sampling == "without" else 0
+    lo, hi = mc._bracket(view.w0, view.b0, d,
+                         (k - 1) * max(w for w, _ in rows), (k - 1) * max(b for _, b in rows))
+    reached = {(view.w0, view.b0)}
+    frontier = set(reached)
+    for _ in range(k - 1):
+        frontier = {(w + aw, b + ab) for w, b in frontier for aw, ab in rows}
+        reached |= frontier
+    for w, b in reached:
+        cuts = _cut_draws(UrnState(F(w, view.scale), F(b, view.scale)), model)
+        assert mc._ceilings(w, b, d) == tuple(cuts)
+        for low, cut, high in zip(lo, cuts, hi):
+            assert low <= cut <= high, (w, b)
 
 
 def _kernel_inputs(model):

@@ -1,7 +1,7 @@
 """The top-level ``polyurn`` names, and the functions the benchmark traces.
 
-``polyurn`` exports exactly what the demos and the README quick start import
-from it. The benchmark's tracer rebinds the functions listed in
+``polyurn`` exports (``__all__``) exactly what the demos and the README quick
+start import from it. The benchmark's tracer rebinds the functions listed in
 ``perfbench/tracing.py`` by name, so each of them must still exist; the list
 is read as data, without importing anything from ``perfbench``.
 """
@@ -31,12 +31,16 @@ def test_package_exports_exactly_the_demo_and_quick_start_names():
     readme = (REPO_ROOT / "README.md").read_text()
     sources += re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     used = set().union(*(_names_imported_from_polyurn(src) for src in sources))
-    exported = {
+    assert len(set(polyurn.__all__)) == len(polyurn.__all__)
+    assert set(polyurn.__all__) == used
+    assert all(callable(getattr(polyurn, name)) for name in polyurn.__all__)
+    # The names bound at import (the simulation names resolve on first use) are exported.
+    bound = {
         name
         for name, value in vars(polyurn).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert exported == used
+    assert bound <= set(polyurn.__all__)
     assert polyurn.__version__
 
 
