@@ -70,14 +70,18 @@ class _Parser(argparse.ArgumentParser):
 # Model construction from flags
 # ---------------------------------------------------------------------------
 
+def _rational(text: str, flag: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from exc
+
+
 def _comma_rationals(text: str, count: int, flag: str) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != count:
         raise CliError(f"{flag} needs {count} comma-separated values, got {len(parts)}")
-    try:
-        return [parse_rational(p) for p in parts]
-    except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from exc
+    return [_rational(p, flag) for p in parts]
 
 
 def model_from_args(args: argparse.Namespace) -> UrnModel:
@@ -98,7 +102,7 @@ def model_from_args(args: argparse.Namespace) -> UrnModel:
             except (ValueError, KeyError, TypeError) as exc:
                 raise CliError(f"invalid model file {args.model}: {exc}") from exc
         counts = {"w0": args.w0, "b0": args.b0}
-        start = {name: parse_rational(v) for name, v in counts.items() if v is not None}
+        start = {name: _rational(v, f"--{name}") for name, v in counts.items() if v is not None}
         if args.one_draw is not None:
             if args.sampling == "without":
                 raise CliError("--sampling without applies only to pair-draw models")

@@ -16,13 +16,16 @@ because rows are nonnegative, and every cut is monotone on that box: it rises
 with ``W`` and falls with ``B``. So the exact integer ceilings of the cuts at
 two opposite corners bracket every cut the window meets; a draw outside the
 bracket is decided against it, and only a draw inside takes the exact test.
-Windows open only in long enough segments once ``T`` is large against the row
-totals (see :func:`simulate`).
+A window has ``k = min(rest, 2 isqrt(T // m))`` steps, ``rest`` the steps left
+in its segment and ``m`` the largest row total; it opens where ``rest`` and
+then ``k`` are at least ``_WINDOW_MIN`` (see :func:`simulate`).
 
 Replicates use independent streams derived by an avalanche mix of the base
 seed and the replicate index, which makes results independent of execution
 order and parallelism: running on one worker or many yields byte-identical
-output.
+output. :func:`run_replicates` hands a process pool chunks of ``ceil(n / 4p)``
+of the ``n`` replicates for ``p``-fold parallelism, on at most as many workers
+as there are replicates and CPUs this process may use.
 
 :func:`verify` simulates replicates and then calls :func:`judge`, a pure
 function that compares final proportions from any source against a
@@ -36,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from fractions import Fraction
 
 from .analysis import beta_in_float_range, predict_limit, prediction_to_dict
@@ -55,10 +59,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _UNIT_BITS = 53
 _UNIT = 1 << _UNIT_BITS
-#: The fewest steps of a bracketed window, and the total, in largest row
-#: totals, from which a window of ``2 isqrt(T / m)`` steps is that long.
+#: The fewest steps of a bracketed window.
 _WINDOW_MIN = 32
-_WINDOW_OPEN = (_WINDOW_MIN // 2) ** 2
 #: Steps after which a run without a trajectory looks again for a window.
 _PIECE = 512
 
@@ -166,37 +168,24 @@ def _ceilings(w: int, b: int, d: int | None) -> tuple[int, ...]:
     return -(-(n << _UNIT_BITS) // dd), -(-((n + 2 * w * b) << _UNIT_BITS) // dd)
 
 
-def _bracket(w: int, b: int, d: int | None, reach_w: int, reach_b: int) -> tuple[tuple, tuple]:
-    """Bounds ``lo <= c <= hi`` on each cut of every state in the box ``[w, w + reach_w]
-    x [b, b + reach_b]``.
-
-    Each cut rises with ``W`` and falls with ``B`` on the box, so its least
-    value is at ``(w, b + reach_b)`` and its greatest at ``(w + reach_w, b)``.
-    """
-    return _ceilings(w, b + reach_b, d), _ceilings(w + reach_w, b, d)
-
-
-def _largest_adds(rows) -> tuple[int, int, int]:
-    """The largest row total, and the most white and the most black balls a row adds."""
-    whites, blacks = rows[::2], rows[1::2]
-    return int(max(map(sum, zip(whites, blacks)))), int(max(whites)), int(max(blacks))
-
-
-def _one_draw(grb, w, b, rows, unit, segments, traj):
+def _one_draw(grb, w, b, rows, top, most_w, most_b, unit, segments, traj):
     """Single draws on doubles or ints alike, ``unit = 2**53``; white when ``u T < W unit``.
 
     Windows of steps run on the bracket of their cut (see :func:`simulate`).
+    ``top`` is the largest row total, and ``most_w`` and ``most_b`` are the
+    most white and black balls a row adds, as ints.
     """
     aw, ab, cw, cb = rows
     aws, at, cws, ct = aw * unit, aw + ab, cw * unit, cw + cb
     ws, t = w * unit, w + b
-    top, most_w, most_b = _largest_adds(rows)
-    t_open = _WINDOW_OPEN * top
     for mark, length in segments:
-        while length >= _WINDOW_MIN and t >= t_open:
-            k = min(length, 2 * math.isqrt(int(t) // top))
+        # The length test comes first, so that short segments take no square root.
+        while length >= _WINDOW_MIN and (
+                k := min(length, 2 * math.isqrt(int(t) // top))) >= _WINDOW_MIN:
             wi = int(ws) >> _UNIT_BITS
-            (lo,), (hi,) = _bracket(wi, int(t) - wi, None, (k - 1) * most_w, (k - 1) * most_b)
+            bi = int(t) - wi
+            (lo,) = _ceilings(wi, bi + (k - 1) * most_b, None)
+            (hi,) = _ceilings(wi + (k - 1) * most_w, bi, None)
             white = 0
             for i in range(k):
                 u = grb(_UNIT_BITS)
@@ -229,20 +218,20 @@ def _one_draw(grb, w, b, rows, unit, segments, traj):
     return w, t - w
 
 
-def _pair(grb, w, b, rows, d, unit, segments, traj):
+def _pair(grb, w, b, rows, top, most_w, most_b, d, unit, segments, traj):
     """Pair draws on doubles or ints alike, ``unit = 2**53``; ``u D`` against ``n unit``.
 
-    Windows of steps run on the brackets of their cuts (see :func:`simulate`).
+    Windows of steps run on the brackets of their cuts, with ``top``,
+    ``most_w`` and ``most_b`` as in :func:`_one_draw` (see :func:`simulate`).
     """
     aw, ab, cw, cb, ew, eb = rows
-    two_units = 2 * unit
-    top, most_w, most_b = _largest_adds(rows)
-    t_open, di = _WINDOW_OPEN * top, int(d)
+    two_units, di = 2 * unit, int(d)
     for mark, length in segments:
-        while length >= _WINDOW_MIN and w + b >= t_open:
-            k = min(length, 2 * math.isqrt(int(w + b) // top))
-            (lo1, lo2), (hi1, hi2) = _bracket(
-                int(w), int(b), di, (k - 1) * most_w, (k - 1) * most_b)
+        while length >= _WINDOW_MIN and (
+                k := min(length, 2 * math.isqrt(int(w + b) // top))) >= _WINDOW_MIN:
+            wi, bi = int(w), int(b)
+            lo1, lo2 = _ceilings(wi, bi + (k - 1) * most_b, di)
+            hi1, hi2 = _ceilings(wi + (k - 1) * most_w, bi, di)
             ww = wb = 0
             for i in range(k):
                 u = grb(_UNIT_BITS)
@@ -327,38 +316,38 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     = 0`` with replacement, and pairs without replacement start from at least
     two balls of each colour. So the ceilings at ``(W, B + (k - 1) a')`` and
     ``(W + (k - 1) a, B)`` bound every ``c`` the window meets, ``lo <= c <=
-    hi`` (:func:`_bracket`): a draw ``u < lo`` is below the cut and ``u >= hi``
-    is not, and only ``lo <= u < hi`` takes the exact test, on the counts that
-    the window has reached. Every decision, and so every output byte, is that
-    of the exact comparison. A window has ``k = 2 isqrt(T / m)`` steps, ``m``
-    the largest row total, cut to the rest of its segment. It opens only
-    while at least ``_WINDOW_MIN`` steps of the segment remain and ``T >= 256
-    m``, where ``k >= _WINDOW_MIN``: short trajectory strides and small totals
-    run the plain loop. A run without a trajectory looks for a window every
-    ``_PIECE`` steps.
+    hi``: a draw ``u < lo`` is below the cut and ``u >= hi`` is not, and only
+    ``lo <= u < hi`` takes the exact test, on the counts that the window has
+    reached. Every decision, and so every output byte, is that of the exact
+    comparison. A window has ``k = min(rest, 2 isqrt(T // m))`` steps, ``rest``
+    the steps left in its segment and ``m`` the largest row total. It opens
+    only where ``rest >= _WINDOW_MIN`` and then ``k >= _WINDOW_MIN`` (for the
+    second, ``T >= 256 m``): short trajectory strides and small totals run the
+    plain loop, and strides below ``_WINDOW_MIN`` take no square root. A run
+    without a trajectory looks for a window every ``_PIECE`` steps.
     """
     model = config.model
     grb = replicate_rng(config.base_seed, replicate_index).getrandbits
     steps = config.steps
     record = config.record_trajectory
-    stride = config.trajectory_stride
 
     view = model.scaled
     w, b, rows, scale = view.w0, view.b0, view.entries, view.scale
     # int / int is correctly rounded, so this is float(Fraction(w, w + b)).
     traj: list[tuple[int, float]] | None = [(0, w / (w + b))] if record else None
-    t_max = w + b + steps * max(view.row_sums)  # rows are nonnegative
-    gap = stride if record else _PIECE
+    top, most_w, most_b = max(view.row_sums), max(rows[::2]), max(rows[1::2])
+    gap = config.trajectory_stride if record else _PIECE
     ends = [*range(gap, steps, gap), steps] if steps else []
     segments = [(end, end - start) for start, end in zip([0, *ends], ends)]
     one_draw = model.kind == ONE_DRAW
-    num = float if t_max < (_UNIT if one_draw else 1 << 26) else int
+    # No count passes w0 + b0 + steps * top, as rows are nonnegative.
+    num = float if w + b + steps * top < (_UNIT if one_draw else 1 << 26) else int
     w, b, rows, unit = num(w), num(b), tuple(map(num, rows)), num(_UNIT)
     if one_draw:
-        w, b = _one_draw(grb, w, b, rows, unit, segments, traj)
+        w, b = _one_draw(grb, w, b, rows, top, most_w, most_b, unit, segments, traj)
     else:
         d = num(scale if model.sampling == WITHOUT_REPLACEMENT else 0)
-        w, b = _pair(grb, w, b, rows, d, unit, segments, traj)
+        w, b = _pair(grb, w, b, rows, top, most_w, most_b, d, unit, segments, traj)
 
     return ReplicateResult(
         replicate_index=replicate_index,
@@ -369,28 +358,26 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     )
 
 
-def _simulate_range(args) -> list[ReplicateResult]:
-    config, start, stop = args
-    return [simulate(config, i) for i in range(start, stop)]
-
-
 def run_replicates(config: SimConfig, parallelism: int = 1) -> list[ReplicateResult]:
-    """All replicates, in index order; output does not depend on parallelism."""
+    """All replicates, in index order; output does not depend on parallelism.
+
+    The ``n`` replicates go to a process pool in chunks of ``ceil(n / 4p)``
+    for ``parallelism = p``, on ``min(p, n, usable CPUs)`` workers; with one
+    worker they run in this process.
+    """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     n = config.replicates
-    if parallelism == 1 or n <= 1:
-        return [simulate(config, i) for i in range(n)]
-    chunk = max(1, -(-n // (parallelism * 4)))
-    ranges = [(config, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    run = functools.partial(simulate, config)
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    workers = min(parallelism, n, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if workers <= 1:
+        return list(map(run, range(n)))
     # Imported here: the pool machinery costs every other process tens of milliseconds.
     from concurrent.futures import ProcessPoolExecutor
 
-    out: list[ReplicateResult] = []
-    with ProcessPoolExecutor(max_workers=min(parallelism, len(ranges))) as pool:
-        for part in pool.map(_simulate_range, ranges):
-            out.extend(part)
-    return out
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(n), chunksize=-(-n // (4 * parallelism))))
 
 
 # ---------------------------------------------------------------------------

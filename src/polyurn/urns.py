@@ -859,6 +859,9 @@ def model_from_dict(data) -> UrnModel:
     if sampling not in _SAMPLINGS:
         raise ValueError(f'"sampling" must be "{WITH_REPLACEMENT}" or "{WITHOUT_REPLACEMENT}"')
     if kind == ONE_DRAW:
+        if data.get("sampling") == WITHOUT_REPLACEMENT:
+            raise ValueError(
+                f'"sampling": "{WITHOUT_REPLACEMENT}" applies only to pair-draw models')
         return one_draw_model(entries, **start)
     return two_draw_model(entries, **start, sampling=sampling)
 

@@ -92,6 +92,22 @@ def test_one_draw_rejects_pair_sampling_flag(capsys):
     assert "pair-draw" in err
 
 
+def test_one_draw_model_file_rejects_pair_sampling(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": "one-draw", "matrix": [["1", "0"], ["0", "1"]],
+                                "sampling": "without"}))
+    code, out, err = run_cli(["analyze", "--model", str(path)], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "pair-draw" in err
+
+
+@pytest.mark.parametrize("flag", ["--w0", "--b0"])
+def test_bad_start_count_names_its_flag(flag, capsys):
+    code, out, err = run_cli(["analyze", "--one-draw", "1,0,0,1", flag, "abc"], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err == f"polyurn: error: {flag}: not a rational number: 'abc'\n"
+
+
 def test_missing_model_file_is_an_input_error(capsys):
     code, _, err = run_cli(["analyze", "--model", "/nonexistent/model.json"], capsys)
     assert code == 1

@@ -8,6 +8,7 @@ and the KS statistic; the library itself has no third-party dependencies.
 import concurrent.futures
 import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -369,11 +370,13 @@ def _run_kernel(kind, num, rows, w0, b0, draws, segments):
     grb = ScriptedRng(draws).getrandbits
     traj = []
     counts = num(w0), num(b0), tuple(map(num, rows))
+    # The largest row total, and the most white and black balls a row adds, as ints.
+    reach = max(map(sum, zip(rows[::2], rows[1::2]))), max(rows[::2]), max(rows[1::2])
     if kind == "one":
-        w, b = mc._one_draw(grb, *counts, num(1 << 53), segments, traj)
+        w, b = mc._one_draw(grb, *counts, *reach, num(1 << 53), segments, traj)
     else:
         d = num(1 if kind == "without" else 0)
-        w, b = mc._pair(grb, *counts, d, num(1 << 53), segments, traj)
+        w, b = mc._pair(grb, *counts, *reach, d, num(1 << 53), segments, traj)
     return w, b, traj
 
 
@@ -461,17 +464,21 @@ def _cut_draws(state, model):
     return cuts
 
 
+def _window_bounds(view, d, k):
+    """The kernels' bounds ``lo``, ``hi`` on the cuts of a ``k``-step window from the start:
+    the ceilings at the corners ``(W, B + (k - 1) a')`` and ``(W + (k - 1) a, B)``."""
+    w, b, rows = view.w0, view.b0, view.entries
+    return (mc._ceilings(w, b + (k - 1) * max(rows[1::2]), d),
+            mc._ceilings(w + (k - 1) * max(rows[::2]), b, d))
+
+
 def _first_window(model, length):
     """Steps and bracket of the first window of a ``length``-step segment from the start."""
     view = model.scaled
-    top = max(view.row_sums)
-    total = view.w0 + view.b0
-    assert length >= mc._WINDOW_MIN and total >= mc._WINDOW_OPEN * top  # a window opens
-    k = min(length, 2 * math.isqrt(total // top))
+    k = min(length, 2 * math.isqrt((view.w0 + view.b0) // max(view.row_sums)))
+    assert length >= mc._WINDOW_MIN and k >= mc._WINDOW_MIN  # a window opens
     d = None if model.kind == "one-draw" else view.scale if model.sampling == "without" else 0
-    rows = view.entries
-    lo, hi = mc._bracket(view.w0, view.b0, d, (k - 1) * max(rows[::2]), (k - 1) * max(rows[1::2]))
-    return k, lo, hi
+    return (k, *_window_bounds(view, d, k))
 
 
 @pytest.mark.parametrize("record", [False, True], ids=["finals", "trajectory"])
@@ -561,8 +568,7 @@ def test_bracket_holds_every_cut_of_every_state_a_window_reaches(box):
     view = model.scaled
     rows = list(zip(view.entries[::2], view.entries[1::2]))
     d = None if model.kind == "one-draw" else view.scale if model.sampling == "without" else 0
-    lo, hi = mc._bracket(view.w0, view.b0, d,
-                         (k - 1) * max(w for w, _ in rows), (k - 1) * max(b for _, b in rows))
+    lo, hi = _window_bounds(view, d, k)
     reached = {(view.w0, view.b0)}
     frontier = set(reached)
     for _ in range(k - 1):
@@ -668,9 +674,11 @@ def test_parallel_results_identical_to_serial():
 
 
 class _InProcessPool:
-    """Stands in for ``ProcessPoolExecutor``: records ``max_workers``, starts no process."""
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and each ``chunksize``,
+    starts no process."""
 
     sizes: list[int] = []
+    chunksizes: list[int] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -681,25 +689,51 @@ class _InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, items)
 
 
-@pytest.mark.parametrize("replicates, parallelism, workers", [
-    (2, 500, 2),  # two chunks: two workers, not 500
-    (9, 3, 3),  # more chunks than workers: every requested worker
-])
-def test_run_replicates_opens_no_more_workers_than_chunks(
-    replicates, parallelism, workers, monkeypatch
-):
+def _fake_pool(monkeypatch, cpus):
+    """Swap in :class:`_InProcessPool` on a host with ``cpus`` usable CPUs."""
     # run_replicates imports the pool class from its package when it needs one.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(_InProcessPool, "chunksizes", [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("replicates, parallelism, cpus, chunksize, workers", [
+    pytest.param(2, 500, 2, 1, 2, id="2-500-2"),  # two replicates: two workers, not 500
+    pytest.param(9, 3, 3, 1, 3, id="9-3-3"),  # every requested worker
+    pytest.param(9, 3, 4, 1, 3, id="9-3-4"),  # more CPUs than requested
+    pytest.param(9, 3, 2, 1, 2, id="9-3-2"),  # fewer CPUs than requested
+    pytest.param(5, 2, 2, 1, 2, id="5-2-2"),
+    pytest.param(40, 2, 2, 5, 2, id="40-2-2"),  # chunks of ceil(40 / 8)
+    pytest.param(3, 4, 1, None, None, id="3-4-1"),  # one CPU: serial, no pool
+])
+def test_run_replicates_opens_no_more_workers_than_chunks(
+    replicates, parallelism, cpus, chunksize, workers, monkeypatch
+):
+    _fake_pool(monkeypatch, cpus)
     config = SimConfig(model=two_draw_model([3, 2, 2, 3, 1, 4], 2, 2), steps=20,
                        replicates=replicates)
     out = run_replicates(config, parallelism=parallelism)
-    assert _InProcessPool.sizes == [workers]
-    assert out == run_replicates(config, parallelism=1)
+    assert _InProcessPool.sizes == ([] if workers is None else [workers])
+    assert _InProcessPool.chunksizes == ([] if chunksize is None else [chunksize])
+    assert out == [simulate(config, i) for i in range(replicates)]
+
+
+def test_run_replicates_counts_cpus_without_an_affinity_mask(monkeypatch):
+    _fake_pool(monkeypatch, 8)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    config = SimConfig(model=two_draw_model([3, 2, 2, 3, 1, 4], 2, 2), steps=20, replicates=6)
+    run_replicates(config, parallelism=4)
+    assert _InProcessPool.sizes == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: serial
+    run_replicates(config, parallelism=4)
+    assert _InProcessPool.sizes == [2]
 
 
 # ---------------------------------------------------------------------------

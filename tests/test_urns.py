@@ -478,3 +478,12 @@ def test_model_from_dict_rejects_bad_input():
         model_from_dict({"model": "three-draw"})
     with pytest.raises((ValueError, KeyError, TypeError)):
         model_from_dict({"model": "one-draw", "matrix": [["1", "2"]], "w0": "1", "b0": "1"})
+    # Single draws sample with replacement; a file that asks otherwise is refused, as the flag is.
+    with pytest.raises(ValueError, match='"sampling": "without" applies only to pair-draw'):
+        model_from_dict({"model": "one-draw", "matrix": [["1", "0"], ["0", "1"]],
+                         "sampling": "without"})
+
+
+def test_one_draw_model_file_may_name_its_own_sampling():
+    data = {"model": "one-draw", "matrix": [["1", "0"], ["0", "1"]]}
+    assert model_from_dict({**data, "sampling": "with"}) == model_from_dict(data)
