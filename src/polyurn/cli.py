@@ -13,8 +13,8 @@ selftest suite fails.
 
 JSON output is exactly the bytes of ``json.dumps(payload, indent=2)`` and a
 newline. The simulation engine (:mod:`polyurn.montecarlo`) is imported only
-by ``simulate`` and ``verify``, and the process pool machinery only by runs
-with ``--jobs`` of 2 or more.
+by ``simulate`` and ``verify``, and ``multiprocessing`` only by runs with
+``--jobs`` of 2 or more.
 """
 
 from __future__ import annotations
@@ -579,7 +579,8 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--steps", type=int, default=10_000, help="steps per replicate")
     group.add_argument("--replicates", type=int, default=100, help="number of replicates")
     group.add_argument("--seed", type=int, default=0, help="base seed for all replicate streams")
-    group.add_argument("--jobs", type=int, default=1, help="worker processes")
+    group.add_argument("--jobs", type=int, default=1,
+                       help="processes running replicates, this one included")
 
 
 @functools.cache

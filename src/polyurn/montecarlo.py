@@ -23,9 +23,10 @@ then ``k`` are at least ``_WINDOW_MIN`` (see :func:`simulate`).
 Replicates use independent streams derived by an avalanche mix of the base
 seed and the replicate index, which makes results independent of execution
 order and parallelism: running on one worker or many yields byte-identical
-output. :func:`run_replicates` hands a process pool chunks of ``ceil(n / 4p)``
-of the ``n`` replicates for ``p``-fold parallelism, on at most as many workers
-as there are replicates and CPUs this process may use.
+output. For ``p``-fold parallelism :func:`run_replicates` runs the ``n``
+replicates in at most ``p`` processes, as many as there are replicates and
+CPUs this process may use: the calling process and children it starts for the
+call, which claim replicate indices one at a time from a shared counter.
 
 :func:`verify` simulates replicates and then calls :func:`judge`, a pure
 function that compares final proportions from any source against a
@@ -358,26 +359,74 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     )
 
 
+def _claim_replicates(config: SimConfig, counter, out=None) -> list[tuple[int, ReplicateResult]]:
+    """Run replicates one at a time, each at the next index ``counter`` hands out.
+
+    Returns the ``(index, result)`` pairs, or with ``out`` sends them there once.
+    """
+    n, done = config.replicates, []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= n:
+            break
+        done.append((i, simulate(config, i)))
+    if out is not None:
+        out.send(done)
+    return done
+
+
 def run_replicates(config: SimConfig, parallelism: int = 1) -> list[ReplicateResult]:
     """All replicates, in index order; output does not depend on parallelism.
 
-    The ``n`` replicates go to a process pool in chunks of ``ceil(n / 4p)``
-    for ``parallelism = p``, on ``min(p, n, usable CPUs)`` workers; with one
-    worker they run in this process.
+    For ``parallelism = p`` the ``n`` replicates run in ``workers = min(p, n,
+    usable CPUs)`` processes: this one and ``workers - 1`` children it starts.
+    Each process claims the next replicate index from a shared counter until
+    none is left, and each child sends its results back once, at its end.
+    Every child is joined before this returns, and terminated first if
+    anything fails. With one worker the replicates run here, and nothing
+    starts.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     n = config.replicates
-    run = functools.partial(simulate, config)
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     workers = min(parallelism, n, len(affinity(0)) if affinity else os.cpu_count() or 1)
     if workers <= 1:
-        return list(map(run, range(n)))
-    # Imported here: the pool machinery costs every other process tens of milliseconds.
-    from concurrent.futures import ProcessPoolExecutor
+        return [simulate(config, i) for i in range(n)]
+    # Imported here: multiprocessing costs every other process milliseconds.
+    import multiprocessing
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(n), chunksize=-(-n // (4 * parallelism))))
+    counter = multiprocessing.Value("q", 0)
+    children, pipes = [], []
+    try:
+        for _ in range(workers - 1):
+            receive, send = multiprocessing.Pipe(duplex=False)
+            pipes.append(receive)
+            child = multiprocessing.Process(target=_claim_replicates, args=(config, counter, send))
+            child.start()
+            children.append(child)
+            send.close()  # the child holds the only sending end, so its exit ends the pipe
+        done = _claim_replicates(config, counter)
+        for child, receive in zip(children, pipes):
+            try:
+                done += receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a replicate process exited with code {child.exitcode} "
+                                   "before sending its results") from None
+    except BaseException:
+        for child in children:
+            child.terminate()
+        raise
+    finally:
+        for child in children:
+            child.join()
+        for receive in pipes:
+            receive.close()
+    done.sort(key=lambda pair: pair[0])
+    return [result for _, result in done]
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +495,27 @@ def cluster_finals(samples, centers, radius) -> ClusterCounts:
 # Beta distribution function and Kolmogorov-Smirnov test
 # ---------------------------------------------------------------------------
 
+#: Largest ``sqrt(max(a, b))`` of extra continued-fraction terms (see below).
+_CF_SQRT_CAP = 65536.0
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_tail(z: float) -> float:
+    """``lgamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2)``, by its series from ``z = 10``."""
+    if z < 10.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _HALF_LN_2PI
+    r = 1.0 / (z * z)  # the first omitted term is below 2e-14 / z
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / z
+
+
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Continued-fraction core of the regularized incomplete beta (Lentz)."""
+    """Continued-fraction core of the regularized incomplete beta (Lentz).
+
+    Near the mean the fraction needs a number of terms that grows with
+    ``max(a, b)`` (about 700 at ``a = b = 1e6``, 45000 at ``1e12``), so it gets
+    ``400 + sqrt(max(a, b))`` of them, at most ``400 + _CF_SQRT_CAP``; it
+    stops early where overflow has made it NaN, as for parameters near 1e300.
+    """
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
@@ -456,7 +524,7 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, 400):
+    for m in range(1, 401 + int(min(math.sqrt(max(a, b)), _CF_SQRT_CAP))):
         m2 = 2 * m
         numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + numerator * d
@@ -479,24 +547,41 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
+        if delta != delta:  # NaN: it never converges
+            break
     raise RuntimeError("incomplete beta continued fraction did not converge")
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Distribution function of the Beta(a, b) law at ``x`` (abs err < 1e-10)."""
+    """Distribution function of the Beta(a, b) law at ``x``.
+
+    Its absolute error is below 2e-11 for ``a, b <= 1e6``, and below 1e-12
+    where ``a`` and ``b`` are also within a factor of ten of each other (see
+    the tests). The logarithm of the front factor ``x**a (1 - x)**b / B(a,
+    b)`` is a sum of ``lgamma`` terms of size ``a + b``, so from ``a + b =
+    256`` on their error of ``(a + b) 1e-16`` would show. There Stirling's
+    formula splits it instead into ``a ln(x / x0) + b ln((1 - x) / (1 - x0))``
+    about the mean ``x0 = a / (a + b)``, which is small wherever the factor
+    is not, a square root, and the tails of the series.
+    """
     if a <= 0 or b <= 0:
         raise ValueError("beta parameters must be positive")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
+    if a + b < 256.0:
+        ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                    + a * math.log(x) + b * math.log1p(-x))
+    else:
+        ln_total = math.log(a + b)
+        # a ln(x / x0) and b ln((1 - x) / (1 - x0)) from lam = (x0 - x)(a + b),
+        # in which 1 - x is exact where b is small and x near x0.
+        lam = a * (1.0 - x) - b * x
+        ln_x = a * (math.log1p(-lam / a) if a >= 10.0 else math.log(x) - math.log(a) + ln_total)
+        ln_y = b * (math.log1p(lam / b) if b >= 10.0 else math.log1p(-x) - math.log(b) + ln_total)
+        ln_front = (ln_x + ln_y + 0.5 * (math.log(a) + math.log(b) - ln_total) - _HALF_LN_2PI
+                    + _stirling_tail(a + b) - _stirling_tail(a) - _stirling_tail(b))
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_continued_fraction(a, b, x) / a

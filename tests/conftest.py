@@ -9,13 +9,30 @@ Hypothesis caches constants read from local source files in its storage
 directory even when no example database is kept; that directory is moved
 into pytest's cache so that a test run adds no ``.hypothesis/`` to the
 checkout.
+
+A test that leaves a ``multiprocessing`` child running fails at teardown; the
+child is terminated first.
 """
 
 import re
+import sys
+
+import pytest
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 
 _outcomes: dict[int, dict] = {}
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    yield
+    multiprocessing = sys.modules.get("multiprocessing")  # no import: no children
+    left = multiprocessing.active_children() if multiprocessing else []
+    for child in left:
+        child.terminate()
+        child.join()
+    assert not left, f"the test left multiprocessing children running: {left}"
 
 
 def pytest_configure(config):

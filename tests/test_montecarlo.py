@@ -2,16 +2,19 @@
 output formats, distribution checks, and the verification pipeline.
 
 ``scipy`` serves as the independent oracle for the Beta distribution function
-and the KS statistic; the library itself has no third-party dependencies.
+and the KS statistic, and ``mpmath`` where scipy itself is off by 2e-11; the
+library itself has no third-party dependencies.
 """
 
-import concurrent.futures
+import contextlib
 import json
 import math
+import multiprocessing
 import os
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import scipy.special
 import scipy.stats
@@ -661,79 +664,181 @@ def test_single_reinforcement_total_growth_and_mean():
 # Parallel execution
 # ---------------------------------------------------------------------------
 
-def test_parallel_results_identical_to_serial():
-    model = two_draw_model([3, 2, 2, 3, 1, 4], 2, 2)
-    config = SimConfig(model=model, steps=200, replicates=9,
-                       record_trajectory=True, trajectory_stride=50)
-    serial = run_replicates(config, parallelism=1)
-    parallel = run_replicates(config, parallelism=3)
-    assert serial == parallel
-    assert finals_csv_lines(serial) == finals_csv_lines(parallel)
-    assert trajectory_csv_lines(serial) == trajectory_csv_lines(parallel)
-    assert [r.replicate_index for r in parallel] == list(range(9))
-
-
-class _InProcessPool:
-    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and each ``chunksize``,
-    starts no process."""
-
-    sizes: list[int] = []
-    chunksizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        self.chunksizes.append(chunksize)
-        return map(fn, items)
-
-
-def _fake_pool(monkeypatch, cpus):
-    """Swap in :class:`_InProcessPool` on a host with ``cpus`` usable CPUs."""
-    # run_replicates imports the pool class from its package when it needs one.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "sizes", [])
-    monkeypatch.setattr(_InProcessPool, "chunksizes", [])
+def _cpus(monkeypatch, cpus):
+    """Make ``cpus`` CPUs usable by this process, as far as ``run_replicates`` sees."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
-@pytest.mark.parametrize("replicates, parallelism, cpus, chunksize, workers", [
-    pytest.param(2, 500, 2, 1, 2, id="2-500-2"),  # two replicates: two workers, not 500
-    pytest.param(9, 3, 3, 1, 3, id="9-3-3"),  # every requested worker
-    pytest.param(9, 3, 4, 1, 3, id="9-3-4"),  # more CPUs than requested
-    pytest.param(9, 3, 2, 1, 2, id="9-3-2"),  # fewer CPUs than requested
-    pytest.param(5, 2, 2, 1, 2, id="5-2-2"),
-    pytest.param(40, 2, 2, 5, 2, id="40-2-2"),  # chunks of ceil(40 / 8)
-    pytest.param(3, 4, 1, None, None, id="3-4-1"),  # one CPU: serial, no pool
+def test_parallel_results_identical_to_serial(monkeypatch):
+    _cpus(monkeypatch, 3)
+    model = two_draw_model([3, 2, 2, 3, 1, 4], 2, 2)
+    for n in (1, 2, 3, 9):
+        config = SimConfig(model=model, steps=200, replicates=n,
+                           record_trajectory=True, trajectory_stride=50)
+        serial = run_replicates(config, parallelism=1)
+        assert [r.replicate_index for r in serial] == list(range(n))
+        for p in (2, 3):
+            parallel = run_replicates(config, parallelism=p)
+            assert parallel == serial, (n, p)
+            assert finals_csv_lines(parallel) == finals_csv_lines(serial), (n, p)
+            assert trajectory_csv_lines(parallel) == trajectory_csv_lines(serial), (n, p)
+
+
+class _Mailbox:
+    """Stands in for both ends of a one-way ``multiprocessing.Pipe``."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, obj):
+        self.sent.append(obj)
+
+    def recv(self):
+        if not self.sent:
+            raise EOFError
+        return self.sent.pop(0)
+
+    def close(self):
+        pass
+
+
+class _InProcessChild:
+    """Stands in for ``multiprocessing.Process``: records each start and runs the
+    target there, in this process."""
+
+    started: list = []
+
+    def __init__(self, target, args):
+        self.target, self.args, self.exitcode = target, args, None
+
+    def start(self):
+        self.started.append(self)
+        self.target(*self.args)
+        self.exitcode = 0
+
+    def join(self):
+        pass
+
+    def terminate(self):
+        pass
+
+
+def _fake_children(monkeypatch, cpus):
+    """Swap in :class:`_InProcessChild` and :class:`_Mailbox` on a host with ``cpus``
+    usable CPUs."""
+    # run_replicates imports multiprocessing when it needs children.
+    monkeypatch.setattr(multiprocessing, "Process", _InProcessChild)
+    monkeypatch.setattr(multiprocessing, "Pipe", lambda duplex: (_Mailbox(),) * 2)
+    monkeypatch.setattr(_InProcessChild, "started", [])
+    _cpus(monkeypatch, cpus)
+
+
+@pytest.mark.parametrize("replicates, parallelism, cpus, workers", [
+    pytest.param(2, 500, 2, 2, id="2-500-2"),  # two replicates: two processes, not 500
+    pytest.param(9, 3, 3, 3, id="9-3-3"),  # every requested process
+    pytest.param(9, 3, 4, 3, id="9-3-4"),  # more CPUs than requested
+    pytest.param(9, 3, 2, 2, id="9-3-2"),  # fewer CPUs than requested
+    pytest.param(5, 2, 2, 2, id="5-2-2"),
+    pytest.param(40, 2, 2, 2, id="40-2-2"),
+    pytest.param(3, 4, 1, 1, id="3-4-1"),  # one CPU: serial, no child
 ])
 def test_run_replicates_opens_no_more_workers_than_chunks(
-    replicates, parallelism, cpus, chunksize, workers, monkeypatch
+    replicates, parallelism, cpus, workers, monkeypatch
 ):
-    _fake_pool(monkeypatch, cpus)
+    # Each replicate is claimed alone, so there are as many chunks as replicates;
+    # the calling process is one of the workers.
+    _fake_children(monkeypatch, cpus)
     config = SimConfig(model=two_draw_model([3, 2, 2, 3, 1, 4], 2, 2), steps=20,
                        replicates=replicates)
     out = run_replicates(config, parallelism=parallelism)
-    assert _InProcessPool.sizes == ([] if workers is None else [workers])
-    assert _InProcessPool.chunksizes == ([] if chunksize is None else [chunksize])
+    assert len(_InProcessChild.started) == workers - 1
     assert out == [simulate(config, i) for i in range(replicates)]
 
 
 def test_run_replicates_counts_cpus_without_an_affinity_mask(monkeypatch):
-    _fake_pool(monkeypatch, 8)
+    _fake_children(monkeypatch, 8)
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     config = SimConfig(model=two_draw_model([3, 2, 2, 3, 1, 4], 2, 2), steps=20, replicates=6)
-    run_replicates(config, parallelism=4)
-    assert _InProcessPool.sizes == [2]
+    assert run_replicates(config, parallelism=4) == [simulate(config, i) for i in range(6)]
+    assert len(_InProcessChild.started) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: serial
     run_replicates(config, parallelism=4)
-    assert _InProcessPool.sizes == [2]
+    assert len(_InProcessChild.started) == 1
+
+
+class _CountsDown:
+    """Stands in for the shared counter of ``n`` replicates: hands out their indices
+    from the last down."""
+
+    def __init__(self, n):
+        self.n, self.claimed = n, 0
+
+    def get_lock(self):
+        return contextlib.nullcontext()
+
+    @property
+    def value(self):
+        return self.n - 1 - self.claimed if self.claimed < self.n else self.n
+
+    @value.setter
+    def value(self, _):
+        self.claimed += 1
+
+
+def test_run_replicates_returns_index_order_whatever_order_they_ran_in(monkeypatch):
+    _fake_children(monkeypatch, 3)
+    monkeypatch.setattr(multiprocessing, "Value", lambda typecode, start: _CountsDown(9))
+    config = SimConfig(model=two_draw_model([3, 2, 2, 3, 1, 4], 2, 2), steps=20, replicates=9)
+    assert run_replicates(config, parallelism=3) == [simulate(config, i) for i in range(9)]
+
+
+#: The tests below change functions of this process before it forks, which
+#: children started any other way would not see.
+_forks = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                            reason="needs the fork start method")
+
+
+@_forks
+def test_run_replicates_leaves_no_child_running(monkeypatch):
+    _cpus(monkeypatch, 3)
+    config = SimConfig(model=BISTABLE, steps=50, replicates=7)
+    assert run_replicates(config, parallelism=3) == run_replicates(config)
+    assert multiprocessing.active_children() == []
+
+
+@_forks
+def test_run_replicates_raises_when_a_replicate_fails(monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def fails_at_3(config, i):
+        if i == 3:
+            raise ValueError("replicate 3 fails")
+        return simulate(config, i)
+
+    monkeypatch.setattr(mc, "simulate", fails_at_3)
+    config = SimConfig(model=BISTABLE, steps=50, replicates=8)
+    # The caller re-raises its own failure; a child's shows as its exit code.
+    with pytest.raises((ValueError, RuntimeError), match="replicate 3 fails|exited with code 1"):
+        run_replicates(config, parallelism=2)
+    assert multiprocessing.active_children() == []
+
+
+@_forks
+def test_run_replicates_names_the_exit_code_of_a_child_that_sent_nothing(monkeypatch):
+    _cpus(monkeypatch, 2)
+    claim = mc._claim_replicates
+
+    def child_exits(config, counter, out=None):
+        if out is not None:
+            os._exit(3)
+        return claim(config, counter)
+
+    monkeypatch.setattr(mc, "_claim_replicates", child_exits)
+    config = SimConfig(model=BISTABLE, steps=50, replicates=4)
+    with pytest.raises(RuntimeError, match="exited with code 3 before sending its results"):
+        run_replicates(config, parallelism=2)
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +902,53 @@ def test_regularized_incomplete_beta_matches_scipy():
                 ref = float(scipy.special.betainc(a, b, x))
                 worst = max(worst, abs(mine - ref))
     assert worst < 1e-10
+
+
+def test_regularized_incomplete_beta_matches_scipy_at_large_parameters():
+    # Near the mean of Beta(a, b) for a in [1e3, 1e6]: the continued fraction
+    # needs up to about 700 terms there, and the front factor's logarithms
+    # have size a + b.
+    worst = 0.0
+    for a in (1e3, 1e4, 1e5, 3e5, 5e5, 1e6):
+        for b in (0.1 * a, 0.5 * a, a, 2 * a, 10 * a):
+            mean = a / (a + b)
+            sd = math.sqrt(a * b / (a + b + 1)) / (a + b)
+            for k in (-5, -2, -1, -0.3, 0, 0.3, 1, 2, 5):
+                x = mean + k * sd
+                worst = max(worst, abs(regularized_incomplete_beta(a, b, x)
+                                       - float(scipy.special.betainc(a, b, x))))
+    assert worst < 1e-12
+
+
+def test_regularized_incomplete_beta_converges_near_one_half():
+    # 41 points within 0.2 / sqrt(a) of 1/2 at each a: with 400 terms, 104 of
+    # these 164 ran out of continued-fraction terms.
+    worst = 0.0
+    for a in (3e5, 5e5, 1e6, 4e6):
+        for i in range(-20, 21):
+            x = 0.5 + i / 100 * 0.2 / math.sqrt(a)
+            worst = max(worst, abs(regularized_incomplete_beta(a, a, x)
+                                   - float(scipy.special.betainc(a, a, x))))
+    assert worst < 1e-11
+
+
+def test_regularized_incomplete_beta_with_one_small_parameter():
+    # I_x(a, b) = P(Binomial(a + b - 1, x) >= a) for whole a, summed in 50
+    # digits; scipy itself is off by 2e-11 at some of these points.
+    mpmath.mp.dps = 50
+    worst = 0.0
+    for a in (1, 2, 5, 10, 30):
+        for b in (1e3, 1e4, 1e5, 1e6):
+            n, sd = int(a + b - 1), math.sqrt(a * b / (a + b + 1)) / (a + b)
+            for k in (-0.5, 0, 0.5, 1, 2, 3):
+                x = a / (a + b) + k * sd
+                y = 1 - x  # I_y(b, a) = 1 - I_{1 - y}(a, b), and 1 - y is exact
+                for got, q in ((regularized_incomplete_beta(a, b, x), mpmath.mpf(x)),
+                               (1 - regularized_incomplete_beta(b, a, y), 1 - mpmath.mpf(y))):
+                    exact = 1 - mpmath.fsum(mpmath.binomial(n, j) * q**j * (1 - q) ** (n - j)
+                                            for j in range(a))
+                    worst = max(worst, abs(got - float(exact)))
+    assert worst < 2e-11
 
 
 def test_regularized_incomplete_beta_edges_and_validation():
@@ -961,12 +1113,12 @@ def test_judge_shrinks_a_radius_wider_than_half_the_gap_and_says_so():
 
 
 def test_judge_calls_a_beta_law_it_cannot_evaluate_inconclusive():
-    # Beta(1e6, 1e6): the continued fraction of its distribution function
-    # needs far more terms than it is given near the mean.
-    prediction = predict_limit(one_draw_model([1, 0, 0, 1], 10**6, 10**6))
-    assert prediction.beta_params == (10**6, 10**6)
+    # Beta(1e300, 1e300): the terms of the continued fraction of its
+    # distribution function overflow.
+    prediction = predict_limit(one_draw_model([1, 0, 0, 1], 10**300, 10**300))
+    assert prediction.beta_params == (10**300, 10**300)
     with pytest.raises(RuntimeError, match="did not converge"):
-        regularized_incomplete_beta(1e6, 1e6, 0.5)
+        regularized_incomplete_beta(1e300, 1e300, 0.5)
     report = judge(prediction, [0.4999, 0.5, 0.5001], steps=200, base_seed=3)
     assert report.verdict == VERDICT_INCONCLUSIVE
     assert report.reasons == (
