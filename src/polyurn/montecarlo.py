@@ -10,15 +10,16 @@ single draws, and pair draws with ``P(WW) = W (W - d) / (T (T - d))`` and
 ``d = 0`` with replacement. :func:`step` is the rational reference oracle
 the kernels are tested against; simulation does not call it.
 
-Most steps are decided by one to three integer comparisons. Over a window of
+Most steps are decided by their draw's top byte, in C. Over a window of
 ``k`` steps the counts stay in a box whose lower corner is the current state,
 because rows are nonnegative, and every cut is monotone on that box: it rises
 with ``W`` and falls with ``B``. So the exact integer ceilings of the cuts at
-two opposite corners bracket every cut the window meets; a draw outside the
-bracket is decided against it, and only a draw inside takes the exact test.
-A window has ``k = min(rest, 2 isqrt(T // m))`` steps, ``rest`` the steps left
-in its segment and ``m`` the largest row total; it opens where ``rest`` and
-then ``k`` are at least ``_WINDOW_MIN`` (see :func:`simulate`).
+two opposite corners bracket every cut the window meets. The window draws
+one block of random bits; a byte table maps each draw's top byte to the
+outcome that the bracket decides for it, and only an undecided draw is read
+as an integer and, inside the bracket, takes the exact test. A window has
+``k = min(rest, _PIECE, 2 isqrt(T // m))`` steps, ``rest`` the steps left in
+its segment and ``m`` the largest row total (see :func:`simulate`).
 
 Replicates use independent streams derived by an avalanche mix of the base
 seed and the replicate index, which makes results independent of execution
@@ -41,6 +42,7 @@ import functools
 import itertools
 import math
 import os
+import struct
 from fractions import Fraction
 
 from .analysis import beta_in_float_range, predict_limit, prediction_to_dict
@@ -60,6 +62,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _UNIT_BITS = 53
 _UNIT = 1 << _UNIT_BITS
+#: Bits of a draw below its top byte.
+_LOW_BITS = _UNIT_BITS - 8
+#: The two 32-bit generator words at an offset of a block, first word first.
+_halves = struct.Struct("<II").unpack_from
 #: The fewest steps of a bracketed window.
 _WINDOW_MIN = 32
 #: Steps after which a run without a trajectory looks again for a window.
@@ -146,7 +152,21 @@ class ReplicateResult(Record):
 
     @property
     def final_z(self) -> float:
-        return float(self.final_white / self.final_total)
+        # int / int is correctly rounded, so this is float(W / T), without Fraction arithmetic.
+        w, b = self.final_white, self.final_black
+        n = w.numerator * b.denominator
+        return n / (n + b.numerator * w.denominator)
+
+    def __reduce__(self):
+        # A Fraction pickles as its string; its integers pickle in half the bytes and time.
+        w, b = self.final_white, self.final_black
+        return _replicate_result, (self.replicate_index, self.steps, w.numerator, w.denominator,
+                                   b.numerator, b.denominator, self.trajectory)
+
+
+def _replicate_result(index, steps, w_num, w_den, b_num, b_den, trajectory) -> ReplicateResult:
+    """The :class:`ReplicateResult` of the integers that its ``__reduce__`` gives."""
+    return ReplicateResult(index, steps, Fraction(w_num, w_den), Fraction(b_num, b_den), trajectory)
 
 
 def _exact_below(u, denominator, cut) -> bool:
@@ -169,6 +189,17 @@ def _ceilings(w: int, b: int, d: int | None) -> tuple[int, ...]:
     return -(-(n << _UNIT_BITS) // dd), -(-((n + 2 * w * b) << _UNIT_BITS) // dd)
 
 
+def _window_draws(grb, k: int, table: bytes) -> tuple[bytes, bytes]:
+    """The next ``k`` draws as one block, and their top bytes mapped through ``table``.
+
+    ``grb(53)`` reads two 32-bit words ``a``, ``c`` as ``a | (c >> 11) << 32``;
+    ``grb(64 k)`` returns the same ``2 k`` words, first lowest. So draw ``i``
+    is at bytes ``8 i`` to ``8 i + 7`` (:data:`_halves`), its top byte last.
+    """
+    data = grb(64 * k).to_bytes(8 * k, "little")
+    return data, data[7::8].translate(table)
+
+
 def _one_draw(grb, w, b, rows, top, most_w, most_b, unit, segments, traj):
     """Single draws on doubles or ints alike, ``unit = 2**53``; white when ``u T < W unit``.
 
@@ -182,23 +213,33 @@ def _one_draw(grb, w, b, rows, top, most_w, most_b, unit, segments, traj):
     for mark, length in segments:
         # The length test comes first, so that short segments take no square root.
         while length >= _WINDOW_MIN and (
-                k := min(length, 2 * math.isqrt(int(t) // top))) >= _WINDOW_MIN:
+                k := min(length, _PIECE, 2 * math.isqrt(int(t) // top))) >= _WINDOW_MIN:
             wi = int(ws) >> _UNIT_BITS
             bi = int(t) - wi
             (lo,) = _ceilings(wi, bi + (k - 1) * most_b, None)
             (hi,) = _ceilings(wi + (k - 1) * most_w, bi, None)
-            white = 0
-            for i in range(k):
-                u = grb(_UNIT_BITS)
+            # Top bytes: 0 white, 2 black, 1 for a draw the bracket may not decide.
+            # A ceiling may be 2**53, whose top byte 256 no draw has.
+            lo_byte, hi_byte = lo >> _LOW_BITS, min(hi >> _LOW_BITS, 255)
+            data, classes = _window_draws(grb, k, b"\0" * lo_byte + b"\1" * (hi_byte + 1 - lo_byte)
+                                          + b"\2" * (255 - hi_byte))
+            white = start = i = 0
+            while (i := classes.find(1, i)) >= 0:
+                low, high = _halves(data, 8 * i)
+                u = low | (high >> 11) << 32
                 if u < lo:
                     white += 1
                 elif u < hi:  # the bracket does not decide: the exact test
+                    white += classes.count(0, start, i)
+                    start = i
                     black = i - white
                     wsi = ws + white * aws + black * cws
                     ti = t + white * at + black * ct
                     y = u * ti
                     if y < wsi or y == wsi and _exact_below(u, ti, wsi):
                         white += 1
+                i += 1
+            white += classes.count(0, start)
             black = k - white
             ws += white * aws + black * cws
             t += white * at + black * ct
@@ -229,13 +270,21 @@ def _pair(grb, w, b, rows, top, most_w, most_b, d, unit, segments, traj):
     two_units, di = 2 * unit, int(d)
     for mark, length in segments:
         while length >= _WINDOW_MIN and (
-                k := min(length, 2 * math.isqrt(int(w + b) // top))) >= _WINDOW_MIN:
+                k := min(length, _PIECE, 2 * math.isqrt(int(w + b) // top))) >= _WINDOW_MIN:
             wi, bi = int(w), int(b)
             lo1, lo2 = _ceilings(wi, bi + (k - 1) * most_b, di)
             hi1, hi2 = _ceilings(wi + (k - 1) * most_w, bi, di)
-            ww = wb = 0
-            for i in range(k):
-                u = grb(_UNIT_BITS)
+            # Top bytes: 0 WW, 2 WB, 3 BB, 1 for a draw the brackets may not decide.
+            l1, l2 = lo1 >> _LOW_BITS, lo2 >> _LOW_BITS
+            h1, h2 = min(hi1 >> _LOW_BITS, 255), min(hi2 >> _LOW_BITS, 255)
+            data, classes = _window_draws(grb, k, b"\0" * l1 + b"\1" * (h1 + 1 - l1)
+                                          + b"\2" * (l2 - h1 - 1)
+                                          + b"\1" * (h2 + 1 - max(l2, h1 + 1))
+                                          + b"\3" * (255 - h2))
+            ww = wb = start = i = 0
+            while (i := classes.find(1, i)) >= 0:
+                low, high = _halves(data, 8 * i)
+                u = low | (high >> 11) << 32
                 if u < lo1:
                     ww += 1
                 elif u >= hi2:
@@ -243,6 +292,9 @@ def _pair(grb, w, b, rows, top, most_w, most_b, d, unit, segments, traj):
                 elif hi1 <= u < lo2:
                     wb += 1
                 else:  # the bracket does not decide: the exact test
+                    ww += classes.count(0, start, i)
+                    wb += classes.count(2, start, i)
+                    start = i
                     bb = i - ww - wb
                     wi = w + ww * aw + wb * cw + bb * ew
                     bi = b + ww * ab + wb * cb + bb * eb
@@ -256,6 +308,9 @@ def _pair(grb, w, b, rows, top, most_w, most_b, d, unit, segments, traj):
                         n += wi * bi * two_units
                         if y < n or y == n and _exact_below(u, dd, n):
                             wb += 1
+                i += 1
+            ww += classes.count(0, start)
+            wb += classes.count(2, start)
             bb = k - ww - wb
             w += ww * aw + wb * cw + bb * ew
             b += ww * ab + wb * cb + bb * eb
@@ -320,12 +375,23 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     hi``: a draw ``u < lo`` is below the cut and ``u >= hi`` is not, and only
     ``lo <= u < hi`` takes the exact test, on the counts that the window has
     reached. Every decision, and so every output byte, is that of the exact
-    comparison. A window has ``k = min(rest, 2 isqrt(T // m))`` steps, ``rest``
-    the steps left in its segment and ``m`` the largest row total. It opens
-    only where ``rest >= _WINDOW_MIN`` and then ``k >= _WINDOW_MIN`` (for the
-    second, ``T >= 256 m``): short trajectory strides and small totals run the
-    plain loop, and strides below ``_WINDOW_MIN`` take no square root. A run
-    without a trajectory looks for a window every ``_PIECE`` steps.
+    comparison.
+
+    A window takes its draws in one block (:func:`_window_draws`) and
+    decides most by their top byte ``v = u >> 45`` alone, as ``v 2**45 <= u <
+    (v + 1) 2**45``: ``v < lo >> 45`` gives ``u < lo``, ``v > hi >> 45`` gives
+    ``u >= hi``, and for pairs ``hi1 >> 45 < v < lo2 >> 45`` gives ``hi1 <= u
+    < lo2``. A 256-byte table of these classes, made from the bracket, maps
+    the window's top bytes by ``bytes.translate``; only the undecided draws
+    are read as integers, and before an exact test ``bytes.count`` gives the
+    counts that the window has reached. A window has ``k = min(rest, _PIECE,
+    2 isqrt(T // m))`` steps, ``rest`` the steps left in its segment and
+    ``m`` the largest row total, so a block is at most ``8 _PIECE`` bytes. It
+    opens only where ``rest >= _WINDOW_MIN`` and then ``k >= _WINDOW_MIN``
+    (for the second, ``T >= 256 m``): short trajectory strides and small
+    totals run the plain loop, and strides below ``_WINDOW_MIN`` take no
+    square root. A run without a trajectory looks for a window every
+    ``_PIECE`` steps.
     """
     model = config.model
     grb = replicate_rng(config.base_seed, replicate_index).getrandbits

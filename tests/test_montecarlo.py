@@ -11,6 +11,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import random
 from fractions import Fraction
 
@@ -85,16 +86,28 @@ def test_stream_seed_rejects_negative_replicate():
 # ---------------------------------------------------------------------------
 
 class ScriptedRng:
-    """Feeds a fixed queue of 53-bit draws and records usage."""
+    """Feeds a fixed queue of 53-bit draws and records usage.
+
+    ``getrandbits(64 k)`` packs the next ``k`` draws into 64-bit words, low
+    word first, as ``random.Random`` lays out the two 32-bit halves of each:
+    a draw's low 32 bits, then the 11 bits ``getrandbits(53)`` discards, all
+    ones here so that reading them shows, then its top 21 bits.
+    """
 
     def __init__(self, values):
         self.values = list(values)
         self.calls = 0
 
     def getrandbits(self, bits):
-        assert bits == 53
-        self.calls += 1
-        return self.values.pop(0)
+        if bits == 53:
+            self.calls += 1
+            return self.values.pop(0)
+        assert bits > 0 and bits % 64 == 0
+        block = 0
+        for i in range(bits // 64):
+            u = self.getrandbits(53)
+            block |= ((u & 0xFFFFFFFF) | 0x7FF << 32 | (u >> 32) << 43) << (64 * i)
+        return block
 
 
 def test_step_consumes_one_draw_and_respects_exact_thresholds():
@@ -551,6 +564,100 @@ def test_window_walks_to_each_corner_of_its_box_and_matches_oracle(model, monkey
                     monkeypatch)
 
 
+#: Windows whose byte classes reach the ends of the byte range: pairs whose
+#: WB class is empty, at top byte 0 and at 255, and starts where a cut is 1
+#: or 0, so that a ceiling is ``2**53`` or 0 (for every state the window
+#: reaches, where no row adds a ball of the missing colour).
+CLASS_MODELS = [
+    two_draw_model([3, 2, 2, 3, 1, 4], 10**3, 10**6, sampling=WITH),
+    two_draw_model([3, 2, 2, 3, 1, 4], 10**6, 10**3),
+    one_draw_model([1, 0, 0, 1], 10**5, 0),
+    one_draw_model([2, 0, 1, 0], 10**5, 0),
+    one_draw_model([1, 0, 0, 1], 0, 10**5),
+    one_draw_model([0, 1, 0, 2], 0, 10**5),
+    two_draw_model([2, 0, 1, 1, 0, 2], 10**5, 0, sampling=WITH),
+    two_draw_model([2, 0, 1, 0, 3, 0], 10**5, 0, sampling=WITH),
+    two_draw_model([2, 0, 1, 1, 0, 2], 0, 10**5, sampling=WITH),
+    two_draw_model([0, 1, 0, 2, 0, 3], 0, 10**5, sampling=WITH),
+]
+
+
+def _class_edge_draws(lo, hi):
+    """Draws at the edges of a window's byte classes, in top bytes 0 and 255 too.
+
+    A bound ``c`` of a cut has top byte ``c >> 45``; the draws are the
+    lowest and highest of that byte and of the bytes next to it (``L - 1``,
+    ``L``, ``H`` and ``H + 1`` for the bounds ``l`` and ``h``), and ``c - 1``
+    and ``c``.
+    """
+    tops, draws = {0, 255}, set()
+    for bound in lo + hi:
+        tops |= {(bound >> 45) - 1, bound >> 45, (bound >> 45) + 1}
+        draws |= {bound - 1, bound}
+    draws |= {top << 45 | low for top in tops for low in (0, (1 << 45) - 1)}
+    return sorted(u for u in draws if 0 <= u < 1 << 53)
+
+
+def test_class_models_reach_the_ends_of_the_byte_range():
+    windows = [_first_window(model, 64)[1:] for model in CLASS_MODELS]
+    empty_wb = [lo[1] >> 45 for lo, hi in windows
+                if len(lo) == 2 and hi[0] >> 45 >= (lo[1] >> 45) - 1]
+    assert 0 in empty_wb and 255 in empty_wb
+    for cuts in (1, 2):
+        assert any(len(lo) == cuts and hi[-1] == 1 << 53 for lo, hi in windows)
+        assert any(len(lo) == cuts and lo[0] == 1 << 53 for lo, hi in windows)
+        assert any(len(lo) == cuts and lo[0] == 0 for lo, hi in windows)
+        assert any(len(lo) == cuts and hi[-1] == 0 for lo, hi in windows)
+
+
+@pytest.mark.parametrize("model", WINDOW_MODELS + CLASS_MODELS,
+                         ids=range(len(WINDOW_MODELS + CLASS_MODELS)))
+def test_window_draws_at_each_byte_class_edge_match_oracle(model, monkeypatch):
+    # Each draw of the window sits in a top byte at or next to the edge of a
+    # class, or in byte 0 or 255, where a class one byte too wide decides wrong.
+    k, lo, hi = _first_window(model, 64)
+    draws = _class_edge_draws(lo, hi)
+    for offset in range(0, len(draws), k):
+        assert_window_matches_oracle(
+            model, k, lambda i, cuts: draws[(offset + i) % len(draws)], monkeypatch)
+
+
+@pytest.mark.parametrize("k", [1, 32, 511, 512])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_block_of_64k_bits_holds_the_next_k_draws(seed, k):
+    # The kernels' byte-identity rests on this layout of random.Random.
+    block, single = random.Random(seed), random.Random(seed)
+    data = block.getrandbits(64 * k).to_bytes(8 * k, "little")
+    draws = [single.getrandbits(53) for _ in range(k)]
+    words = [int.from_bytes(data[8 * i:8 * i + 8], "little") for i in range(k)]
+    assert [(x & 0xFFFFFFFF) | (x >> 43) << 32 for x in words] == draws
+    assert [low | (high >> 11) << 32
+            for low, high in (mc._halves(data, 8 * i) for i in range(k))] == draws
+    assert data[7::8] == bytes(u >> 45 for u in draws)
+    assert block.getrandbits(53) == single.getrandbits(53)
+
+
+def test_a_window_draws_at_most_a_piece_in_one_block(monkeypatch):
+    # A trajectory stride of 1000 steps on huge counts would open windows of
+    # 1000 steps; each takes at most _PIECE draws, and no draw is skipped.
+    sizes = []
+
+    class Recording(random.Random):
+        def getrandbits(self, bits):
+            sizes.append(bits)
+            return super().getrandbits(bits)
+
+    config = SimConfig(model=one_draw_model([1, 0, 0, 1], 10**15, 1), steps=3000, replicates=1,
+                       record_trajectory=True, trajectory_stride=1000)
+    expected = simulate(config, 0)
+    monkeypatch.setattr(mc, "replicate_rng",
+                        lambda seed, index: Recording(replicate_stream_seed(seed, index)))
+    assert simulate(config, 0) == expected
+    assert max(sizes) == 64 * mc._PIECE
+    assert all(bits == 53 or bits % 64 == 0 for bits in sizes)
+    assert sum(1 if bits == 53 else bits // 64 for bits in sizes) == config.steps
+
+
 @st.composite
 def window_boxes(draw):
     kind = draw(st.sampled_from(["one", WITH, "without"]))
@@ -648,6 +755,21 @@ def test_replicate_result_derived_fields():
     r = ReplicateResult(0, 10, F(7), F(3, 2))
     assert r.final_total == F(17, 2)
     assert r.final_z == float(F(14, 17))
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(w=st.fractions(min_value=0, max_denominator=10**6)
+       | st.integers(0, 10**40).map(F),
+       b=st.fractions(min_value=F(1, 10**6), max_denominator=10**6)
+       | st.integers(1, 10**40).map(F))
+def test_final_z_is_the_rounded_proportion(w, b):
+    assert ReplicateResult(0, 1, w, b).final_z == float(w / (w + b))
+
+
+def test_replicate_result_pickles_as_integers():
+    result = ReplicateResult(4, 10, F(7, 3), F(10**30 + 1, 2), ((0, 0.5), (10, 0.25)))
+    assert pickle.loads(pickle.dumps(result)) == result
+    assert b"Fraction" not in pickle.dumps(result)
 
 
 def test_single_reinforcement_total_growth_and_mean():
