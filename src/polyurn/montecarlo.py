@@ -8,7 +8,9 @@ model so that every model runs on integers, in one kernel per draw rule:
 single draws, and pair draws with ``P(WW) = W (W - d) / (T (T - d))`` and
 ``P(WB) = 2 W B / (T (T - d))``, where ``d = s`` without replacement and
 ``d = 0`` with replacement. :func:`step` is the rational reference oracle
-the kernels are tested against; simulation does not call it.
+the kernels are tested against; simulation does not call it. A
+:class:`ReplicateResult` holds what its kernel ends with: the final counts
+times ``s``, as exact integers, and ``s``.
 
 Most steps are decided by their draw's top byte, in C. Over a window of
 ``k`` steps the counts stay in a box whose lower corner is the current state,
@@ -28,6 +30,8 @@ output. For ``p``-fold parallelism :func:`run_replicates` runs the ``n``
 replicates in at most ``p`` processes, as many as there are replicates and
 CPUs this process may use: the calling process and children it starts for the
 call, which claim replicate indices one at a time from a shared counter.
+Children send their results to the caller pickled by default, as records
+whose counts are plain ints.
 
 :func:`verify` simulates replicates and then calls :func:`judge`, a pure
 function that compares final proportions from any source against a
@@ -138,35 +142,31 @@ class SimConfig(Record):
 
 
 class ReplicateResult(Record):
-    """Final state (and optional trajectory) of one replicate."""
+    """Final counts times the model's ``scale`` (and optional trajectory) of one replicate."""
 
     replicate_index: int
     steps: int
-    final_white: Fraction
-    final_black: Fraction
+    white: int
+    black: int
+    scale: int
     trajectory: tuple[tuple[int, float], ...] | None = None
 
     @property
+    def final_white(self) -> Fraction:
+        return Fraction(self.white, self.scale)
+
+    @property
+    def final_black(self) -> Fraction:
+        return Fraction(self.black, self.scale)
+
+    @property
     def final_total(self) -> Fraction:
-        return self.final_white + self.final_black
+        return Fraction(self.white + self.black, self.scale)
 
     @property
     def final_z(self) -> float:
         # int / int is correctly rounded, so this is float(W / T), without Fraction arithmetic.
-        w, b = self.final_white, self.final_black
-        n = w.numerator * b.denominator
-        return n / (n + b.numerator * w.denominator)
-
-    def __reduce__(self):
-        # A Fraction pickles as its string; its integers pickle in half the bytes and time.
-        w, b = self.final_white, self.final_black
-        return _replicate_result, (self.replicate_index, self.steps, w.numerator, w.denominator,
-                                   b.numerator, b.denominator, self.trajectory)
-
-
-def _replicate_result(index, steps, w_num, w_den, b_num, b_den, trajectory) -> ReplicateResult:
-    """The :class:`ReplicateResult` of the integers that its ``__reduce__`` gives."""
-    return ReplicateResult(index, steps, Fraction(w_num, w_den), Fraction(b_num, b_den), trajectory)
+        return self.white / (self.white + self.black)
 
 
 def _exact_below(u, denominator, cut) -> bool:
@@ -416,19 +416,14 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
         d = num(scale if model.sampling == WITHOUT_REPLACEMENT else 0)
         w, b = _pair(grb, w, b, rows, top, most_w, most_b, d, unit, segments, traj)
 
-    return ReplicateResult(
-        replicate_index=replicate_index,
-        steps=steps,
-        final_white=Fraction(int(w), scale),
-        final_black=Fraction(int(b), scale),
-        trajectory=tuple(traj) if record else None,
-    )
+    return ReplicateResult(replicate_index, steps, int(w), int(b), scale,
+                           tuple(traj) if record else None)
 
 
-def _claim_replicates(config: SimConfig, counter, out=None) -> list[tuple[int, ReplicateResult]]:
+def _claim_replicates(config: SimConfig, counter, out=None) -> list[ReplicateResult]:
     """Run replicates one at a time, each at the next index ``counter`` hands out.
 
-    Returns the ``(index, result)`` pairs, or with ``out`` sends them there once.
+    Returns their results, or with ``out`` sends them there once.
     """
     n, done = config.replicates, []
     while True:
@@ -437,7 +432,7 @@ def _claim_replicates(config: SimConfig, counter, out=None) -> list[tuple[int, R
             counter.value = i + 1
         if i >= n:
             break
-        done.append((i, simulate(config, i)))
+        done.append(simulate(config, i))
     if out is not None:
         out.send(done)
     return done
@@ -491,8 +486,8 @@ def run_replicates(config: SimConfig, parallelism: int = 1) -> list[ReplicateRes
             child.join()
         for receive in pipes:
             receive.close()
-    done.sort(key=lambda pair: pair[0])
-    return [result for _, result in done]
+    done.sort(key=lambda result: result.replicate_index)
+    return done
 
 
 # ---------------------------------------------------------------------------

@@ -751,9 +751,9 @@ def test_selftest_detects_a_broken_identity(monkeypatch, capsys):
 # Entry points
 # ---------------------------------------------------------------------------
 
-#: Prints which of the process pool, the dataclass machinery (with the
-#: ``inspect`` module it imports) and the simulation engine are loaded after
-#: the import and each run.
+#: Prints which of the modules that start child processes, the dataclass
+#: machinery (with the ``inspect`` module it imports) and the simulation
+#: engine are loaded after the import and each run.
 _LOADED_AFTER = """
 import contextlib, io, sys
 import polyurn.cli as cli

@@ -175,8 +175,11 @@ def oracle_run(config, replicate_index):
         state = step(state, config.model, rng)
         if (i + 1) % config.trajectory_stride == 0 or i + 1 == config.steps:
             record(i + 1)
+    scale = config.model.scaled.scale
+    white, black = state.white * scale, state.black * scale
+    assert white.denominator == black.denominator == 1
     return ReplicateResult(
-        replicate_index, config.steps, state.white, state.black,
+        replicate_index, config.steps, white.numerator, black.numerator, scale,
         tuple(traj) if traj is not None else None,
     )
 
@@ -215,6 +218,8 @@ def assert_kernel_runs_match_oracle(model):
     )
     runs = [simulate(config, i) for i in range(config.replicates)]
     assert runs == [oracle_run(config, i) for i in range(config.replicates)]
+    # Equality cannot tell 150.0 from 150, but the finals CSV would print it.
+    assert all(type(r.white) is int and type(r.black) is int for r in runs)
 
 
 @pytest.mark.parametrize("model", KERNEL_MODELS, ids=range(len(KERNEL_MODELS)))
@@ -752,23 +757,25 @@ def test_trajectory_not_recorded_by_default():
 
 
 def test_replicate_result_derived_fields():
-    r = ReplicateResult(0, 10, F(7), F(3, 2))
+    r = ReplicateResult(0, 10, 14, 3, 2)
+    assert (r.final_white, r.final_black) == (F(7), F(3, 2))
     assert r.final_total == F(17, 2)
     assert r.final_z == float(F(14, 17))
 
 
 @settings(derandomize=True, database=None, max_examples=200)
-@given(w=st.fractions(min_value=0, max_denominator=10**6)
-       | st.integers(0, 10**40).map(F),
-       b=st.fractions(min_value=F(1, 10**6), max_denominator=10**6)
-       | st.integers(1, 10**40).map(F))
-def test_final_z_is_the_rounded_proportion(w, b):
-    assert ReplicateResult(0, 1, w, b).final_z == float(w / (w + b))
+@given(w=st.integers(0, 10**40), b=st.integers(1, 10**40), scale=st.integers(1, 10**6))
+def test_final_z_is_the_rounded_proportion(w, b, scale):
+    assert ReplicateResult(0, 1, w, b, scale).final_z == float(F(w, w + b))
 
 
 def test_replicate_result_pickles_as_integers():
-    result = ReplicateResult(4, 10, F(7, 3), F(10**30 + 1, 2), ((0, 0.5), (10, 0.25)))
-    assert pickle.loads(pickle.dumps(result)) == result
+    result = ReplicateResult(4, 10, 14, 3 * (10**30 + 1), 6, ((0, 0.5), (10, 0.25)))
+    loaded = pickle.loads(pickle.dumps(result))
+    assert loaded == result
+    assert (loaded.final_white, loaded.final_black) == (F(7, 3), F(10**30 + 1, 2))
+    assert all(type(getattr(loaded, name)) is int
+               for name in ("replicate_index", "steps", "white", "black", "scale"))
     assert b"Fraction" not in pickle.dumps(result)
 
 
@@ -969,8 +976,8 @@ def test_run_replicates_names_the_exit_code_of_a_child_that_sent_nothing(monkeyp
 
 def test_finals_csv_exact_format():
     rows = [
-        ReplicateResult(0, 10, F(7), F(3, 2)),
-        ReplicateResult(1, 10, F(4), F(4)),
+        ReplicateResult(0, 10, 14, 3, 2),
+        ReplicateResult(1, 10, 4, 4, 1),
     ]
     lines = finals_csv_lines(rows)
     assert lines[0] == "replicate,final_W,final_B,final_Z"
@@ -980,8 +987,8 @@ def test_finals_csv_exact_format():
 
 def test_trajectory_csv_exact_format():
     rows = [
-        ReplicateResult(0, 10, F(1), F(1), trajectory=((0, 0.5), (10, 0.625))),
-        ReplicateResult(1, 10, F(1), F(1), trajectory=None),
+        ReplicateResult(0, 10, 1, 1, 1, trajectory=((0, 0.5), (10, 0.625))),
+        ReplicateResult(1, 10, 1, 1, 1, trajectory=None),
     ]
     lines = trajectory_csv_lines(rows)
     assert lines == ["replicate,step,Z", "0,0,0.5", "0,10,0.625"]
