@@ -12,16 +12,20 @@ the kernels are tested against; simulation does not call it. A
 :class:`ReplicateResult` holds what its kernel ends with: the final counts
 times ``s``, as exact integers, and ``s``.
 
-Most steps are decided by their draw's top byte, in C. Over a window of
-``k`` steps the counts stay in a box whose lower corner is the current state,
-because rows are nonnegative, and every cut is monotone on that box: it rises
-with ``W`` and falls with ``B``. So the exact integer ceilings of the cuts at
-two opposite corners bracket every cut the window meets. The window draws
-one block of random bits; a byte table maps each draw's top byte to the
-outcome that the bracket decides for it, and only an undecided draw is read
-as an integer and, inside the bracket, takes the exact test. A window has
-``k = min(rest, _PIECE, 2 isqrt(T // m))`` steps, ``rest`` the steps left in
-its segment and ``m`` the largest row total (see :func:`simulate`).
+Most steps are decided by their draw's top byte, in C. A window of ``k``
+steps brackets its cuts on a box of states whose lower corner is the current
+state. Every cut is monotone on that box: it rises with ``W`` and falls with
+``B``. So the exact integer ceilings of the cuts at two opposite corners
+bracket every cut in the box. The box is guessed from the balls that the
+last window added per step. Rows are nonnegative, so the counts only grow:
+a window whose final counts lie in its box met no state outside it, and one
+that ends outside decides the same draws again on the box of every state
+``k - 1`` steps can reach. The window draws one block of random bits; a byte
+table maps each draw's top byte to the outcome that the bracket decides for
+it, and only an undecided draw is read as an integer and, inside the
+bracket, takes the exact test. A window has ``k = min(rest, _PIECE, 3
+isqrt(T // m))`` steps, ``rest`` the steps left in its segment and ``m`` the
+largest row total (see :func:`simulate`).
 
 Replicates use independent streams derived by an avalanche mix of the base
 seed and the replicate index, which makes results independent of execution
@@ -72,6 +76,8 @@ _LOW_BITS = _UNIT_BITS - 8
 _halves = struct.Struct("<II").unpack_from
 #: The fewest steps of a bracketed window.
 _WINDOW_MIN = 32
+#: A window has at most ``_WINDOW_FACTOR isqrt(T // m)`` steps (see :func:`simulate`).
+_WINDOW_FACTOR = 3
 #: Steps after which a run without a trajectory looks again for a window.
 _PIECE = 512
 
@@ -137,6 +143,9 @@ class SimConfig(Record):
             raise ValueError("steps must be nonnegative")
         if self.replicates < 0:
             raise ValueError("replicates must be nonnegative")
+        # The streams use the seed's low 64 bits, so no other seed may alias one of these.
+        if not 0 <= self.base_seed <= _MASK64:
+            raise ValueError("the base seed must be in [0, 2**64)")
         if self.trajectory_stride <= 0:
             raise ValueError("trajectory_stride must be positive")
 
@@ -174,30 +183,49 @@ def _exact_below(u, denominator, cut) -> bool:
     return u * int(denominator) < int(cut)
 
 
-def _ceilings(w: int, b: int, d: int | None) -> tuple[int, ...]:
-    """Each cut of the state as ``c = ceil(n 2**53 / D)``, so that ``u D < n 2**53`` iff ``u < c``.
+def _ceilings(w: int, b: int, d: int | None, gw: int, gb: int) -> tuple[int, ...]:
+    """The cuts at the corners ``(w, b + gb)`` and ``(w + gw, b)`` of the box ``[w, w + gw] x [b, b + gb]``.
 
-    ``d`` is ``None`` for single draws (one cut, ``n = W`` over ``D = T``),
-    else the pair cuts ``n = W (W - d)`` and ``W (W - d) + 2 W B`` over
-    ``D = T (T - d)``.
+    A cut is ``c = ceil(n 2**53 / D)``, so that ``u D < n 2**53`` iff ``u <
+    c``. ``d`` is ``None`` for single draws (one cut, ``n = W`` over ``D =
+    T``), else the pair cuts ``n = W (W - d)`` and ``W (W - d) + 2 W B`` over
+    ``D = T (T - d)``. The first corner's cuts come first; the two corners
+    bound every cut on the box (see :func:`simulate`).
     """
     t = w + b
     if d is None:
-        return (-(-(w << _UNIT_BITS) // t),)
-    dd = t * (t - d)
-    n = w * (w - d)
-    return -(-(n << _UNIT_BITS) // dd), -(-((n + 2 * w * b) << _UNIT_BITS) // dd)
+        return -(-(w << _UNIT_BITS) // (t + gb)), -(-((w + gw) << _UNIT_BITS) // (t + gw))
+    t1, w2, t2 = t + gb, w + gw, t + gw
+    dd1, dd2, n1, n2 = t1 * (t1 - d), t2 * (t2 - d), w * (w - d), w2 * (w2 - d)
+    return (-(-(n1 << _UNIT_BITS) // dd1), -(-((n1 + 2 * w * (b + gb)) << _UNIT_BITS) // dd1),
+            -(-(n2 << _UNIT_BITS) // dd2), -(-((n2 + 2 * w2 * b) << _UNIT_BITS) // dd2))
 
 
-def _window_draws(grb, k: int, table: bytes) -> tuple[bytes, bytes]:
-    """The next ``k`` draws as one block, and their top bytes mapped through ``table``.
+def _boxes(last: tuple[int, int, int], k: int, most_w: int, most_b: int) -> tuple[int, ...]:
+    """Extents ``gw, gb`` of a ``k``-step window's guessed box, then those of its worst case.
+
+    ``last`` holds the white and black balls that the last window added and
+    its steps. The guess for each colour is ``rate k + most
+    ceil(sqrt(k))``, ``rate`` the balls per step that the last window added,
+    capped at the worst case ``(k - 1) most``, the most that ``k - 1`` steps
+    can add.
+    """
+    add_w, add_b, steps = last
+    spread = math.isqrt(k - 1) + 1
+    reach_w, reach_b = (k - 1) * most_w, (k - 1) * most_b
+    return (min(reach_w, -(-add_w * k // steps) + spread * most_w),
+            min(reach_b, -(-add_b * k // steps) + spread * most_b), reach_w, reach_b)
+
+
+def _window_draws(grb, k: int) -> tuple[bytes, bytes]:
+    """The next ``k`` draws as one block, and their top bytes.
 
     ``grb(53)`` reads two 32-bit words ``a``, ``c`` as ``a | (c >> 11) << 32``;
     ``grb(64 k)`` returns the same ``2 k`` words, first lowest. So draw ``i``
     is at bytes ``8 i`` to ``8 i + 7`` (:data:`_halves`), its top byte last.
     """
     data = grb(64 * k).to_bytes(8 * k, "little")
-    return data, data[7::8].translate(table)
+    return data, data[7::8]
 
 
 def _one_draw(grb, w, b, rows, top, most_w, most_b, unit, segments, traj):
@@ -210,39 +238,50 @@ def _one_draw(grb, w, b, rows, top, most_w, most_b, unit, segments, traj):
     aw, ab, cw, cb = rows
     aws, at, cws, ct = aw * unit, aw + ab, cw * unit, cw + cb
     ws, t = w * unit, w + b
+    # Balls the last window added, and its steps: the first window guesses its worst case.
+    last = most_w, most_b, 1
     for mark, length in segments:
         # The length test comes first, so that short segments take no square root.
         while length >= _WINDOW_MIN and (
-                k := min(length, _PIECE, 2 * math.isqrt(int(t) // top))) >= _WINDOW_MIN:
+                k := min(length, _PIECE, _WINDOW_FACTOR * math.isqrt(int(t) // top))
+        ) >= _WINDOW_MIN:
             wi = int(ws) >> _UNIT_BITS
-            bi = int(t) - wi
-            (lo,) = _ceilings(wi, bi + (k - 1) * most_b, None)
-            (hi,) = _ceilings(wi + (k - 1) * most_w, bi, None)
-            # Top bytes: 0 white, 2 black, 1 for a draw the bracket may not decide.
-            # A ceiling may be 2**53, whose top byte 256 no draw has.
-            lo_byte, hi_byte = lo >> _LOW_BITS, min(hi >> _LOW_BITS, 255)
-            data, classes = _window_draws(grb, k, b"\0" * lo_byte + b"\1" * (hi_byte + 1 - lo_byte)
-                                          + b"\2" * (255 - hi_byte))
-            white = start = i = 0
-            while (i := classes.find(1, i)) >= 0:
-                low, high = _halves(data, 8 * i)
-                u = low | (high >> 11) << 32
-                if u < lo:
-                    white += 1
-                elif u < hi:  # the bracket does not decide: the exact test
-                    white += classes.count(0, start, i)
-                    start = i
-                    black = i - white
-                    wsi = ws + white * aws + black * cws
-                    ti = t + white * at + black * ct
-                    y = u * ti
-                    if y < wsi or y == wsi and _exact_below(u, ti, wsi):
+            gw, gb, reach_w, reach_b = _boxes(last, k, most_w, most_b)
+            data, tops = _window_draws(grb, k)
+            while True:
+                lo, hi = _ceilings(wi, int(t) - wi, None, gw, gb)
+                # Top bytes: 0 white, 2 black, 1 for a draw the bracket may not decide.
+                # A ceiling may be 2**53, whose top byte 256 no draw has.
+                lo_byte, hi_byte = lo >> _LOW_BITS, min(hi >> _LOW_BITS, 255)
+                classes = tops.translate(b"\0" * lo_byte + b"\1" * (hi_byte + 1 - lo_byte)
+                                         + b"\2" * (255 - hi_byte))
+                white = start = i = 0
+                while (i := classes.find(1, i)) >= 0:
+                    low, high = _halves(data, 8 * i)
+                    u = low | (high >> 11) << 32
+                    if u < lo:
                         white += 1
-                i += 1
-            white += classes.count(0, start)
-            black = k - white
-            ws += white * aws + black * cws
-            t += white * at + black * ct
+                    elif u < hi:  # the bracket does not decide: the exact test
+                        white += classes.count(0, start, i)
+                        start = i
+                        black = i - white
+                        wsi = ws + white * aws + black * cws
+                        ti = t + white * at + black * ct
+                        y = u * ti
+                        if y < wsi or y == wsi and _exact_below(u, ti, wsi):
+                            white += 1
+                    i += 1
+                white += classes.count(0, start)
+                black = k - white
+                add_w, add_b = white * aw + black * cw, white * ab + black * cb
+                # Counts only grow, so a window that ends inside its box met no state outside
+                # it; a side at its worst case holds every state the window decides at.
+                if (add_w <= gw or gw == reach_w) and (add_b <= gb or gb == reach_b):
+                    break
+                gw, gb = reach_w, reach_b  # a miss: decide the same draws on the worst-case box
+            ws += add_w * unit
+            t += add_w + add_b
+            last = int(add_w), int(add_b), k
             length -= k
         for _ in range(length):
             u = grb(_UNIT_BITS)
@@ -268,52 +307,61 @@ def _pair(grb, w, b, rows, top, most_w, most_b, d, unit, segments, traj):
     """
     aw, ab, cw, cb, ew, eb = rows
     two_units, di = 2 * unit, int(d)
+    last = most_w, most_b, 1
     for mark, length in segments:
         while length >= _WINDOW_MIN and (
-                k := min(length, _PIECE, 2 * math.isqrt(int(w + b) // top))) >= _WINDOW_MIN:
-            wi, bi = int(w), int(b)
-            lo1, lo2 = _ceilings(wi, bi + (k - 1) * most_b, di)
-            hi1, hi2 = _ceilings(wi + (k - 1) * most_w, bi, di)
-            # Top bytes: 0 WW, 2 WB, 3 BB, 1 for a draw the brackets may not decide.
-            l1, l2 = lo1 >> _LOW_BITS, lo2 >> _LOW_BITS
-            h1, h2 = min(hi1 >> _LOW_BITS, 255), min(hi2 >> _LOW_BITS, 255)
-            data, classes = _window_draws(grb, k, b"\0" * l1 + b"\1" * (h1 + 1 - l1)
-                                          + b"\2" * (l2 - h1 - 1)
-                                          + b"\1" * (h2 + 1 - max(l2, h1 + 1))
-                                          + b"\3" * (255 - h2))
-            ww = wb = start = i = 0
-            while (i := classes.find(1, i)) >= 0:
-                low, high = _halves(data, 8 * i)
-                u = low | (high >> 11) << 32
-                if u < lo1:
-                    ww += 1
-                elif u >= hi2:
-                    pass  # BB from every state the window reaches
-                elif hi1 <= u < lo2:
-                    wb += 1
-                else:  # the bracket does not decide: the exact test
-                    ww += classes.count(0, start, i)
-                    wb += classes.count(2, start, i)
-                    start = i
-                    bb = i - ww - wb
-                    wi = w + ww * aw + wb * cw + bb * ew
-                    bi = b + ww * ab + wb * cb + bb * eb
-                    t = wi + bi
-                    dd = t * (t - d)
-                    y = u * dd
-                    n = wi * (wi - d) * unit
-                    if y < n or y == n and _exact_below(u, dd, n):
+                k := min(length, _PIECE, _WINDOW_FACTOR * math.isqrt(int(w + b) // top))
+        ) >= _WINDOW_MIN:
+            gw, gb, reach_w, reach_b = _boxes(last, k, most_w, most_b)
+            data, tops = _window_draws(grb, k)
+            while True:
+                lo1, lo2, hi1, hi2 = _ceilings(int(w), int(b), di, gw, gb)
+                # Top bytes: 0 WW, 2 WB, 3 BB, 1 for a draw the brackets may not decide.
+                l1, l2 = lo1 >> _LOW_BITS, lo2 >> _LOW_BITS
+                h1, h2 = min(hi1 >> _LOW_BITS, 255), min(hi2 >> _LOW_BITS, 255)
+                classes = tops.translate(b"\0" * l1 + b"\1" * (h1 + 1 - l1)
+                                         + b"\2" * (l2 - h1 - 1)
+                                         + b"\1" * (h2 + 1 - max(l2, h1 + 1))
+                                         + b"\3" * (255 - h2))
+                ww = wb = start = i = 0
+                while (i := classes.find(1, i)) >= 0:
+                    low, high = _halves(data, 8 * i)
+                    u = low | (high >> 11) << 32
+                    if u < lo1:
                         ww += 1
-                    else:
-                        n += wi * bi * two_units
+                    elif u >= hi2:
+                        pass  # BB from every state in the box
+                    elif hi1 <= u < lo2:
+                        wb += 1
+                    else:  # the bracket does not decide: the exact test
+                        ww += classes.count(0, start, i)
+                        wb += classes.count(2, start, i)
+                        start = i
+                        bb = i - ww - wb
+                        wi = w + ww * aw + wb * cw + bb * ew
+                        bi = b + ww * ab + wb * cb + bb * eb
+                        t = wi + bi
+                        dd = t * (t - d)
+                        y = u * dd
+                        n = wi * (wi - d) * unit
                         if y < n or y == n and _exact_below(u, dd, n):
-                            wb += 1
-                i += 1
-            ww += classes.count(0, start)
-            wb += classes.count(2, start)
-            bb = k - ww - wb
-            w += ww * aw + wb * cw + bb * ew
-            b += ww * ab + wb * cb + bb * eb
+                            ww += 1
+                        else:
+                            n += wi * bi * two_units
+                            if y < n or y == n and _exact_below(u, dd, n):
+                                wb += 1
+                    i += 1
+                ww += classes.count(0, start)
+                wb += classes.count(2, start)
+                bb = k - ww - wb
+                add_w, add_b = ww * aw + wb * cw + bb * ew, ww * ab + wb * cb + bb * eb
+                # As in _one_draw: a window that ends inside its box never left it.
+                if (add_w <= gw or gw == reach_w) and (add_b <= gb or gb == reach_b):
+                    break
+                gw, gb = reach_w, reach_b
+            w += add_w
+            b += add_b
+            last = int(add_w), int(add_b), k
             length -= k
         for _ in range(length):
             u = grb(_UNIT_BITS)
@@ -359,23 +407,34 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
 
     Most draws skip that test. As ``u`` is an integer, ``u D < n 2**53`` iff
     ``u < c`` with the integer ceiling ``c = ceil(n 2**53 / D)``
-    (:func:`_ceilings`). A window of ``k`` steps from ``(W, B)`` meets only
-    states in the box ``[W, W + (k - 1) a] x [B, B + (k - 1) a']``, where
-    ``a`` and ``a'`` are the most white and black balls a row adds; its lower
-    corner is the current state because rows are nonnegative. On the box each
-    cut rises with ``W`` and falls with ``B``: ``W / T`` plainly;
-    ``W (W - d) / (T (T - d))`` because its ``W``-derivative has numerator
-    ``B (B (2W - d) + 2W (W - d) + d**2) >= 0`` and its ``B``-derivative the
-    numerator ``-W (W - d) (2T - d) <= 0`` for ``W, B >= d``; and
-    ``(W (W - d) + 2 W B) / (T (T - d)) = 1 - B (B - d) / (T (T - d))`` by the
-    same argument with the colours swapped. ``W, B >= d`` always holds: ``d
-    = 0`` with replacement, and pairs without replacement start from at least
-    two balls of each colour. So the ceilings at ``(W, B + (k - 1) a')`` and
-    ``(W + (k - 1) a, B)`` bound every ``c`` the window meets, ``lo <= c <=
-    hi``: a draw ``u < lo`` is below the cut and ``u >= hi`` is not, and only
-    ``lo <= u < hi`` takes the exact test, on the counts that the window has
-    reached. Every decision, and so every output byte, is that of the exact
-    comparison.
+    (:func:`_ceilings`). A window of ``k`` steps from ``(W, B)`` brackets its
+    cuts on a box ``[W, W + gw] x [B, B + gb]``, whose lower corner is the
+    current state. On the box each cut rises with ``W`` and falls with
+    ``B``: ``W / T`` plainly; ``W (W - d) / (T (T - d))`` because its
+    ``W``-derivative has numerator ``B (B (2W - d) + 2W (W - d) + d**2) >=
+    0`` and its ``B``-derivative the numerator ``-W (W - d) (2T - d) <= 0``
+    for ``W, B >= d``; and ``(W (W - d) + 2 W B) / (T (T - d)) = 1 - B (B -
+    d) / (T (T - d))`` by the same argument with the colours swapped. ``W, B
+    >= d`` always holds: ``d = 0`` with replacement, and pairs without
+    replacement start from at least two balls of each colour. So the
+    ceilings at ``(W, B + gb)`` and ``(W + gw, B)`` bound the cut ``c`` of
+    every state in the box, ``lo <= c <= hi``: there a draw ``u < lo`` is
+    below the cut and ``u >= hi`` is not, and only ``lo <= u < hi`` takes the
+    exact test, on the counts that the window has reached.
+
+    The box is a guess (:func:`_boxes`): ``gw`` is ``rate k + most
+    ceil(sqrt(k))``, ``rate`` the white balls per step that the last window
+    added and ``most`` the most white balls a row adds, at most ``(k - 1)
+    most``, and ``gb`` likewise. The first window of a run takes the worst
+    case, ``gw = (k - 1) most``, the box of every state that ``k - 1`` steps
+    can reach. A miss is detected exactly, after the window: rows are
+    nonnegative, so the counts only grow, and if the counts the window ends
+    with lie in the box, so did every state it met. Then, by induction over
+    its steps, each decision was the exact comparison, as each state's cut
+    lay in the bracket. Otherwise the window decides the same block of draws
+    again on the worst-case box (a side already at its worst case needs no
+    check), which draws no new random bits. Either way every decision, and
+    so every output byte, is that of the exact comparison.
 
     A window takes its draws in one block (:func:`_window_draws`) and
     decides most by their top byte ``v = u >> 45`` alone, as ``v 2**45 <= u <
@@ -384,13 +443,13 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     < lo2``. A 256-byte table of these classes, made from the bracket, maps
     the window's top bytes by ``bytes.translate``; only the undecided draws
     are read as integers, and before an exact test ``bytes.count`` gives the
-    counts that the window has reached. A window has ``k = min(rest, _PIECE,
-    2 isqrt(T // m))`` steps, ``rest`` the steps left in its segment and
-    ``m`` the largest row total, so a block is at most ``8 _PIECE`` bytes. It
-    opens only where ``rest >= _WINDOW_MIN`` and then ``k >= _WINDOW_MIN``
-    (for the second, ``T >= 256 m``): short trajectory strides and small
-    totals run the plain loop, and strides below ``_WINDOW_MIN`` take no
-    square root. A run without a trajectory looks for a window every
+    counts that the window has reached. A window has ``k = min(rest, _PIECE, 3 isqrt(T // m))`` steps,
+    ``rest`` the steps left in its segment and ``m`` the largest row total,
+    so a block is at most ``8 _PIECE`` bytes. It opens only where ``rest >=
+    _WINDOW_MIN`` and then ``k >= _WINDOW_MIN`` (for the second, ``T >= 121
+    m``): short trajectory strides and small totals run the plain loop, and
+    strides below ``_WINDOW_MIN`` take no square root. A run without a
+    trajectory looks for a window every
     ``_PIECE`` steps.
     """
     model = config.model

@@ -418,6 +418,18 @@ def test_analyze_refuses_numbers_too_long_to_print(flags):
     assert_one_line_usage_error(proc.returncode, proc.stdout, proc.stderr)
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 3])
+def test_a_seed_outside_64_bits_is_a_usage_error(command, seed, capsys):
+    # Replicate streams use a seed's low 64 bits, so -5 would run the
+    # replicates of 2**64 - 5, and 2**64 + 3 those of 3, under another label.
+    code, out, err = run_cli(
+        [command, "--one-draw", "1,0,0,1", "--steps", "10", "--replicates", "2",
+         "--seed", str(seed)], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert "[0, 2**64)" in err
+
+
 @VERIFY_MODELS
 def test_verify_zero_replicates_is_a_usage_error(model_flags, capsys):
     # No samples can never refute a prediction: exit 1, not 2 "inconsistent".

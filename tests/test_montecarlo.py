@@ -150,6 +150,16 @@ def test_sim_config_rejects_bad_values():
         SimConfig(model=model, steps=1, replicates=1, trajectory_stride=0)
 
 
+@pytest.mark.parametrize("seed, valid", [(-1, False), (0, True), (2**64 - 1, True), (2**64, False)])
+def test_sim_config_takes_only_seeds_of_64_bits(seed, valid):
+    model = one_draw_model([1, 0, 0, 1], 1, 1)
+    if valid:
+        assert SimConfig(model=model, steps=1, replicates=1, base_seed=seed).base_seed == seed
+    else:
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            SimConfig(model=model, steps=1, replicates=1, base_seed=seed)
+
+
 def test_run_replicates_rejects_bad_parallelism():
     model = one_draw_model([1, 0, 0, 1], 1, 1)
     with pytest.raises(ValueError):
@@ -488,15 +498,15 @@ def _cut_draws(state, model):
 def _window_bounds(view, d, k):
     """The kernels' bounds ``lo``, ``hi`` on the cuts of a ``k``-step window from the start:
     the ceilings at the corners ``(W, B + (k - 1) a')`` and ``(W + (k - 1) a, B)``."""
-    w, b, rows = view.w0, view.b0, view.entries
-    return (mc._ceilings(w, b + (k - 1) * max(rows[1::2]), d),
-            mc._ceilings(w + (k - 1) * max(rows[::2]), b, d))
+    rows = view.entries
+    cuts = mc._ceilings(view.w0, view.b0, d, (k - 1) * max(rows[::2]), (k - 1) * max(rows[1::2]))
+    return cuts[:len(cuts) // 2], cuts[len(cuts) // 2:]
 
 
 def _first_window(model, length):
     """Steps and bracket of the first window of a ``length``-step segment from the start."""
     view = model.scaled
-    k = min(length, 2 * math.isqrt((view.w0 + view.b0) // max(view.row_sums)))
+    k = min(length, mc._WINDOW_FACTOR * math.isqrt((view.w0 + view.b0) // max(view.row_sums)))
     assert length >= mc._WINDOW_MIN and k >= mc._WINDOW_MIN  # a window opens
     d = None if model.kind == "one-draw" else view.scale if model.sampling == "without" else 0
     return (k, *_window_bounds(view, d, k))
@@ -567,6 +577,151 @@ def test_window_walks_to_each_corner_of_its_box_and_matches_oracle(model, monkey
                     model, k,
                     lambda i, cuts: push if i < k - 1 else cuts[cut_index] - below,
                     monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# Guessed boxes: a window whose counts leave its box is decided on the worst case
+# ---------------------------------------------------------------------------
+
+#: For each draw rule, on doubles and then on integer counts: the first row
+#: adds the most balls of each colour, the last the fewest (one white ball).
+MISS_MODELS = [
+    one_draw_model([4, 3, 1, 0], 10**5, 10**5),
+    one_draw_model([4, 3, 1, 0], 2**52, 2**52),
+    two_draw_model([4, 3, 2, 2, 1, 0], 10**5, 10**5, sampling=WITH),
+    two_draw_model([4, 3, 2, 2, 1, 0], 2**25, 2**25, sampling=WITH),
+    two_draw_model([4, 3, 2, 2, 1, 0], 10**5, 10**5),
+    two_draw_model([4, 3, 2, 2, 1, 0], 2**25, 2**25),
+]
+
+
+def assert_scripted_run_matches_oracle(config, choose, monkeypatch):
+    """Replicate 0 of ``config`` on the draws ``choose(i, cuts of the oracle's state)``.
+
+    It must equal ``oracle_run`` on the same draws.
+    """
+    state, draws = initial_state(config.model), []
+    for i in range(config.steps):
+        u = choose(i, _cut_draws(state, config.model))
+        draws.append(u)
+        state = step(state, config.model, ScriptedRng([u]))
+    scripted = lambda seed, index: ScriptedRng(draws)  # noqa: E731
+    monkeypatch.setattr(mc, "replicate_rng", scripted)
+    monkeypatch.setitem(globals(), "replicate_rng", scripted)  # the one oracle_run calls
+    assert simulate(config, 0) == oracle_run(config, 0)
+
+
+@pytest.mark.parametrize("leave", ["first", "middle", "last"])
+@pytest.mark.parametrize("model", MISS_MODELS, ids=[
+    f"{rule}-{num}" for rule in ("one", WITH, "without") for num in ("doubles", "ints")])
+def test_a_window_that_leaves_its_guessed_box_matches_oracle(model, leave, monkeypatch):
+    # Two windows of k steps: the first adds only the last row, so the second
+    # guesses a narrow box. There the first row walks the counts out of it at
+    # the first draw that can, at the middle draw or at the last draw; later
+    # draws sit at or just below the oracle's cuts.
+    k, view = 64, model.scaled
+    config = SimConfig(model=model, steps=2 * k, replicates=1, record_trajectory=True,
+                       trajectory_stride=k)
+    bound = FLOAT_BOUNDS["one" if model.kind == "one-draw" else WITH]
+    on_ints = view.w0 + view.b0 + config.steps * max(view.row_sums) >= bound
+    assert on_ints == (view.w0 > 10**5)
+    assert mc._WINDOW_FACTOR * math.isqrt((view.w0 + view.b0) // max(view.row_sums)) >= k
+    most_w, most_b = max(view.entries[::2]), max(view.entries[1::2])
+    (big_w, big_b), (small_w, small_b) = view.entries[:2], view.entries[-2:]
+    gw, gb, reach_w, reach_b = mc._boxes((k * small_w, k * small_b, k), k, most_w, most_b)
+    assert gw < reach_w and gb < reach_b  # a guessed box
+
+    def leaves_at(start):
+        """The draw whose first row takes the counts out of the box, first rows from ``start``."""
+        j = 1
+        while start * small_w + j * big_w <= gw and start * small_b + j * big_b <= gb:
+            j += 1
+        return start + j - 1
+
+    at = {"first": leaves_at(0), "middle": k // 2, "last": k - 1}[leave]
+    start = next(s for s in range(k) if leaves_at(s) == at)
+    last_row, first_row = (1 << 53) - 1, 0
+
+    def choose(i, cuts):
+        i -= k  # the second window's draw
+        if i < start:
+            return last_row
+        if i <= at:
+            return first_row
+        return cuts[i % len(cuts)] - (i // len(cuts)) % 2
+
+    boxes = []
+    ceilings = mc._ceilings
+    monkeypatch.setattr(mc, "_ceilings", lambda *args: boxes.append(args[3:]) or ceilings(*args))
+    assert_scripted_run_matches_oracle(config, choose, monkeypatch)
+    # One box for the first window, then the second's guess, missed, and its worst case.
+    assert boxes[1:] == [(gw, gb), (reach_w, reach_b)]
+
+
+#: Models whose first row adds one white ball and whose other rows add none.
+ONE_BALL_MODELS = [
+    one_draw_model([1, 0, 0, 1], 10**5, 10**5),
+    one_draw_model([1, 0, 0, 1], 2**52, 2**52),
+    two_draw_model([1, 0, 0, 1, 0, 1], 10**5, 10**5, sampling=WITH),
+    two_draw_model([1, 0, 0, 1, 0, 1], 2**25, 2**25, sampling=WITH),
+    two_draw_model([1, 0, 0, 1, 0, 1], 10**5, 10**5),
+    two_draw_model([1, 0, 0, 1, 0, 1], 2**25, 2**25),
+]
+
+
+@pytest.mark.parametrize("model", ONE_BALL_MODELS, ids=[
+    f"{rule}-{num}" for rule in ("one", WITH, "without") for num in ("doubles", "ints")])
+def test_a_window_one_white_ball_outside_its_guessed_box_matches_oracle(model, monkeypatch):
+    # The second window's first rows take the counts one white ball past its
+    # box; the next draw is just below the first cut there, which the bracket
+    # puts above it. Every later draw adds no white ball, so the window ends
+    # one ball past its box, and must still be decided again.
+    k = 64
+    config = SimConfig(model=model, steps=2 * k, replicates=1, record_trajectory=True,
+                       trajectory_stride=k)
+    gw, _, reach_w, _ = mc._boxes((0, k, k), k, 1, 1)
+    assert gw < reach_w
+
+    def choose(i, cuts):
+        i -= k  # the second window's draw
+        if 0 <= i <= gw:
+            return 0
+        return cuts[0] - 1 if i == gw + 1 else (1 << 53) - 1
+
+    assert_scripted_run_matches_oracle(config, choose, monkeypatch)
+
+
+@st.composite
+def guessed_boxes(draw):
+    kind = draw(st.sampled_from(["one", WITH, "without"]))
+    entries = draw(st.lists(st.builds(F, st.integers(0, 10), st.integers(1, 3)),
+                            min_size=4 if kind == "one" else 6,
+                            max_size=4 if kind == "one" else 6).filter(any))
+    # Counts on doubles, or large enough for integer counts, and always large
+    # enough against the rows for windows to open.
+    counts = st.one_of(st.integers(10**4, 10**6), st.integers(2**52, 2**53))
+    model = kind_model(kind, entries, draw(counts), draw(counts))
+    config = SimConfig(model=model, steps=draw(st.integers(mc._WINDOW_MIN, 300)), replicates=1,
+                       base_seed=draw(st.integers(0, 2**32 - 1)))
+    return config, (draw(st.integers(0, 4000)), draw(st.integers(0, 4000)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(case=guessed_boxes())
+def test_kernels_match_oracle_on_any_guessed_box(case):
+    # Whatever box a window guesses, every decision is the exact one.
+    config, guess = case
+    guessed = []
+
+    def boxes(last, k, most_w, most_b):
+        guessed.append(k)
+        return (*guess, (k - 1) * most_w, (k - 1) * most_b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_boxes", boxes)
+        result = simulate(config, 0)
+    assert guessed  # a window opened
+    assert result == oracle_run(config, 0)
 
 
 #: Windows whose byte classes reach the ends of the byte range: pairs whose
@@ -691,7 +846,7 @@ def test_bracket_holds_every_cut_of_every_state_a_window_reaches(box):
         reached |= frontier
     for w, b in reached:
         cuts = _cut_draws(UrnState(F(w, view.scale), F(b, view.scale)), model)
-        assert mc._ceilings(w, b, d) == tuple(cuts)
+        assert mc._ceilings(w, b, d, 0, 0) == tuple(cuts) * 2  # both corners are the state
         for low, cut, high in zip(lo, cuts, hi):
             assert low <= cut <= high, (w, b)
 
