@@ -3,21 +3,26 @@
 A polynomial is held as integer numerators over one positive denominator, in
 lowest terms, so arithmetic, gcd, square-free decomposition and root
 isolation are exact integer computations with certified answers. ``Fraction``
-values appear only at the edges: coefficients shown or evaluated, and the
-values and interval endpoints of roots. Roots in the unit interval come back
-as exact rationals or as arbitrarily narrow isolating intervals with rational
-endpoints (irrational roots), with their multiplicities.
+values appear only at the edges: coefficients evaluated (they are shown from
+the integers), and the values and interval endpoints of roots. Roots in the
+unit interval come back as exact rationals or as arbitrarily narrow isolating
+intervals with rational endpoints (irrational roots), with their
+multiplicities.
 
-Every sign decision rests on one primitive, :func:`sign_at`: the sign at
-``p/q`` of a polynomial with primitive integer coefficients ``c_i`` is the
-sign of the integer ``sum c_i p^i q^(n-i)``, one integer Horner pass. Gcds,
-Yun's square-free split and Sturm sequences use signed pseudo-remainders over
-the integers, each reduced to its primitive part (Collins' primitive
-remainder sequence). Sturm sequences isolate the distinct roots; a rational
-root is read off its isolating interval, narrowed until at most one fraction
-with a small enough denominator fits. The sign of another polynomial at an
-irrational root is a Sturm-Tarski query: a difference of sign variations at
-the two ends of the root's isolating interval.
+Every sign decision rests on one primitive, integer Horner evaluation
+(:func:`sign_at`): the sign at ``p/q`` of a polynomial with primitive integer
+coefficients ``c_i`` is the sign of the integer ``sum c_i p^i q^(n-i)``, one
+integer Horner pass. Gcds, Yun's square-free split and Sturm sequences use
+signed pseudo-remainders over the integers, each reduced to its primitive
+part (Collins' primitive remainder sequence). Sturm sequences isolate the
+distinct roots; a rational root is read off its isolating interval, narrowed
+until at most one fraction with a small enough denominator fits. Narrowing
+jumps to the interval that halving would reach on a Newton guess in integer
+fixed point, kept only when exact signs at both its ends confirm it. The
+sign of another polynomial at an irrational root is read at the interval's
+midpoint when a bound on its slope proves it constant over the interval, and
+is otherwise a Sturm-Tarski query: a difference of sign variations at the
+two ends of the root's isolating interval.
 
 The unit interval is the natural domain here because these polynomials arise
 as drift and noise curves of urn processes whose state is a proportion.
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -285,28 +291,36 @@ class RatPoly(Record):
 
     # -- presentation ---------------------------------------------------------
     def coefficient_strings(self) -> list[str]:
-        """Coefficients as ``"p/q"`` strings, lowest power first."""
-        return [format_rational(c) for c in self.coeffs]
+        """Coefficients as ``"p/q"`` strings, lowest power first.
+
+        Each is ``num[i] / den`` reduced by one gcd, in the form of
+        :func:`format_rational`, without building a ``Fraction``.
+        """
+        return [_ratio_text(v, self.den) for v in self.num]
 
     def to_text(self) -> str:
-        """Human-readable form such as ``3 - 22*x + 48*x^2``."""
+        """Human-readable form such as ``3 - 22*x + 48*x^2``.
+
+        Formatted from ``num`` and ``den`` as :meth:`coefficient_strings` is;
+        a term whose coefficient has magnitude one shows only its power.
+        """
         if self.is_zero:
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        den = self.den
+        for i, v in enumerate(self.num):
+            if not v:
                 continue
-            mag = abs(c)
-            mag_s = format_rational(mag)
+            mag = abs(v)
             if i == 0:
-                term = mag_s
+                term = _ratio_text(mag, den)
             else:
                 var = "x" if i == 1 else f"x^{i}"
-                term = var if mag == 1 else f"{mag_s}*{var}"
+                term = var if mag == den else f"{_ratio_text(mag, den)}*{var}"
             if not parts:
-                parts.append(term if c > 0 else f"-{term}")
+                parts.append(term if v > 0 else f"-{term}")
             else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+                parts.append(f"+ {term}" if v > 0 else f"- {term}")
         return " ".join(parts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -316,6 +330,12 @@ class RatPoly(Record):
 def _poly(num: Sequence[int], den: int) -> RatPoly:
     """The polynomial ``num / den``, for any integers with ``den != 0``."""
     return RatPoly.__new__(RatPoly)._set(num, den)
+
+
+def _ratio_text(v: int, den: int) -> str:
+    """:func:`format_rational` of ``v / den``, for ``den > 0``."""
+    g = math.gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
 
 
 def _coerce(value) -> RatPoly:
@@ -434,17 +454,23 @@ def radical(p: RatPoly) -> RatPoly:
 # Signs at rational points and Sturm sequences
 # ---------------------------------------------------------------------------
 
-def _int_sign(ints: Sequence[int], p: int, q: int) -> int:
-    """Sign of ``sum ints[i] * p**i * q**(n-i)``, by Horner's rule in integers.
+def _horner(ints: Sequence[int], p: int, q: int) -> int:
+    """``sum ints[i] * p**i * q**(n-i)``, by Horner's rule in integers.
 
-    For ``q > 0`` this is the sign of the polynomial with coefficients
-    ``ints`` at ``p/q`` (the sum is that value times ``q**n``).
+    For ``q > 0`` this is the value of the polynomial with coefficients
+    ``ints`` at ``p/q``, times ``q**n``.
     """
     acc = ints[-1]
     q_power = 1
     for c in ints[-2::-1]:
         q_power *= q
         acc = acc * p + c * q_power
+    return acc
+
+
+def _int_sign(ints: Sequence[int], p: int, q: int) -> int:
+    """Sign of :func:`_horner`: for ``q > 0``, the sign of ``ints`` at ``p/q``."""
+    acc = _horner(ints, p, q)
     return (acc > 0) - (acc < 0)
 
 
@@ -542,12 +568,16 @@ class RootRecord(Record):
 
         An irrational root equals neither end, so its isolating interval is
         halved while it holds ``lower`` or ``upper``; it then lies wholly
-        inside or wholly outside.
+        inside or wholly outside. An interval that holds neither end already
+        does, and is compared without evaluating anything.
         """
         if self.value is not None:
             v = self.value
             return lower < v < upper if strict else lower <= v <= upper
-        lo, hi = _bisect(self.defining_factor(), *self.interval, _holding((lower, upper)))
+        factor = self.defining_factor()
+        lo, hi = self.interval
+        if lo <= lower <= hi or lo <= upper <= hi:
+            lo, hi = _bisect(factor, lo, hi, _holding((lower, upper)))
         return lower < lo and hi < upper
 
     def defining_factor(self) -> RatPoly:
@@ -557,7 +587,12 @@ class RootRecord(Record):
         return self.factor
 
 
-def _bisect(poly: RatPoly, lo: Fraction, hi: Fraction, keep_halving) -> tuple[Fraction, Fraction]:
+#: Bits by which the Newton guess of :func:`_warm_start` resolves a cell.
+_GUESS_BITS = 16
+
+
+def _bisect(poly: RatPoly, lo: Fraction, hi: Fraction, keep_halving,
+            width: Fraction | None = None) -> tuple[Fraction, Fraction]:
     """Halve ``(lo, hi)`` around the one sign change of ``poly`` while asked to.
 
     The interval is held as ``(a/q, c/q)`` over a common denominator
@@ -568,12 +603,25 @@ def _bisect(poly: RatPoly, lo: Fraction, hi: Fraction, keep_halving) -> tuple[Fr
     integer evaluation. If ``poly`` vanishes at ``lo``, the sign just right of
     it, opposite to the sign at ``hi``, is carried instead. A midpoint that is
     a root of ``poly`` ends the halving with ``(mid, mid)``.
+
+    ``width`` asks for a warm start. The caller then promises that
+    ``(lo, hi]`` holds exactly one root of ``poly``, not at ``hi``, and that
+    ``keep_halving`` holds while the interval is wider than ``width``. The
+    halving jumps to the first level at which it is not, when
+    :func:`_warm_start` certifies the cell of that level which holds the
+    root, and the loop goes on from there; the result is the interval that
+    plain halving reaches, in a few evaluations instead of one per level.
     """
     ints = poly.primitive_integer_coeffs()
-    q = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
-    a = lo.numerator * (q // lo.denominator)
-    c = hi.numerator * (q // hi.denominator)
+    a, c, q = _over_common_denominator(lo, hi)
+    # With a width, the first level k with (c - a) / (q 2^k) <= width.
+    levels = 0 if width is None else (
+        -(-(c - a) * width.denominator // (width.numerator * q)) - 1).bit_length()
+    if not levels and not keep_halving(a, c, q):
+        return lo, hi
     sign_lo = _int_sign(ints, a, q) or -_int_sign(ints, c, q)
+    if levels:
+        a, c, q, sign_lo = _warm_start(ints, a, c, q, sign_lo, levels)
     while keep_halving(a, c, q):
         mid = a + c
         a, c, q = 2 * a, 2 * c, 2 * q
@@ -585,6 +633,60 @@ def _bisect(poly: RatPoly, lo: Fraction, hi: Fraction, keep_halving) -> tuple[Fr
         else:
             a = mid
     return Fraction(a, q), Fraction(c, q)
+
+
+def _warm_start(ints: Sequence[int], a: int, c: int, q: int, sign_lo: int,
+                levels: int) -> tuple[int, int, int, int]:
+    """The cell that ``levels`` halvings of ``(a/q, c/q)`` reach, or the interval itself.
+
+    After ``k = levels`` halvings the interval is a cell
+    ``(A/Q, (A + d)/Q)`` with ``Q = q 2^k``, ``d = c - a`` and
+    ``A = a 2^k + j d`` for some ``0 <= j < 2^k``. A Newton iteration in
+    integer fixed point, fine enough to split a cell into ``2^_GUESS_BITS``
+    steps and kept inside the interval by halving its bracket where a step
+    leaves it, guesses where the root lies; the cell of the guess is
+    accepted only when the exact signs at both of its ends are nonzero and
+    differ, which puts the interval's one root strictly inside it, where
+    every halving would have followed it. Otherwise the interval comes back
+    unchanged, to be halved from the start. Returns ``(a, c, q, sign_lo)``.
+    """
+    d = c - a
+    bits = _GUESS_BITS + levels + (q // d).bit_length()
+    shifted = [v << bits for v in ints]
+    left, right = (a << bits) // q, -(-(c << bits) // q)
+    x = (left + right) >> 1
+    for _ in range(2 * bits):
+        # value and slope at x / 2^bits, both scaled by 2^bits
+        value, slope = shifted[-1], 0
+        for coeff in shifted[-2::-1]:
+            slope = (slope * x >> bits) + value
+            value = (value * x >> bits) + coeff
+        if (value > 0) - (value < 0) == sign_lo:
+            left = x
+        else:
+            right = x
+        step = (value << bits) // slope if slope else right - left
+        x -= step
+        # A Newton step of s units leaves an error of about s^2 / 2^bits units.
+        if abs(step) <= 1 << (bits // 2):
+            break
+        if not left < x < right:
+            x = (left + right) >> 1
+    j = ((x * q - (a << bits)) << levels) // (d << bits)
+    j = min(max(j, 0), (1 << levels) - 1)
+    big_q = q << levels
+    big_a = (a << levels) + j * d
+    sign_a = _int_sign(ints, big_a, big_q)
+    sign_c = _int_sign(ints, big_a + d, big_q)
+    if sign_a and sign_c and sign_a != sign_c:
+        return big_a, big_a + d, big_q, sign_a
+    return a, c, q, sign_lo
+
+
+def _over_common_denominator(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """``(a, c, q)`` with ``lo = a/q``, ``hi = c/q`` and ``q`` their least common denominator."""
+    q = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
+    return lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator), q
 
 
 def _wider_than(width: Fraction):
@@ -603,18 +705,33 @@ def sign_at_root(poly: RatPoly, record: RootRecord) -> int:
     """Exact sign (-1, 0, +1) of ``poly`` at the root described by ``record``.
 
     At a rational root this is :func:`sign_at`. At an irrational root of the
-    square-free factor ``g``, isolated in ``(lo, hi)``, it is the
-    Sturm-Tarski query ``Var(lo) - Var(hi)`` over the signed remainder
-    sequence of ``g`` and ``g' * poly``. That difference is the sum of the
-    signs of ``poly`` at the roots of ``g`` in ``(lo, hi]`` (Basu, Pollack and
-    Roy, *Algorithms in Real Algebraic Geometry*, ch. 2), and the interval
-    holds exactly one.
+    square-free factor ``g``, isolated in ``(lo, hi)`` within ``[-1, 1]``,
+    the sign at the midpoint ``m`` is certified first: with ``c_k`` the
+    primitive integer coefficients of ``poly`` and ``L = sum k |c_k|``, which
+    bounds ``|poly'|`` on ``[-1, 1]``, ``|poly(m)| > L (hi - lo) / 2`` leaves
+    ``poly`` no zero in ``[lo, hi]``, so its sign at the root is that at
+    ``m``. Otherwise it is the Sturm-Tarski query ``Var(lo) - Var(hi)`` over
+    the signed remainder sequence of ``g`` and ``g' * poly``. That difference
+    is the sum of the signs of ``poly`` at the roots of ``g`` in ``(lo, hi]``
+    (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2),
+    and the interval holds exactly one.
     """
     if record.value is not None:
         return sign_at(poly, record.value)
     g = record.defining_factor()
+    if poly.is_zero:
+        return 0
+    lo, hi = record.interval
+    a, c, q = _over_common_denominator(lo, hi)
+    if -q <= a and c <= q:
+        ints = poly.primitive_integer_coeffs()
+        value = _horner(ints, a + c, 2 * q)  # poly(m) (2q)^n, with m = (a + c) / 2q
+        slope_bound = sum(k * abs(v) for k, v in enumerate(ints))
+        # |poly(m)| > L (c - a) / 2q, both sides times (2q)^(n + 1)
+        if abs(value) * 2 * q > slope_bound * (c - a) * (2 * q) ** (len(ints) - 1):
+            return 1 if value > 0 else -1
     chain = _remainder_sequence(g, g.derivative() * poly)
-    return count_distinct_roots(chain, *record.interval)  # Var(lo) - Var(hi)
+    return count_distinct_roots(chain, lo, hi)  # Var(lo) - Var(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +755,33 @@ def _isolate(chain: Sequence[Sequence[int]], a: int, c: int, q: int,
             + _isolate(chain, a + c, 2 * c, 2 * q, var_mid, var_c))
 
 
+def _nearest_fraction(p: int, q: int, n: int) -> tuple[int, int]:
+    """The fraction with denominator at most ``n`` nearest ``p/q``, for ``q > 0``.
+
+    :meth:`Fraction.limit_denominator` in integers, without the ``Fraction``
+    objects it builds, returned as ``(numerator, denominator)`` in lowest
+    terms: the last convergent of the continued fraction of ``p/q`` with
+    denominator at most ``n``, or the semiconvergent after it when that is
+    nearer (the convergent on a tie).
+    """
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = p, q
+    while den:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > n:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    else:
+        return p1, q1
+    k = (n - q0) // q1
+    # p1/q1 is den / (q1 q) from p/q, and 1 / (q1 (q0 + k q1)) from the other.
+    if 2 * den * (q0 + k * q1) <= q:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def roots_in_unit_interval(
     poly: RatPoly, refine_width: Fraction = DEFAULT_REFINE_WIDTH
 ) -> list[RootRecord]:
@@ -645,8 +789,13 @@ def roots_in_unit_interval(
 
     Rational roots come back as exact values; irrational roots as isolating
     intervals refined to at most ``refine_width``, with a float approximation
-    at the midpoint. Isolating intervals are pairwise disjoint and disjoint
-    from every rational root. Raises ``ValueError`` for the zero polynomial.
+    at the midpoint. Isolating intervals are pairwise disjoint, disjoint
+    from every rational root, and hold neither 0 nor 1, so a point fits
+    between each irrational root and either end. Each is the interval that
+    halving the Sturm-isolated interval reaches; :func:`_bisect` gets there
+    with a checked Newton guess (its warm start), which Sturm isolation makes
+    valid by leaving exactly one root of the radical in each interval. Raises
+    ``ValueError`` for the zero polynomial.
     """
     if poly.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere; roots are undefined")
@@ -656,7 +805,7 @@ def roots_in_unit_interval(
     if not factors:
         return []
 
-    rad = math.prod((factor for factor, _m in factors), start=RatPoly([1]))
+    rad = functools.reduce(operator.mul, (factor for factor, _m in factors))
 
     def multiplicity_of(on_root) -> tuple[int, RatPoly]:
         for factor, mult in factors:
@@ -668,7 +817,12 @@ def roots_in_unit_interval(
     # leading primitive coefficient, so distinct candidates lie at least 1/n^2
     # apart. In an interval at most that wide around a rational root, the
     # fraction with denominator at most n nearest the midpoint is the root.
-    n = abs(rad.primitive_integer_coeffs()[-1])
+    # Halving to refine_width when it is no wider passes through the interval
+    # that refinement reaches first, so an irrational root resumes from there.
+    ints = rad.primitive_integer_coeffs()
+    n = abs(ints[-1])
+    refine_width = Fraction(refine_width)
+    width = min(Fraction(1, n * n), refine_width)
     rational_roots = [Fraction(0)] if sign_at(rad, 0) == 0 else []
     irrational: list[tuple[Fraction, Fraction]] = []
     chain = sturm_chain(rad)
@@ -677,33 +831,36 @@ def roots_in_unit_interval(
         if sign_at(rad, hi) == 0:
             rational_roots.append(hi)
             continue
-        left, right = _bisect(rad, lo, hi, _wider_than(Fraction(1, n * n)))
-        candidate = ((left + right) / 2).limit_denominator(n)
-        if lo < candidate < hi and sign_at(rad, candidate) == 0:
-            rational_roots.append(candidate)
+        left, right = _bisect(rad, lo, hi, _wider_than(width), width)
+        u, v = _nearest_fraction(left.numerator * right.denominator
+                                 + right.numerator * left.denominator,
+                                 2 * left.denominator * right.denominator, n)
+        if _int_sign(ints, u, v) == 0 and lo < Fraction(u, v) < hi:
+            rational_roots.append(Fraction(u, v))
         else:
-            irrational.append((lo, hi))
+            irrational.append((left, right) if width == refine_width else (lo, hi))
 
     records = []
     for r in rational_roots:
         mult, factor = multiplicity_of(lambda f, r=r: sign_at(f, r) == 0)
         records.append(RootRecord(mult, value=r, factor=factor))
 
-    wider, holding = _wider_than(Fraction(refine_width)), _holding(rational_roots)
+    wider, holding = _wider_than(refine_width), _holding([0, 1, *rational_roots])
 
     def keep_halving(a: int, c: int, q: int) -> bool:
         # Until the interval is narrow and free of rational roots, which the
-        # owning factor may share.
+        # owning factor may share, and of 0 and 1, so that the classifier's
+        # probes fit on both sides of the root.
         return wider(a, c, q) or holding(a, c, q)
 
     # Each isolating interval holds one root of the radical, so halving the
     # radical follows that root even where lo is a rational root.
     for lo, hi in irrational:
-        lo, hi = _bisect(rad, lo, hi, keep_halving)
+        lo, hi = _bisect(rad, lo, hi, keep_halving, refine_width)
         mult, factor = multiplicity_of(
             lambda f, lo=lo, hi=hi: sign_at(f, lo) != sign_at(f, hi)
         )
         records.append(RootRecord(mult, interval=(lo, hi), factor=factor))
 
-    records.sort(key=lambda rec: rec.position())
+    records.sort(key=lambda rec: rec.bounds[0])  # the intervals and values are disjoint
     return records

@@ -152,6 +152,20 @@ def test_analyze_model_with_large_drift_coefficients(capsys):
     assert abs(point["approx"] - 0.962114699465834) < 1e-12
 
 
+@pytest.mark.parametrize("flags", [["--one-draw", "1,2,3,1e400"],
+                                   ["--two-draw", "1e300,1,1,1,1e-300,1"]])
+def test_analyze_irrational_root_next_to_an_end(flags, capsys):
+    # The drift's one root lies within 1e-300 of 0 (one draw) or of 1 (pair
+    # draws), far inside the refinement width: its interval must hold neither
+    # end, or no sign probe fits between the root and that end.
+    code, out, err = run_cli(["analyze", *flags], capsys)
+    assert code == 0 and err == ""
+    (equilibrium,) = json.loads(out)["equilibria"]
+    assert equilibrium["point"] is None and equilibrium["classification"] == "stable"
+    lo, hi = map(Fraction, equilibrium["interval"])
+    assert 0 < lo < hi < 1
+
+
 def test_analyze_start_defaults_per_draw_rule(capsys):
     for flags, start in ((["--one-draw", "1,0,0,1"], ("1", "1")),
                          (["--two-draw", "3,2,2,3,1,4", "--b0", "5"], ("2", "5"))):

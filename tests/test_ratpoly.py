@@ -475,3 +475,15 @@ def test_coarse_isolating_intervals_exclude_rational_roots():
         lo, hi = record.interval
         assert not lo <= F(1, 2) <= hi
         assert record.factor.evaluate(lo) * record.factor.evaluate(hi) < 0
+
+
+@pytest.mark.parametrize("poly", [P(-2, 0, 10**30), P(10**30 - 2, -2 * 10**30, 10**30)])
+def test_roots_next_to_an_end_are_refined_off_it(poly):
+    # The roots sqrt(2) * 1e-15 and 1 - sqrt(2) * 1e-15 lie in the first and
+    # last cells of width 2^-40; refinement goes on until 0 or 1 is outside
+    # the interval, so that the classifier's probes fit on both sides.
+    (root,) = roots_in_unit_interval(poly)
+    lo, hi = root.interval
+    assert 0 < lo < hi < 1 and hi - lo <= F(1, 10**12)
+    assert sign_at(poly, lo) * sign_at(poly, hi) == -1
+    assert root.within(0, 1, strict=True)

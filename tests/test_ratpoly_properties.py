@@ -3,27 +3,42 @@
 A polynomial is held as integer numerators over one denominator. Each
 operation must agree with the same operation done coefficient by coefficient
 in ``Fraction`` arithmetic, and the integer remainder sequences must give the
-sign variations of a ``Fraction`` Sturm chain. Examples are derandomized and
-no example database is kept, so the suite is deterministic.
+sign variations of a ``Fraction`` Sturm chain. Refinement that jumps ahead on a
+Newton guess must reach the interval that plain halving reaches, the
+certified sign at a root must equal the Sturm-Tarski answer, and polynomial
+text built from integers must equal that built from ``Fraction``
+coefficients. Examples are derandomized and no example database is kept, so
+the suite is deterministic.
 """
 
 import math
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyurn.ratpoly import (
     RatPoly,
+    RootRecord,
+    _bisect,
+    _isolate,
     _poly,
     _remainder_sequence,
     _sign_variations,
+    _warm_start,
+    _wider_than,
+    count_distinct_roots,
+    format_rational,
     poly_gcd,
+    radical,
+    roots_in_unit_interval,
+    sign_at,
+    sign_at_root,
     squarefree_decomposition,
     sturm_chain,
 )
 
-from helpers import poly_divmod, poly_from_roots
+from helpers import poly_divmod, poly_from_roots, refine_root
 
 PROPERTIES = settings(derandomize=True, database=None, deadline=None)
 
@@ -175,3 +190,109 @@ def test_integer_remainder_sequences_match_fraction_sturm_chains(p, q, points):
             assert _sign_variations(chain, x.numerator, x.denominator) == (
                 _ref_sign_variations(reference, x)
             )
+
+
+# ---------------------------------------------------------------------------
+# Warm-started refinement, certified signs at roots, text from integers
+# ---------------------------------------------------------------------------
+
+unit_roots = st.one_of(
+    st.builds(lambda k, e: F(k % (2**e + 1), 2**e), st.integers(0, 2**12), st.integers(0, 12)),
+    st.builds(lambda k, d: F(k % (d + 1), d), st.integers(0, 99), st.integers(1, 40)),
+)
+# Factors that mostly have irrational roots, with small or 400-digit
+# coefficients below a small leading one (which keeps 1/n^2 from needing
+# thousands of halvings).
+integer_factors = st.builds(
+    lambda low, lead: RatPoly([*low, lead]),
+    st.lists(st.one_of(st.integers(-20, 20), st.integers(-(10**400), 10**400)),
+             min_size=2, max_size=4),
+    st.integers(-20, 20).filter(bool),
+)
+
+_SQRT_HALF = RatPoly([F(-1, 2), 0, 1])
+
+
+def _isolating_intervals(rad):
+    """Sturm isolation of the square-free ``rad`` in (0, 1], each ``hi`` not a root."""
+    chain = sturm_chain(rad)
+    return [(lo, hi) for lo, hi in _isolate(chain, 0, 1, 1, _sign_variations(chain, 0, 1),
+                                            _sign_variations(chain, 1, 1))
+            if sign_at(rad, hi) != 0]
+
+
+@PROPERTIES
+@given(st.lists(unit_roots, max_size=3), integer_factors)
+@example([F(1, 2)], _SQRT_HALF)  # (1/2, 1] isolates sqrt(1/2), and 1/2 is a root
+@example([F(3, 8)], RatPoly([1]))  # a dyadic root: plain halving stops on it
+@example([F(5, 16), F(1, 3)], _SQRT_HALF)
+@example([], RatPoly([-(10**399) - 7, 3, 2 * 10**399 + 1]))
+def test_warm_started_refinement_reaches_the_interval_of_plain_halving(roots, factor):
+    rad = radical(poly_from_roots(roots) * factor)
+    n = abs(rad.primitive_integer_coeffs()[-1])
+    for lo, hi in _isolating_intervals(rad):
+        for width in (F(1, 10**12), F(1, n * n)):
+            try:
+                expected = refine_root(RootRecord(1, interval=(lo, hi), factor=rad), width).interval
+            except ArithmeticError:
+                # A midpoint was a rational root; plain halving ends on it.
+                expected = _bisect(rad, lo, hi, _wider_than(width))
+                assert expected[0] == expected[1] and sign_at(rad, expected[0]) == 0
+            assert _bisect(rad, lo, hi, _wider_than(width), width) == expected
+
+
+def test_warm_start_refuses_a_cell_with_the_root_at_an_end():
+    # 3/8 is a cell end from the third level on, so the guess is refused and
+    # the interval comes back as it was.
+    for levels in (3, 4, 40):
+        assert _warm_start((-3, 8), 0, 1, 1, -1, levels) == (0, 1, 1, -1)
+    # sqrt(1/2) lies strictly inside its cell, which is accepted.
+    a, c, q, sign = _warm_start((-1, 0, 2), 0, 1, 1, -1, 40)
+    assert (c - a, q, sign) == (1, 2**40, -1)
+    assert sign_at(_SQRT_HALF, F(a, q)) == -1 and sign_at(_SQRT_HALF, F(c, q)) == 1
+
+
+@PROPERTIES
+@given(integer_factors, polys, st.sampled_from([F(1, 2), F(1, 16), F(1, 1024), F(1, 10**12)]),
+       st.integers(2, 12))
+@example(RatPoly([F(-3, 10), 0, 1]), RatPoly([F(-3, 5), 1]), F(1, 2), 2)
+def test_certified_sign_at_root_matches_sturm_tarski(factor, query, width, k):
+    for record in roots_in_unit_interval(factor, refine_width=width):
+        if record.value is not None:
+            continue
+        g = record.factor
+        lo, hi = record.interval
+        # Besides the drawn query: two that vanish at the root, and two with
+        # a root of their own inside the interval.
+        queries = [query, query * g, g, RatPoly([-lo - (hi - lo) / k, 1]),
+                   RatPoly([-hi + (hi - lo) / k, 1]) * query]
+        for poly in queries:
+            chain = _remainder_sequence(g, g.derivative() * poly)
+            assert sign_at_root(poly, record) == count_distinct_roots(chain, lo, hi)
+
+
+def _ref_text(coeffs):
+    """``RatPoly.to_text`` in ``Fraction`` arithmetic."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        term = format_rational(mag)
+        if i:
+            var = "x" if i == 1 else f"x^{i}"
+            term = var if mag == 1 else f"{term}*{var}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts) or "0"
+
+
+@PROPERTIES
+@given(st.one_of(polys, st.lists(st.integers(-3, 3), max_size=6).map(RatPoly)))
+@example(RatPoly([]))
+@example(RatPoly([0, -1, 0, 1]))
+def test_text_from_integers_matches_fraction_formatting(poly):
+    assert poly.coefficient_strings() == [format_rational(c) for c in poly.coeffs]
+    assert poly.to_text() == _ref_text(poly.coeffs)
