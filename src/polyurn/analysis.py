@@ -349,6 +349,10 @@ def _to_json(value):
     return _json_form(type(value))(value)
 
 
+#: Field types a record stores in its JSON as they are.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 @functools.cache
 def _json_form(cls: type):
     """How a value of type ``cls`` becomes JSON; every format decision is made here.
@@ -383,10 +387,13 @@ def _json_form(cls: type):
         out = {}
         for name in names:
             field = getattr(value, name)
-            if isinstance(field, RootRecord):
-                out.update(_to_json(field))
+            kind = type(field)
+            if kind in _PLAIN:
+                out[name] = field
+            elif issubclass(kind, RootRecord):
+                out.update(_json_form(kind)(field))
             else:
-                out[name] = _to_json(field)
+                out[name] = _json_form(kind)(field)
         return out
 
     return record

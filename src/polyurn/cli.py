@@ -11,10 +11,14 @@ Exit status: 0 on success (including an inconclusive verification),
 1 on usage or input errors, 2 when verification finds an inconsistency or a
 selftest suite fails.
 
-JSON output is exactly the bytes of ``json.dumps(payload, indent=2)`` and a
-newline. The simulation engine (:mod:`polyurn.montecarlo`) is imported only
-by ``simulate`` and ``verify``, and ``multiprocessing`` only by runs with
-``--jobs`` of 2 or more.
+Each call parses its argv once, with the subcommand's own parser when the
+argv starts with its name (:func:`_parse`). JSON output is exactly the bytes
+of ``json.dumps(payload, indent=2)`` and a newline, written by
+:func:`_write_json` without a call for most leaves. Output files are
+rewritten in place with the encoded text handed to ``os.write`` whole
+(:func:`_write_text`). The simulation engine (:mod:`polyurn.montecarlo`) is
+imported only by ``simulate`` and ``verify``, and ``multiprocessing`` only by
+runs with ``--jobs`` of 2 or more.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import locale
 import math
 import os
 import random
@@ -117,20 +122,27 @@ def model_from_args(args: argparse.Namespace) -> UrnModel:
 def _write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path``, overwriting an existing file in place.
 
-    The file is opened without ``O_TRUNC`` and trimmed to the written length
-    afterwards, because ext4, XFS and btrfs start writeback on the ``close``
-    of a file truncated to zero: a forced flush on every rewrite. Inode, mode
-    and hard links are kept. Only a regular file is trimmed, so devices such
-    as ``/dev/null`` still work.
+    The text is encoded once, in the encoding ``open`` would use, and handed
+    to ``os.write`` on the file descriptor: one system call, or a few more if
+    the kernel takes fewer bytes than asked. The file is opened without
+    ``O_TRUNC`` and trimmed to the written length afterwards, because ext4,
+    XFS and btrfs start writeback on the ``close`` of a file truncated to
+    zero: a forced flush on every rewrite. Inode, mode and hard links are
+    kept. Only a regular file is trimmed, so devices such as ``/dev/null``
+    still work.
     """
+    data = text.encode(locale.getpreferredencoding(False))
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-        with open(fd, "w", newline="") as fh:
-            fh.write(text)
-            fh.flush()
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
             info = os.fstat(fd)
-            if stat.S_ISREG(info.st_mode) and info.st_size > fh.buffer.tell():
-                os.ftruncate(fd, fh.buffer.tell())
+            if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
@@ -173,34 +185,55 @@ def _write_json(value, newline: str, out: list[str]) -> None:
     finite ``float``, ``True``, ``False`` and ``None`` are written here.
     Anything else (NaN and infinities, subclasses, other keys, values JSON
     cannot hold) is ``json.dumps(value, indent=2)`` moved to this depth, with
-    its output or its exception unchanged.
+    its output or its exception unchanged; a dict's keys are checked as they
+    come, and a dict with another key is taken back and handed over whole.
+    The ``str`` items of a list and the ``str``, ``int`` and ``None`` values
+    of a dict, most of a report's leaves, are written in the loop over their
+    container without a call of their own. Types are compared exactly, so a
+    ``bool`` never passes for an ``int``.
     """
     kind = type(value)
     if kind is str:
         out.append(_encode_str(value))
-    elif kind is dict and all(type(key) is str for key in value):
+    elif kind is dict:
         if not value:
             out.append("{}")
             return
+        start = len(out)
         inner = newline + "  "
+        comma = "," + inner
         separator = "{" + inner
         for key, item in value.items():
-            out.append(separator)
-            out.append(_encode_str(key))
-            out.append(": ")
-            _write_json(item, inner, out)
-            separator = "," + inner
+            if type(key) is not str:
+                del out[start:]
+                out.append(json.dumps(value, indent=2).replace("\n", newline))
+                return
+            leaf = type(item)
+            if leaf is str:
+                out.append(f"{separator}{_encode_str(key)}: {_encode_str(item)}")
+            elif leaf is int:
+                out.append(f"{separator}{_encode_str(key)}: {int.__repr__(item)}")
+            elif item is None:
+                out.append(f"{separator}{_encode_str(key)}: null")
+            else:
+                out.append(f"{separator}{_encode_str(key)}: ")
+                _write_json(item, inner, out)
+            separator = comma
         out.append(newline + "}")
     elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
             return
         inner = newline + "  "
+        comma = "," + inner
         separator = "[" + inner
         for item in value:
-            out.append(separator)
-            _write_json(item, inner, out)
-            separator = "," + inner
+            if type(item) is str:
+                out.append(separator + _encode_str(item))
+            else:
+                out.append(separator)
+                _write_json(item, inner, out)
+            separator = comma
         out.append(newline + "]")
     elif kind is float and math.isfinite(value):
         out.append(float.__repr__(value))
@@ -291,13 +324,29 @@ def _render_histogram(bins: tuple[int, ...]) -> list[str]:
     return lines
 
 
+def _check_run_flags(args: argparse.Namespace) -> None:
+    """Refuse a ``simulate`` or ``verify`` flag out of range, naming the flag.
+
+    The library refuses these values too, but in its own terms
+    (``parallelism``, ``trajectory_stride``), so they are checked here
+    before it sees them.
+    """
+    if args.steps < 0:
+        raise CliError("--steps must be nonnegative")
+    if args.replicates < 1:
+        raise CliError("--replicates must be at least 1")
+    if args.jobs < 1:
+        raise CliError("--jobs must be at least 1")
+    if getattr(args, "trajectory_stride", 1) < 1:
+        raise CliError("--trajectory-stride must be at least 1")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .montecarlo import (
         SimConfig, finals_csv_lines, finals_summary, run_replicates, trajectory_csv_lines)
 
     model = model_from_args(args)
-    if args.replicates < 1:
-        raise CliError("--replicates must be at least 1")
+    _check_run_flags(args)
     try:
         config = SimConfig(
             model=model,
@@ -371,6 +420,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .montecarlo import DEFAULT_RADIUS, VERDICT_INCONSISTENT, VerificationReport, verify
 
     model = model_from_args(args)
+    _check_run_flags(args)
     prediction = None
     if args.prediction:
         try:
@@ -584,8 +634,8 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it unchanged."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name, built once per process."""
     parser = _Parser(prog="polyurn", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -626,12 +676,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for the random matrices")
     p.set_defaults(func=cmd_selftest)
 
-    return parser
+    return parser, commands.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one argparse pass where it can be.
+
+    The top-level parser hands everything after a subcommand's name to that
+    subcommand's parser, so an ``argv`` that starts with one goes straight
+    to it; what it leaves over is reported by the top-level parser, as
+    ``parse_args`` would. Any other ``argv`` (empty, ``-h``, an unknown
+    command) goes through the top-level parser.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
+    """Run one ``polyurn`` command line (``sys.argv[1:]`` by default) and return its exit status.
+
+    The argv is parsed once, by the subcommand's own parser when it names
+    one (see :func:`_parse`). Input problems print one ``polyurn: error:``
+    line and return 1; argparse's usage errors keep their usage line.
+    """
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except CliError as exc:
         print(f"polyurn: error: {exc}", file=sys.stderr)

@@ -72,6 +72,14 @@ def parse_rational(value) -> Fraction:
         return Fraction(repr(value))
     if isinstance(value, str):
         try:
+            # Unsigned ASCII integers and ratios of them, the usual input,
+            # skip the ``Fraction`` string parser.
+            num, slash, den = value.strip().partition("/")
+            if num.isdigit() and num.isascii():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isdigit() and den.isascii():
+                    return Fraction(int(num), int(den))
             # ``m.f e k`` is ``mf * 10**(k - len(f))``: its numerator or
             # denominator has at most ``len(mf) + |k - len(f)|`` digits.
             mantissa, e, exponent = value.strip().lower().partition("e")
@@ -614,9 +622,7 @@ def _bisect(poly: RatPoly, lo: Fraction, hi: Fraction, keep_halving,
     """
     ints = poly.primitive_integer_coeffs()
     a, c, q = _over_common_denominator(lo, hi)
-    # With a width, the first level k with (c - a) / (q 2^k) <= width.
-    levels = 0 if width is None else (
-        -(-(c - a) * width.denominator // (width.numerator * q)) - 1).bit_length()
+    levels = 0 if width is None else _levels_to(c - a, q, width)
     if not levels and not keep_halving(a, c, q):
         return lo, hi
     sign_lo = _int_sign(ints, a, q) or -_int_sign(ints, c, q)
@@ -681,6 +687,27 @@ def _warm_start(ints: Sequence[int], a: int, c: int, q: int, sign_lo: int,
     if sign_a and sign_c and sign_a != sign_c:
         return big_a, big_a + d, big_q, sign_a
     return a, c, q, sign_lo
+
+
+def _levels_to(d: int, q: int, width: Fraction) -> int:
+    """The fewest halvings after which an interval ``d/q`` wide is no wider than ``width``."""
+    return (-(-d * width.denominator // (width.numerator * q)) - 1).bit_length()
+
+
+def _ancestor(lo: Fraction, hi: Fraction, left: Fraction,
+              width: Fraction) -> tuple[Fraction, Fraction]:
+    """The cell that halving ``(lo, hi)`` reaches first at ``width``, on its way to a finer cell.
+
+    ``left`` is the lower end of a cell that halving ``(lo, hi)`` reached
+    after more halvings; cells nest, so the coarser cell is the one of its
+    level that holds ``left``.
+    """
+    a, c, q = _over_common_denominator(lo, hi)
+    d = c - a
+    levels = _levels_to(d, q, width)
+    big_q = q << levels
+    start = (a << levels) + (left - lo) * big_q // d * d
+    return Fraction(start, big_q), Fraction(start + d, big_q)
 
 
 def _over_common_denominator(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
@@ -817,8 +844,9 @@ def roots_in_unit_interval(
     # leading primitive coefficient, so distinct candidates lie at least 1/n^2
     # apart. In an interval at most that wide around a rational root, the
     # fraction with denominator at most n nearest the midpoint is the root.
-    # Halving to refine_width when it is no wider passes through the interval
-    # that refinement reaches first, so an irrational root resumes from there.
+    # Halving to 1/n^2 when it is finer than refine_width passes through the
+    # interval that refinement reaches first, so an irrational root resumes
+    # from that ancestor of its cell.
     ints = rad.primitive_integer_coeffs()
     n = abs(ints[-1])
     refine_width = Fraction(refine_width)
@@ -838,7 +866,8 @@ def roots_in_unit_interval(
         if _int_sign(ints, u, v) == 0 and lo < Fraction(u, v) < hi:
             rational_roots.append(Fraction(u, v))
         else:
-            irrational.append((left, right) if width == refine_width else (lo, hi))
+            irrational.append((left, right) if width == refine_width
+                              else _ancestor(lo, hi, left, refine_width))
 
     records = []
     for r in rational_roots:

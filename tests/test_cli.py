@@ -444,6 +444,23 @@ def test_a_seed_outside_64_bits_is_a_usage_error(command, seed, capsys):
     assert "[0, 2**64)" in err
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("simulate", "--steps", "-1", "--steps must be nonnegative"),
+    ("verify", "--steps", "-1", "--steps must be nonnegative"),
+    ("simulate", "--replicates", "0", "--replicates must be at least 1"),
+    ("verify", "--replicates", "0", "--replicates must be at least 1"),
+    ("simulate", "--jobs", "0", "--jobs must be at least 1"),
+    ("verify", "--jobs", "-2", "--jobs must be at least 1"),
+    ("simulate", "--trajectory-stride", "0", "--trajectory-stride must be at least 1"),
+])
+def test_a_simulation_flag_out_of_range_names_its_flag(command, flag, value, message, capsys):
+    code, out, err = run_cli(
+        [command, "--one-draw", "1,0,0,1", "--steps", "10", "--replicates", "2", flag, value],
+        capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err == f"polyurn: error: {message}\n"
+
+
 @VERIFY_MODELS
 def test_verify_zero_replicates_is_a_usage_error(model_flags, capsys):
     # No samples can never refute a prediction: exit 1, not 2 "inconsistent".
@@ -696,6 +713,34 @@ def test_output_files_are_never_opened_with_truncation(monkeypatch, tmp_path, ca
         assert run_cli(_simulate_args(2, finals, traj), capsys)[0] == 0
     assert len(flags_seen) == 6
     assert all(flags & os.O_CREAT and not flags & os.O_TRUNC for flags in flags_seen)
+
+
+def test_short_writes_still_write_every_byte(monkeypatch, tmp_path, capsys):
+    # A write call may take fewer bytes than it is given; the writer goes on
+    # from where the kernel stopped.
+    analysis, finals, traj = tmp_path / "a.json", tmp_path / "finals.csv", tmp_path / "traj.csv"
+    sim = ["simulate", "--one-draw", "1,0,0,1", "--steps", "50", "--replicates", "5",
+           "--seed", "3", "--trajectory-stride", "10"]
+    expected_analysis = run_cli(["analyze", *LONG_ANALYSIS], capsys)[1]
+    expected_finals = run_cli([*sim, "--format", "csv"], capsys)[1]
+    config = SimConfig(model=urns.one_draw_model([1, 0, 0, 1]), steps=50, replicates=5,
+                       base_seed=3, record_trajectory=True, trajectory_stride=10)
+    expected_traj = "\n".join(montecarlo.trajectory_csv_lines(run_replicates(config))) + "\n"
+
+    real_write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(len(data))
+        return real_write(fd, data[:7])
+
+    monkeypatch.setattr(os, "write", short_write)
+    assert run_cli(["analyze", *LONG_ANALYSIS, "--out", str(analysis)], capsys)[0] == 0
+    assert run_cli([*sim, "--out", str(finals), "--trajectory-out", str(traj)], capsys)[0] == 0
+    assert analysis.read_text() == expected_analysis
+    assert finals.read_text() == expected_finals
+    assert traj.read_text() == expected_traj
+    texts = expected_analysis, expected_finals, expected_traj
+    assert len(sizes) == sum(-(-len(text) // 7) for text in texts)  # 7 bytes a call
 
 
 def _opens_to_write(call):

@@ -17,9 +17,12 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import polyurn.ratpoly as ratpoly
 from polyurn.ratpoly import (
+    DEFAULT_REFINE_WIDTH,
     RatPoly,
     RootRecord,
+    _ancestor,
     _bisect,
     _isolate,
     _poly,
@@ -29,6 +32,7 @@ from polyurn.ratpoly import (
     _wider_than,
     count_distinct_roots,
     format_rational,
+    parse_rational,
     poly_gcd,
     radical,
     roots_in_unit_interval,
@@ -37,6 +41,8 @@ from polyurn.ratpoly import (
     squarefree_decomposition,
     sturm_chain,
 )
+
+from polyurn.urns import drift_for, two_draw_model
 
 from helpers import poly_divmod, poly_from_roots, refine_root
 
@@ -241,6 +247,40 @@ def test_warm_started_refinement_reaches_the_interval_of_plain_halving(roots, fa
             assert _bisect(rad, lo, hi, _wider_than(width), width) == expected
 
 
+@PROPERTIES
+@given(st.lists(unit_roots, max_size=3), integer_factors, st.integers(0, 30))
+@example([F(1, 2)], _SQRT_HALF, 3)
+def test_the_ancestor_of_a_finer_cell_is_the_cell_of_plain_halving(roots, factor, coarser):
+    rad = radical(poly_from_roots(roots) * factor)
+    fine = F(1, 10**12)
+    for lo, hi in _isolating_intervals(rad):
+        left, right = _bisect(rad, lo, hi, _wider_than(fine), fine)
+        if left == right:
+            continue  # a midpoint was a rational root
+        width = fine * 2**coarser
+        assert _ancestor(lo, hi, left, width) == _bisect(rad, lo, hi, _wider_than(width))
+
+
+def test_a_large_coefficient_root_is_refined_with_one_warm_start(monkeypatch):
+    # The radical's leading coefficient n is near 1e17, so 1/n^2 is finer
+    # than the refinement width: the root's cell at 1/n^2, which shows it
+    # irrational, holds the cell that refinement resumes from.
+    model = two_draw_model([F(99991, 9973), F(3119, 7919), F(4, 101), F(1, 103), F(3, 107),
+                            F(21, 109)], 5, 2)
+    rad = radical(drift_for(model))
+    n = abs(rad.primitive_integer_coeffs()[-1])
+    assert F(1, n * n) < DEFAULT_REFINE_WIDTH
+    levels = []
+    warm_start = ratpoly._warm_start
+    monkeypatch.setattr(ratpoly, "_warm_start",
+                        lambda *args: levels.append(args[-1]) or warm_start(*args))
+    (root,) = roots_in_unit_interval(drift_for(model))
+    assert len(levels) == 1
+    ((lo, hi),) = _isolating_intervals(rad)
+    record = RootRecord(1, interval=(lo, hi), factor=rad)
+    assert root.interval == refine_root(record, DEFAULT_REFINE_WIDTH).interval
+
+
 def test_warm_start_refuses_a_cell_with_the_root_at_an_end():
     # 3/8 is a cell end from the third level on, so the guess is refused and
     # the interval comes back as it was.
@@ -296,3 +336,25 @@ def _ref_text(coeffs):
 def test_text_from_integers_matches_fraction_formatting(poly):
     assert poly.coefficient_strings() == [format_rational(c) for c in poly.coeffs]
     assert poly.to_text() == _ref_text(poly.coeffs)
+
+
+def _fraction_or_none(text):
+    try:
+        return F(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@PROPERTIES
+@given(st.text("0123456789/+-_. ３²", max_size=10)
+       | st.builds("{}/{}".format, st.integers(0, 10**30), st.integers(0, 10**30)))
+@example("7/0")
+@example("1" * 5000)
+def test_parse_rational_reads_a_string_as_fraction_does(text):
+    # Unsigned integer strings and ratios of them take a shortcut past the
+    # Fraction parser; every string must still read as Fraction reads it.
+    expected = _fraction_or_none(text)
+    try:
+        assert parse_rational(text) == expected
+    except ValueError:
+        assert expected is None
