@@ -3,9 +3,10 @@
 The package has three layers:
 
 - exact kernels: rational polynomial arithmetic with certified root isolation
-  (:mod:`polyurn.ratpoly`), urn models with exact step distributions, drift
-  and noise closed forms (:mod:`polyurn.urns`), and equilibrium
-  classification with exclusion criteria (:mod:`polyurn.stability`);
+  (:mod:`polyurn.ratpoly`), urn models with exact drift and noise closed
+  forms (:mod:`polyurn.urns`), and equilibrium classification with exclusion
+  criteria (:mod:`polyurn.stability`), plus the exact one-step reference they
+  are checked against (:mod:`polyurn.oracle`, loaded only by ``selftest``);
 - orchestration: whole-model analysis and limit prediction
   (:mod:`polyurn.analysis`);
 - experiments: deterministic parallel simulation, clustering, and

@@ -17,7 +17,8 @@ of ``json.dumps(payload, indent=2)`` and a newline, written by
 :func:`_write_json` without a call for most leaves. Output files are
 rewritten in place with the encoded text handed to ``os.write`` whole
 (:func:`_write_text`). The simulation engine (:mod:`polyurn.montecarlo`) is
-imported only by ``simulate`` and ``verify``, and ``multiprocessing`` only by
+imported only by ``simulate`` and ``verify``, the exact one-step reference
+(:mod:`polyurn.oracle`) only by ``selftest``, and ``multiprocessing`` only by
 runs with ``--jobs`` of 2 or more.
 """
 
@@ -34,20 +35,18 @@ import stat
 import sys
 from fractions import Fraction
 
-from . import urns
 from .analysis import (
     ModelAnalysis,
     analysis_to_dict,
     analyze_model,
     prediction_from_dict,
 )
-from .ratpoly import RatPoly, RootRecord, format_rational, parse_rational
+from .ratpoly import RootRecord, format_rational, parse_rational
 from .urns import (
     ONE_DRAW,
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
     UrnModel,
-    UrnState,
     load_model,
     one_draw_model,
     two_draw_model,
@@ -328,11 +327,13 @@ def _check_run_flags(args: argparse.Namespace) -> None:
     """Refuse a ``simulate`` or ``verify`` flag out of range, naming the flag.
 
     The library refuses these values too, but in its own terms
-    (``parallelism``, ``trajectory_stride``), so they are checked here
-    before it sees them.
+    (``parallelism``, ``trajectory_stride``, steps per replicate), so they are
+    checked here before it sees them.
     """
     if args.steps < 0:
         raise CliError("--steps must be nonnegative")
+    if args.steps == 0 and args.command == "verify":
+        raise CliError("--steps must be at least 1 to verify")
     if args.replicates < 1:
         raise CliError("--replicates must be at least 1")
     if args.jobs < 1:
@@ -453,150 +454,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # selftest
 # ---------------------------------------------------------------------------
 
-class _SuiteFailure(Exception):
-    pass
-
-
-def _random_entry(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(0, 9), rng.randint(1, 3))
-
-
-def _random_one_matrix(rng: random.Random):
-    return urns.OneDrawMatrix.from_entries([_random_entry(rng) for _ in range(4)])
-
-
-def _random_two_matrix(rng: random.Random):
-    return urns.TwoDrawMatrix.from_entries([_random_entry(rng) for _ in range(6)])
-
-
-def _random_state(rng: random.Random) -> UrnState:
-    white = Fraction(rng.randint(4, 80), rng.randint(1, 2))
-    black = Fraction(rng.randint(4, 80), rng.randint(1, 2))
-    return UrnState(white, black, 0)
-
-
-def _suite_boundary_drift_signs(rng: random.Random) -> int:
-    checks = 0
-    for _ in range(200):
-        f1 = urns.drift_one(_random_one_matrix(rng))
-        f2 = urns.drift_two(_random_two_matrix(rng))
-        for f in (f1, f2):
-            if f.evaluate(Fraction(0)) < 0 or f.evaluate(Fraction(1)) > 0:
-                raise _SuiteFailure(f"drift {f.to_text()} points outward at a boundary")
-            checks += 2
-    return checks
-
-
-def _suite_bias_numerator_columns(rng: random.Random) -> int:
-    checks = 0
-    for _ in range(200):
-        m = _random_two_matrix(rng)
-        p1, p2, p3 = urns.cond_iv_polys(m)
-        if not (p1 + p2 + p3).is_zero:
-            raise _SuiteFailure(f"bias numerators of {m.entries} do not cancel")
-        checks += 1
-    return checks
-
-
-def _suite_variance_decomposition(rng: random.Random) -> int:
-    x = RatPoly((Fraction(0), Fraction(1)))
-    one = RatPoly((Fraction(1),))
-    checks = 0
-    for _ in range(200):
-        m = _random_two_matrix(rng)
-        noise = urns.error_two(m)
-        b_poly = noise.diff_ww_bb
-        c_poly = noise.diff_wb_bb
-        a_poly = noise.second_diff
-        if a_poly != b_poly - 2 * c_poly:
-            raise _SuiteFailure(f"second difference relation fails for {m.entries}")
-        quartic = (
-            2 * x * x * (a_poly + c_poly) * (a_poly + c_poly)
-            + x * (one - x) * b_poly * b_poly
-            + 2 * (one - x) * (one - x) * c_poly * c_poly
-        )
-        if noise.variance_factor != quartic or noise.error != x * (one - x) * quartic:
-            raise _SuiteFailure(f"variance decomposition fails for {m.entries}")
-        model = urns.UrnModel(
-            urns.TWO_DRAW, m, Fraction(2), Fraction(2), urns.WITH_REPLACEMENT
-        )
-        state = _random_state(rng)
-        moments = urns.cond_moments_oracle(state, model)
-        z = state.proportion_white
-        if moments.mean_u != 0 or noise.error.evaluate(z) != moments.mean_u_sq:
-            raise _SuiteFailure(f"enumerated noise moments disagree for {m.entries}")
-        checks += 3
-    return checks
-
-
-def _suite_single_draw_bias_oracle(rng: random.Random) -> int:
-    checks = 0
-    for _ in range(500):
-        m = _random_one_matrix(rng)
-        state = _random_state(rng)
-        model = urns.UrnModel(urns.ONE_DRAW, m, Fraction(1), Fraction(1), urns.WITH_REPLACEMENT)
-        moments = urns.cond_moments_oracle(state, model)
-        if urns.cond_iv_closed_form_one(state, m) != moments.mean_u_over_next_t:
-            raise _SuiteFailure(f"single-draw bias closed form disagrees for {m.entries}")
-        checks += 1
-    return checks
-
-
-def _suite_pair_bias_oracle(rng: random.Random) -> int:
-    checks = 0
-    for _ in range(500):
-        m = _random_two_matrix(rng)
-        state = _random_state(rng)
-        for sampling in (urns.WITHOUT_REPLACEMENT, urns.WITH_REPLACEMENT):
-            model = urns.UrnModel(urns.TWO_DRAW, m, Fraction(2), Fraction(2), sampling)
-            moments = urns.cond_moments_oracle(state, model)
-            if sampling == urns.WITHOUT_REPLACEMENT:
-                if urns.mean_noise_residual_two(state, m) != moments.mean_u:
-                    raise _SuiteFailure(f"pair mean residual disagrees for {m.entries}")
-            elif moments.mean_u != 0:
-                raise _SuiteFailure(f"pair noise not centered for {m.entries}")
-            if urns.cond_iv_closed_form_two(state, m, sampling) != moments.mean_u_over_next_t:
-                raise _SuiteFailure(f"pair bias closed form disagrees for {m.entries}")
-            checks += 2
-    return checks
-
-
-def _suite_degenerate_identities(rng: random.Random) -> int:
-    checks = 0
-    for _ in range(50):
-        for zero_rows in ((0, 1), (4, 5), (2, 3)):
-            entries = [_random_entry(rng) + 1 for _ in range(6)]
-            for idx in zero_rows:
-                entries[idx] = Fraction(0)
-            model = two_draw_model(entries, 2, 2)
-            for _ in range(20):
-                point = Fraction(rng.randint(1, 99), 100)
-                if urns.degenerate_identity_gap(model, point) != 0:
-                    raise _SuiteFailure(
-                        f"reduction identity fails for {tuple(entries)} at {point}"
-                    )
-                checks += 1
-    return checks
-
-
-_SUITES = (
-    ("boundary-drift-signs", _suite_boundary_drift_signs),
-    ("pair-bias-numerator-columns", _suite_bias_numerator_columns),
-    ("pair-variance-decomposition", _suite_variance_decomposition),
-    ("single-draw-bias-oracle", _suite_single_draw_bias_oracle),
-    ("pair-bias-oracle", _suite_pair_bias_oracle),
-    ("inactive-row-reductions", _suite_degenerate_identities),
-)
-
-
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from . import oracle
+
     rng = random.Random(args.seed)
     failed = False
-    for name, suite in _SUITES:
+    for name, suite in oracle.SUITES:
         stream = random.Random(rng.getrandbits(64))
         try:
             n = suite(stream)
-        except _SuiteFailure as exc:
+        except oracle.SuiteFailure as exc:
             failed = True
             print(f"suite {name}: FAIL ({exc})")
         else:

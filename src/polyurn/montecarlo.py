@@ -7,25 +7,13 @@ replicate index)``. Counts are scaled by the common denominator ``s`` of the
 model so that every model runs on integers, in one kernel per draw rule:
 single draws, and pair draws with ``P(WW) = W (W - d) / (T (T - d))`` and
 ``P(WB) = 2 W B / (T (T - d))``, where ``d = s`` without replacement and
-``d = 0`` with replacement. :func:`step` is the rational reference oracle
-the kernels are tested against; simulation does not call it. A
+``d = 0`` with replacement. :func:`polyurn.oracle.step` is the rational
+reference the kernels are tested against; simulation does not call it. A
 :class:`ReplicateResult` holds what its kernel ends with: the final counts
-times ``s``, as exact integers, and ``s``.
-
-Most steps are decided by their draw's top byte, in C. A window of ``k``
-steps brackets its cuts on a box of states whose lower corner is the current
-state. Every cut is monotone on that box: it rises with ``W`` and falls with
-``B``. So the exact integer ceilings of the cuts at two opposite corners
-bracket every cut in the box. The box is guessed from the balls that the
-last window added per step. Rows are nonnegative, so the counts only grow:
-a window whose final counts lie in its box met no state outside it, and one
-that ends outside decides the same draws again on the box of every state
-``k - 1`` steps can reach. The window draws one block of random bits; a byte
-table maps each draw's top byte to the outcome that the bracket decides for
-it, and only an undecided draw is read as an integer and, inside the
-bracket, takes the exact test. A window has ``k = min(rest, _PIECE, 3
-isqrt(T // m))`` steps, ``rest`` the steps left in its segment and ``m`` the
-largest row total (see :func:`simulate`).
+times ``s``, as exact integers, and ``s``. Most steps are decided by their
+draw's top byte, in C, on a bracket of the cuts over a box of states that a
+window of steps reaches; :func:`simulate` gives the argument that this makes
+every decision the exact one.
 
 Replicates use independent streams derived by an avalanche mix of the base
 seed and the replicate index, which makes results independent of execution
@@ -55,13 +43,7 @@ from fractions import Fraction
 
 from .analysis import beta_in_float_range, predict_limit, prediction_to_dict
 from .stability import LimitPrediction, PredictionKind
-from .urns import (
-    ONE_DRAW,
-    WITHOUT_REPLACEMENT,
-    UrnModel,
-    UrnState,
-    step_distribution,
-)
+from .urns import ONE_DRAW, WITHOUT_REPLACEMENT, UrnModel
 from .ratpoly import Record, format_rational
 
 import random
@@ -101,30 +83,6 @@ def replicate_stream_seed(base_seed: int, replicate_index: int) -> int:
 def replicate_rng(base_seed: int, replicate_index: int) -> random.Random:
     """The generator for one replicate (one 53-bit draw per step)."""
     return random.Random(replicate_stream_seed(base_seed, replicate_index))
-
-
-# ---------------------------------------------------------------------------
-# Stepping
-# ---------------------------------------------------------------------------
-
-def step(state: UrnState, model: UrnModel, rng: random.Random) -> UrnState:
-    """Advance one step, consuming exactly one 53-bit draw from ``rng``.
-
-    The draw ``u`` selects the outcome whose exact cumulative probability
-    first exceeds ``u / 2**53``; the comparison is exact. This is the
-    rational reference for the kernels of :func:`simulate`.
-    """
-    u = rng.getrandbits(_UNIT_BITS)
-    cumulative = Fraction(0)
-    for outcome in step_distribution(state, model):
-        cumulative += outcome.probability
-        if Fraction(u, _UNIT) < cumulative:
-            return UrnState(
-                state.white + outcome.add_white,
-                state.black + outcome.add_black,
-                state.step + 1,
-            )
-    raise ArithmeticError("outcome probabilities do not reach 1")
 
 
 class SimConfig(Record):
@@ -390,11 +348,11 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     """Run one replicate; a pure function of the config and the index.
 
     Steps the model's scaled counts (:attr:`~polyurn.urns.UrnModel.scaled`),
-    drawing the same path as :func:`step`. For the draw ``u``, each decision is
+    drawing the same path as :func:`polyurn.oracle.step`. For the draw ``u``, each decision is
     ``u D < n 2**53``: ``D = T`` and ``n = W`` for single draws;
     ``D = T (T - d)`` and ``n = W (W - d)``, then ``W (W - d) + 2 W B``, for
     pairs. One kernel per draw rule makes these comparisons, on Python ints
-    or, while ``w0 + b0 + steps * (largest row total)`` is below ``2**53``
+    or, while ``w0 + b0 + max(steps, 1) * (largest row total)`` is below ``2**53``
     (single draws) or ``2**26`` (pairs, so ``D < 2**52``), on doubles. On
     ints each comparison is exact. On doubles ``u``, the counts, ``D`` and
     ``n 2**53`` are exact and ``y = fl(u D)`` is the one rounding. Either
@@ -466,8 +424,9 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
     ends = [*range(gap, steps, gap), steps] if steps else []
     segments = [(end, end - start) for start, end in zip([0, *ends], ends)]
     one_draw = model.kind == ONE_DRAW
-    # No count passes w0 + b0 + steps * top, as rows are nonnegative.
-    num = float if w + b + steps * top < (_UNIT if one_draw else 1 << 26) else int
+    # No count passes w0 + b0 + steps * top, as rows are nonnegative, and no row
+    # passes top: max(steps, 1) keeps the rows in the bound when there are no steps.
+    num = float if w + b + max(steps, 1) * top < (_UNIT if one_draw else 1 << 26) else int
     w, b, rows, unit = num(w), num(b), tuple(map(num, rows)), num(_UNIT)
     if one_draw:
         w, b = _one_draw(grb, w, b, rows, top, most_w, most_b, unit, segments, traj)

@@ -771,15 +771,21 @@ def _isolate(chain: Sequence[Sequence[int]], a: int, c: int, q: int,
 
     ``var_a`` and ``var_c`` are the chain's sign variations at the two ends.
     The chain's polynomial must be square-free, so that endpoints may be roots.
+    Halving runs on an explicit stack, left half first, so the intervals come
+    out in order; roots 1e-300 apart take about 1000 halvings, past the
+    interpreter's recursion limit.
     """
-    count = var_a - var_c
-    if count == 0:
-        return []
-    if count == 1:
-        return [(Fraction(a, q), Fraction(c, q))]
-    var_mid = _sign_variations(chain, a + c, 2 * q)
-    return (_isolate(chain, 2 * a, a + c, 2 * q, var_a, var_mid)
-            + _isolate(chain, a + c, 2 * c, 2 * q, var_mid, var_c))
+    out, stack = [], [(a, c, q, var_a, var_c)]
+    while stack:
+        a, c, q, var_a, var_c = stack.pop()
+        count = var_a - var_c
+        if count == 1:
+            out.append((Fraction(a, q), Fraction(c, q)))
+        elif count:
+            var_mid = _sign_variations(chain, a + c, 2 * q)
+            stack.append((a + c, 2 * c, 2 * q, var_mid, var_c))
+            stack.append((2 * a, a + c, 2 * q, var_a, var_mid))
+    return out
 
 
 def _nearest_fraction(p: int, q: int, n: int) -> tuple[int, int]:

@@ -3,9 +3,9 @@
 An urn holds white and black balls (counts may be any nonnegative rationals).
 Each step draws either one ball or an unordered pair (with or without
 replacement), looks the outcome up in a nonnegative replacement matrix, and
-adds the prescribed balls. Everything observable about a single step - the
-outcome distribution, the conditional moments of the white-proportion
-increment, and their closed forms - is computed here exactly.
+adds the prescribed balls. The closed forms of a single step's conditional
+moments are computed here exactly; :mod:`polyurn.oracle` holds the outcome
+enumeration they are checked against.
 
 Writing ``Z`` for the white proportion and ``T`` for the total count, one step
 changes ``Z`` by ``(Y / T_next)`` where ``Y = dW - Z * dT`` is the centered
@@ -190,80 +190,6 @@ def two_draw_model(entries: Sequence, w0=2, b0=2, sampling=WITHOUT_REPLACEMENT) 
 
 
 # ---------------------------------------------------------------------------
-# States and one-step outcome distributions
-# ---------------------------------------------------------------------------
-
-class UrnState(Record):
-    """Exact urn contents after ``step`` draws."""
-
-    white: Fraction
-    black: Fraction
-    step: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "white", parse_rational(self.white))
-        object.__setattr__(self, "black", parse_rational(self.black))
-        if self.white < 0 or self.black < 0:
-            raise ValueError("ball counts must be nonnegative")
-        if self.white + self.black <= 0:
-            raise ValueError("the urn must be nonempty")
-
-    @property
-    def total(self) -> Fraction:
-        return self.white + self.black
-
-    @property
-    def proportion_white(self) -> Fraction:
-        return self.white / self.total
-
-
-class StepOutcome(Record):
-    """One possible draw outcome with its exact probability and effect."""
-
-    label: str  # "W" / "B" for single draws; "WW" / "WB" / "BB" for pairs
-    probability: Fraction
-    add_white: Fraction
-    add_black: Fraction
-
-
-def step_distribution(state: UrnState, model: UrnModel) -> tuple[StepOutcome, ...]:
-    """Exact outcome distribution for one step from ``state``.
-
-    Probabilities are nonnegative rationals summing to one. Pair draws
-    without replacement require a total of at least 2 and enough balls of
-    each present color for the pair counts to make sense.
-    """
-    w, b, t = state.white, state.black, state.total
-    m = model.matrix
-    if model.kind == ONE_DRAW:
-        outcomes = (
-            StepOutcome("W", w / t, m.w_add_white, m.w_add_black),
-            StepOutcome("B", b / t, m.b_add_white, m.b_add_black),
-        )
-    elif model.sampling == WITH_REPLACEMENT:
-        z = state.proportion_white
-        outcomes = (
-            StepOutcome("WW", z * z, m.ww_add_white, m.ww_add_black),
-            StepOutcome("WB", 2 * z * (1 - z), m.wb_add_white, m.wb_add_black),
-            StepOutcome("BB", (1 - z) * (1 - z), m.bb_add_white, m.bb_add_black),
-        )
-    else:
-        if t < 2:
-            raise ValueError("pair draws without replacement need a total of at least 2")
-        denom = t * (t - 1)
-        outcomes = (
-            StepOutcome("WW", w * (w - 1) / denom, m.ww_add_white, m.ww_add_black),
-            StepOutcome("WB", 2 * w * b / denom, m.wb_add_white, m.wb_add_black),
-            StepOutcome("BB", b * (b - 1) / denom, m.bb_add_white, m.bb_add_black),
-        )
-    if any(o.probability < 0 for o in outcomes):
-        raise ValueError(
-            "pair draws without replacement are undefined for fractional counts below 1"
-        )
-    return outcomes
-
-
-# ---------------------------------------------------------------------------
 # Drift and noise closed forms
 # ---------------------------------------------------------------------------
 #
@@ -310,7 +236,7 @@ def drift_two(m: TwoDrawMatrix) -> RatPoly:
 
     For pair draws *with* replacement this mean is exact; *without*
     replacement the exact mean is this polynomial plus the remainder
-    returned by :func:`mean_noise_residual_two`.
+    returned by :func:`polyurn.oracle.mean_noise_residual_two`.
     """
     v = m.scaled
     alpha, beta, gamma = v.pair_drift
@@ -399,76 +325,17 @@ def error_for(model: UrnModel) -> RatPoly:
 
 
 # ---------------------------------------------------------------------------
-# Conditional-moment oracle (brute-force enumeration of outcomes)
-# ---------------------------------------------------------------------------
-
-class ExactMoments(Record):
-    """Exact conditional moments of one step from a given state.
-
-    With ``Y = dW - Z dT`` the centered white increment, ``U`` the noise
-    ``Y - drift(Z)``, and ``T_next`` the total after the step:
-
-    - ``mean_dz``: expected change of the white proportion
-    - ``mean_y``: expected ``Y``
-    - ``mean_u``: expected ``U`` (zero for single draws and pair draws with
-      replacement; an explicit O(1/T) remainder otherwise)
-    - ``mean_u_sq``: expected ``U^2``
-    - ``mean_u_over_next_t``: expected ``U / T_next`` (the per-step bias of
-      the proportion increment around ``drift(Z)/T_next``)
-    """
-
-    mean_dz: Fraction
-    mean_y: Fraction
-    mean_u: Fraction
-    mean_u_sq: Fraction
-    mean_u_over_next_t: Fraction
-
-
-def cond_moments_oracle(state: UrnState, model: UrnModel) -> ExactMoments:
-    """Moments by direct enumeration of the outcome distribution (no closed forms)."""
-    z = state.proportion_white
-    t = state.total
-    fz = drift_for(model).evaluate(z)
-    mean_dz = Fraction(0)
-    mean_y = Fraction(0)
-    mean_u = Fraction(0)
-    mean_u_sq = Fraction(0)
-    mean_u_over_next_t = Fraction(0)
-    for outcome in step_distribution(state, model):
-        dt = outcome.add_white + outcome.add_black
-        y = outcome.add_white - z * dt
-        u = y - fz
-        t_next = t + dt
-        p = outcome.probability
-        mean_dz += p * y / t_next
-        mean_y += p * y
-        mean_u += p * u
-        mean_u_sq += p * u * u
-        mean_u_over_next_t += p * u / t_next
-    return ExactMoments(mean_dz, mean_y, mean_u, mean_u_sq, mean_u_over_next_t)
-
-
-# ---------------------------------------------------------------------------
 # Closed forms for the per-step bias E[U / T_next]
 # ---------------------------------------------------------------------------
 
 def _one_bias_numerator(v: ScaledModel) -> list[int]:
-    """``s^2 (c+d-a-b)(C1 z + C2 z^2 + C3 z^3)``, see :func:`cond_iv_closed_form_one`."""
+    """``s^2 (c+d-a-b)(C1 z + C2 z^2 + C3 z^3)``.
+
+    See :func:`polyurn.oracle.cond_iv_closed_form_one`.
+    """
     a, b, c, d = v.entries
     k = c + d - a - b
     return [0, k * (a - c), k * (2 * c + d - 2 * a - b), -k * k]
-
-
-def cond_iv_closed_form_one(state: UrnState, m: OneDrawMatrix) -> Fraction:
-    """Exact ``E[U / T_next]`` for single draws.
-
-    Equals ``(C1 z + C2 z^2 + C3 z^3)(c+d-a-b) / ((T+a+b)(T+c+d))`` with
-    ``C1 = a-c``, ``C2 = 2c+d-2a-b``, ``C3 = a+b-c-d``.
-    """
-    v = m.scaled
-    r1, r2 = v.row_sums
-    z, st = state.proportion_white, state.total * v.scale
-    return _poly(_one_bias_numerator(v), 1).evaluate(z) / ((st + r1) * (st + r2))
 
 
 def _pair_bias_brackets(v: ScaledModel) -> tuple[list[int], list[int], list[int]]:
@@ -490,64 +357,9 @@ def _pair_bias_brackets(v: ScaledModel) -> tuple[list[int], list[int], list[int]
 
 
 def _pair_bias_numerators(v: ScaledModel) -> tuple[list[int], ...]:
-    """``s`` times the ``p1, p2, p3`` of :func:`cond_iv_polys`, each of length six."""
+    """``s`` times the ``p1, p2, p3`` of :func:`polyurn.oracle.cond_iv_polys`, each of length 6."""
     b1, b2, b3 = _pair_bias_brackets(v)
     return _times((0, 0, -1), b1), _times(_MIXED, b2), _times((-1, 2, -1), b3)
-
-
-def cond_iv_polys(m: TwoDrawMatrix) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """Per-outcome numerators of the pair-draw bias ``E[U / T_next]``.
-
-    Splitting the expectation over the three pair outcomes gives exactly
-
-    ``E[U/T_next] = p1(z)/(T+a+b) + p2(z)/(T+c+d) + p3(z)/(T+e+f)``
-
-    (plus the remainder terms of :func:`cond_iv_remainders` when sampling
-    without replacement), with ``p1 = -z^2 B1``, ``p2 = z(1-z) B2`` and
-    ``p3 = -(1-z)^2 B3`` for the cubics of :func:`_pair_bias_brackets`. The
-    three polynomials have degree at most five and their coefficients sum to
-    zero power by power, which makes the whole bias collapse to ``O(1/T^2)``.
-    """
-    return tuple(_poly(p, m.scaled.scale) for p in _pair_bias_numerators(m.scaled))
-
-
-def cond_iv_remainders(state: UrnState, m: TwoDrawMatrix) -> tuple[Fraction, Fraction, Fraction]:
-    """Sampling-without-replacement corrections to the pair-draw bias.
-
-    These are the exact extra terms (one per pair outcome, same denominators
-    as in :func:`cond_iv_polys`) created by drawing the pair without
-    replacement: ``z(1-z) B_k(z) / (T-1)`` for the cubics of
-    :func:`_pair_bias_brackets`, each ``O(1/T)``.
-    """
-    z, t = state.proportion_white, state.total
-    if t <= 1:
-        raise ValueError("pair draws without replacement need a total above 1")
-    scale = z * (1 - z) / ((t - 1) * m.scaled.scale)
-    return tuple(scale * _poly(b, 1).evaluate(z) for b in _pair_bias_brackets(m.scaled))
-
-
-def cond_iv_closed_form_two(state: UrnState, m: TwoDrawMatrix, sampling: str) -> Fraction:
-    """Exact ``E[U / T_next]`` for pair draws, by the split closed form."""
-    parts = [p.evaluate(state.proportion_white) for p in cond_iv_polys(m)]
-    if sampling == WITHOUT_REPLACEMENT:
-        parts = [p + r for p, r in zip(parts, cond_iv_remainders(state, m))]
-    s = m.scaled.scale
-    return sum(p * s / (state.total * s + r) for p, r in zip(parts, m.scaled.row_sums))
-
-
-def mean_noise_residual_two(state: UrnState, m: TwoDrawMatrix) -> Fraction:
-    """Exact ``E[U]`` for pair draws without replacement.
-
-    Equals ``-z(1-z)(a - 2c + e + alpha z) / (T - 1)``; with replacement the
-    noise has mean exactly zero.
-    """
-    v = m.scaled
-    a, _, c, _, e, _ = v.entries
-    alpha = v.pair_drift[0]
-    z, t = state.proportion_white, state.total
-    if t <= 1:
-        raise ValueError("pair draws without replacement need a total above 1")
-    return -z * (1 - z) * (a - 2 * c + e + alpha * z) / ((t - 1) * v.scale)
 
 
 def bias_bound(model: UrnModel) -> Fraction:
@@ -780,37 +592,6 @@ def degenerate_map_back(reduction: DegenerateReduction, y: Fraction) -> Fraction
     if reduction.case_id == 5:
         return 1 - y / (2 - y)
     return y
-
-
-def degenerate_identity_gap(model: UrnModel, x: Fraction) -> Fraction:
-    """Exact defect of the reduction identity at ``x`` (zero when correct).
-
-    Cases 4/5 check that the reduced quadratic pulled back through the
-    variable change reproduces the cubic drift:
-    ``(1+x)^2/2 * reduced(2x/(1+x)) == drift(x)/(1-x)`` (mirrored for case
-    5). The other cases check the outcome-weighted row identity
-    ``drift(x) == x^2 y_ww(x) + 2x(1-x) y_wb(x) + (1-x)^2 y_bb(x)``.
-    """
-    reduction = degenerate_reduce(model)
-    if model.kind != TWO_DRAW:
-        raise ValueError("the identity check applies to pair-draw models")
-    m = model.matrix
-    if reduction.case_id in (4, 5):
-        if reduction.case_id == 5:
-            m = m.color_swap()
-            x = 1 - x
-        if x == 1:
-            raise ValueError("the pullback identity is stated on [0, 1)")
-        g = drift_two(m)
-        y = 2 * x / (1 + x)
-        lhs = Fraction(1, 2) * (1 + x) ** 2 * reduction.reduced_drift.evaluate(y)
-        return lhs - g.evaluate(x) / (1 - x)
-    a, b, c, d, e, f = m.entries
-    y_ww = a - (a + b) * x
-    y_wb = c - (c + d) * x
-    y_bb = e - (e + f) * x
-    weighted = x * x * y_ww + 2 * x * (1 - x) * y_wb + (1 - x) * (1 - x) * y_bb
-    return drift_two(m).evaluate(x) - weighted
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,9 @@
 
 from fractions import Fraction
 
+from polyurn.oracle import UrnState
 from polyurn.ratpoly import RatPoly, RootRecord, _bisect, _wider_than
-from polyurn.urns import (
-    ONE_DRAW,
-    WITHOUT_REPLACEMENT,
-    OneDrawNoise,
-    TwoDrawNoise,
-    UrnModel,
-    UrnState,
-)
+from polyurn.urns import ONE_DRAW, WITHOUT_REPLACEMENT, OneDrawNoise, TwoDrawNoise, UrnModel
 
 
 def poly_from_roots(roots, scale=1) -> RatPoly:

@@ -16,27 +16,14 @@ import sys
 from fractions import Fraction
 
 from polyurn.montecarlo import SimConfig, cluster_finals, ks_beta, run_replicates
+from polyurn.oracle import SUITES
 from polyurn.ratpoly import RatPoly
 from polyurn.stability import EquilibriumClass, classify_all
 from polyurn.urns import (
-    ONE_DRAW,
-    TWO_DRAW,
-    WITH_REPLACEMENT,
-    WITHOUT_REPLACEMENT,
-    OneDrawMatrix,
     TwoDrawMatrix,
-    UrnModel,
-    UrnState,
     attainable_interval,
-    cond_iv_closed_form_one,
-    cond_iv_polys,
-    cond_moments_oracle,
-    degenerate_identity_gap,
     drift_for,
-    drift_one,
     drift_two,
-    error_two,
-    mean_noise_residual_two,
     one_draw_model,
     two_draw_model,
 )
@@ -48,24 +35,12 @@ def _poly(*coeffs) -> RatPoly:
     return RatPoly([F(c) for c in coeffs])
 
 
-def _random_entry(rng: random.Random) -> Fraction:
-    return F(rng.randint(0, 9), rng.randint(1, 3))
+def _run_suite(name: str, rng: random.Random) -> int:
+    """The checks that the ``polyurn.oracle`` suite ``name`` makes on a stream drawn from ``rng``.
 
-
-def _random_one_matrix(rng: random.Random) -> OneDrawMatrix:
-    return OneDrawMatrix.from_entries([_random_entry(rng) for _ in range(4)])
-
-
-def _random_two_matrix(rng: random.Random) -> TwoDrawMatrix:
-    return TwoDrawMatrix.from_entries([_random_entry(rng) for _ in range(6)])
-
-
-def _random_state(rng: random.Random) -> UrnState:
-    return UrnState(
-        F(rng.randint(4, 60), rng.randint(1, 2)),
-        F(rng.randint(4, 60), rng.randint(1, 2)),
-        0,
-    )
+    A failed identity raises, naming its input.
+    """
+    return dict(SUITES)[name](random.Random(rng.getrandbits(64)))
 
 
 def _finals(model, steps, replicates, seed) -> list[float]:
@@ -123,45 +98,16 @@ def test_criterion_2_classification_and_interval_fixtures_exact():
 
 def test_criterion_3_identity_suites_exact():
     rng = random.Random(20260801)
-    x = _poly(0, 1)
-    one = _poly(1)
-
     # Bias-numerator columns cancel.
-    for _ in range(200):
-        p1, p2, p3 = cond_iv_polys(_random_two_matrix(rng))
-        assert (p1 + p2 + p3).is_zero
-
-    # Noise variance decomposition equals the explicit quartic, and the
-    # second difference relation holds.
-    for _ in range(200):
-        noise = error_two(_random_two_matrix(rng))
-        a_poly, b_poly, c_poly = noise.second_diff, noise.diff_ww_bb, noise.diff_wb_bb
-        assert a_poly == b_poly - 2 * c_poly
-        quartic = (
-            2 * x * x * (a_poly + c_poly) * (a_poly + c_poly)
-            + x * (one - x) * b_poly * b_poly
-            + 2 * (one - x) * (one - x) * c_poly * c_poly
-        )
-        assert noise.variance_factor == quartic
-        assert noise.error == x * (one - x) * quartic
-
+    assert _run_suite("pair-bias-numerator-columns", rng) == 200
+    # The noise variance decomposition equals the explicit quartic, the second
+    # difference relation holds, and both agree with the enumerated moments.
+    assert _run_suite("pair-variance-decomposition", rng) == 600
     # Boundary drift signs: pushes inward (or rests) at both ends.
-    for _ in range(200):
-        for drift in (drift_one(_random_one_matrix(rng)), drift_two(_random_two_matrix(rng))):
-            assert drift.evaluate(F(0)) >= 0
-            assert drift.evaluate(F(1)) <= 0
-
+    assert _run_suite("boundary-drift-signs", rng) == 800
     # Inactive-row reduction identities, exact at 20 interior points per
-    # matrix, for each family with a vanishing row.
-    for zero_positions in ((0, 1), (4, 5), (2, 3)):
-        for _ in range(200):
-            entries = [_random_entry(rng) + 1 for _ in range(6)]
-            for index in zero_positions:
-                entries[index] = F(0)
-            model = two_draw_model(entries, 2, 2)
-            for _ in range(20):
-                point = F(rng.randint(1, 99), 100)
-                assert degenerate_identity_gap(model, point) == 0
+    # matrix, for each family with a vanishing row: 600 matrices on four streams.
+    assert sum(_run_suite("inactive-row-reductions", rng) for _ in range(4)) == 12000
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +116,10 @@ def test_criterion_3_identity_suites_exact():
 
 def test_criterion_4_closed_forms_match_enumeration_oracle():
     rng = random.Random(20260802)
-    for _ in range(500):
-        matrix = _random_one_matrix(rng)
-        state = _random_state(rng)
-        model = UrnModel(ONE_DRAW, matrix, F(1), F(1), WITH_REPLACEMENT)
-        assert (
-            cond_iv_closed_form_one(state, matrix)
-            == cond_moments_oracle(state, model).mean_u_over_next_t
-        )
-    for _ in range(500):
-        matrix = _random_two_matrix(rng)
-        state = _random_state(rng)
-        model = UrnModel(TWO_DRAW, matrix, F(2), F(2), WITHOUT_REPLACEMENT)
-        assert (
-            mean_noise_residual_two(state, matrix)
-            == cond_moments_oracle(state, model).mean_u
-        )
+    # The single-draw bias E[U / T_next] at 500 random states.
+    assert _run_suite("single-draw-bias-oracle", rng) == 500
+    # The pair-draw bias and noise mean, with and without replacement, at 500 states.
+    assert _run_suite("pair-bias-oracle", rng) == 2000
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import pytest
 import polyurn
 import polyurn.cli as cli
 import polyurn.montecarlo as montecarlo
+import polyurn.oracle as oracle
 import polyurn.urns as urns
 from polyurn.montecarlo import SimConfig, finals_csv_lines, run_replicates
 from polyurn.ratpoly import RatPoly
@@ -164,6 +165,18 @@ def test_analyze_irrational_root_next_to_an_end(flags, capsys):
     assert equilibrium["point"] is None and equilibrium["classification"] == "stable"
     lo, hi = map(Fraction, equilibrium["interval"])
     assert 0 < lo < hi < 1
+
+
+def test_analyze_roots_closer_than_the_recursion_limit_of_halvings(capsys):
+    # The drift has roots 0, 1 and one within 1e-299 of 1: Sturm isolation
+    # halves (0, 1] about 1000 times to part the last two, and each halving
+    # once cost a level of recursion.
+    code, out, err = run_cli(["analyze", "--two-draw", "6,0,9,2,0,1e300"], capsys)
+    assert (code, err) == (0, "")
+    equilibria = json.loads(out)["equilibria"]
+    points = [Fraction(eq["point"]) for eq in equilibria]
+    assert points[0] == 0 and 0 < 1 - points[1] < Fraction(1, 10**299) and points[2] == 1
+    assert [eq["classification"] for eq in equilibria] == ["stable", "strictly-unstable", "stable"]
 
 
 def test_analyze_start_defaults_per_draw_rule(capsys):
@@ -447,6 +460,7 @@ def test_a_seed_outside_64_bits_is_a_usage_error(command, seed, capsys):
 @pytest.mark.parametrize("command, flag, value, message", [
     ("simulate", "--steps", "-1", "--steps must be nonnegative"),
     ("verify", "--steps", "-1", "--steps must be nonnegative"),
+    ("verify", "--steps", "0", "--steps must be at least 1 to verify"),
     ("simulate", "--replicates", "0", "--replicates must be at least 1"),
     ("verify", "--replicates", "0", "--replicates must be at least 1"),
     ("simulate", "--jobs", "0", "--jobs must be at least 1"),
@@ -466,6 +480,18 @@ def test_verify_zero_replicates_is_a_usage_error(model_flags, capsys):
     # No samples can never refute a prediction: exit 1, not 2 "inconsistent".
     code, out, err = run_cli(["verify", *model_flags, "--replicates", "0"], capsys)
     assert_one_line_usage_error(code, out, err)
+
+
+@pytest.mark.parametrize("flags, final", [
+    (["--one-draw", "7,1e400,.5,2"], "0,1,1,0.5"),
+    (["--two-draw", "5,4,1e400,2/4,9,3"], "0,2,2,0.5"),
+], ids=["one-draw", "pair"])
+def test_simulate_zero_steps_with_rows_beyond_the_float_range(flags, final, capsys):
+    # No step adds a row, but the float kernels would still convert every row.
+    code, out, err = run_cli(
+        ["simulate", *flags, "--steps", "0", "--replicates", "1", "--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["replicate,final_W,final_B,final_Z", final]
 
 
 @VERIFY_MODELS
@@ -543,7 +569,7 @@ def test_malformed_model_file_names_its_path_once(text, tmp_path, capsys):
 def test_successive_main_calls_share_no_parser_state(monkeypatch, tmp_path, capsys):
     # One parser serves every call in a process; each call must still parse
     # as if it were the first, whatever command or error came before it.
-    monkeypatch.setattr(cli, "_SUITES", cli._SUITES[:1])
+    monkeypatch.setattr(oracle, "SUITES", oracle.SUITES[:1])
     finals = tmp_path / "finals.csv"
     calls = [
         ["analyze", "--two-draw", "15,3,4,1,3,21", "--w0", "5", "--b0", "2", "--format", "text"],
@@ -811,7 +837,7 @@ def test_selftest_detects_a_broken_identity(monkeypatch, capsys):
     # so a constant 1 in the first column has to trip the suite.
     one = RatPoly((Fraction(1),))
     zero = RatPoly((Fraction(0),))
-    monkeypatch.setattr(urns, "cond_iv_polys", lambda m: (one, zero, zero))
+    monkeypatch.setattr(oracle, "cond_iv_polys", lambda m: (one, zero, zero))
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 2
     assert "suite pair-bias-numerator-columns: FAIL" in out
@@ -823,13 +849,13 @@ def test_selftest_detects_a_broken_identity(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 
 #: Prints which of the modules that start child processes, the dataclass
-#: machinery (with the ``inspect`` module it imports) and the simulation
-#: engine are loaded after the import and each run.
+#: machinery (with the ``inspect`` module it imports), the simulation engine
+#: and the exact one-step reference are loaded after the import and each run.
 _LOADED_AFTER = """
 import contextlib, io, sys
 import polyurn.cli as cli
 unwanted = ("multiprocessing", "concurrent.futures.process", "dataclasses", "inspect",
-            "polyurn.montecarlo")
+            "polyurn.montecarlo", "polyurn.oracle")
 seen = {{"import": [m for m in unwanted if m in sys.modules]}}
 for name, argv in {runs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -845,16 +871,19 @@ def test_serial_commands_never_load_the_pool_or_dataclasses():
         ("simulate", ["simulate", "--two-draw", "15,3,4,1,3,21", "--w0", "5", "--b0", "2",
                       "--steps", "50", "--replicates", "4", "--jobs", "1"]),
         ("verify", ["verify", "--one-draw", "1,0,0,1", "--steps", "50", "--replicates", "4"]),
+        ("selftest", ["selftest"]),
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_AFTER.format(runs=runs)],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    # Only the commands that simulate load the simulation engine.
+    # Only the commands that simulate load the simulation engine, and only
+    # selftest loads the reference (the lists grow, as nothing is unloaded).
     assert ast.literal_eval(proc.stdout) == {
         "import": [], "analyze": [],
-        "simulate": ["polyurn.montecarlo"], "verify": ["polyurn.montecarlo"]}
+        "simulate": ["polyurn.montecarlo"], "verify": ["polyurn.montecarlo"],
+        "selftest": ["polyurn.montecarlo", "polyurn.oracle"]}
 
 
 def test_parallel_simulate_prints_the_serial_bytes():

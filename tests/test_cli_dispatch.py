@@ -11,6 +11,7 @@ import json
 import pytest
 
 import polyurn.cli as cli
+import polyurn.oracle as oracle
 from polyurn.urns import model_to_dict, one_draw_model
 
 ONE = ["--one-draw", "3,1,1,2"]
@@ -31,6 +32,7 @@ ARGVS = {
                           "--prediction", "{tmp}/missing.json", "--out", "{tmp}/r.json",
                           "--format", "text"],
     "verify-default": ["verify", *ONE, *RUN],
+    "verify-zero-steps": ["verify", *ONE, "--steps", "0"],
     "selftest-seed": ["selftest", "--seed", "4"],
     # abbreviations, '=' and '--'
     "abbreviated-flags": ["analyze", "--one", "3,1,1,2", "--form=text"],
@@ -79,7 +81,7 @@ ARGVS = {
 
 @pytest.fixture
 def argv_of(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_SUITES", cli._SUITES[:1])
+    monkeypatch.setattr(oracle, "SUITES", oracle.SUITES[:1])
     (tmp_path / "model.json").write_text(json.dumps(model_to_dict(one_draw_model([2, 0, 0, 1]))))
     return lambda name: [arg.replace("{tmp}", str(tmp_path)) for arg in ARGVS[name]]
 

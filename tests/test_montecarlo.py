@@ -23,6 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polyurn.montecarlo as mc
+import polyurn.oracle as oracle
 from polyurn.analysis import predict_limit
 from polyurn.montecarlo import (
     DEFAULT_RADIUS,
@@ -44,11 +45,11 @@ from polyurn.montecarlo import (
     replicate_stream_seed,
     run_replicates,
     simulate,
-    step,
     trajectory_csv_lines,
     verify,
 )
-from polyurn.urns import UrnState, one_draw_model, step_distribution, two_draw_model
+from polyurn.oracle import UrnState, step, step_distribution
+from polyurn.urns import one_draw_model, two_draw_model
 
 from helpers import initial_state
 
@@ -130,8 +131,8 @@ def test_step_consumes_one_draw_and_respects_exact_thresholds():
 
 def test_step_raises_if_probabilities_fall_short(monkeypatch):
     model = one_draw_model([3, 2, 2, 3], 1, 2)
-    outcomes = list(mc.step_distribution(UrnState(1, 2), model))[:1]  # sums to 1/3
-    monkeypatch.setattr(mc, "step_distribution", lambda state, model: outcomes)
+    outcomes = list(step_distribution(UrnState(1, 2), model))[:1]  # sums to 1/3
+    monkeypatch.setattr(oracle, "step_distribution", lambda state, model: outcomes)
     with pytest.raises(ArithmeticError):
         step(UrnState(1, 2), model, ScriptedRng([(1 << 53) - 1]))
 

@@ -214,6 +214,13 @@ def test_irrational_root_isolated():
     assert abs(root.approx - 0.7071067811865476) < 1e-9
 
 
+def test_roots_closer_than_the_recursion_limit_of_halvings():
+    # Telling 1/3 from 1/3 + 10**-300 takes about 1000 halvings of (0, 1].
+    near = F(1, 3) + F(1, 10**300)
+    roots = roots_in_unit_interval(poly_from_roots([F(2, 3), near, F(1, 3)]))
+    assert [root.value for root in roots] == [F(1, 3), near, F(2, 3)]
+
+
 def test_mixed_rational_and_irrational_roots():
     # (2x - 1)(2x^2 - 1): roots 1/2 and sqrt(1/2)
     f = P(-1, 2) * P(-1, 0, 2)

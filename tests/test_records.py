@@ -11,17 +11,12 @@ import pickle
 
 import pytest
 
-from polyurn import analysis, montecarlo, ratpoly, stability, urns
+from polyurn import analysis, montecarlo, oracle, ratpoly, stability, urns
 from polyurn.analysis import analyze_model
 from polyurn.montecarlo import SimConfig, cluster_finals, judge, ks_beta, run_replicates
+from polyurn.oracle import UrnState, cond_moments_oracle, step_distribution
 from polyurn.ratpoly import RatPoly, Record
-from polyurn.urns import (
-    UrnState,
-    cond_moments_oracle,
-    one_draw_model,
-    step_distribution,
-    two_draw_model,
-)
+from polyurn.urns import one_draw_model, two_draw_model
 
 
 class _Outer(Record):
@@ -70,7 +65,7 @@ _REFUSED = {
 
 
 def _package_records() -> set[type]:
-    modules = (ratpoly, urns, stability, montecarlo, analysis)
+    modules = (ratpoly, urns, stability, montecarlo, analysis, oracle)
     return {
         value
         for module in modules

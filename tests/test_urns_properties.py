@@ -14,21 +14,23 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyurn.oracle import (
+    UrnState,
+    cond_iv_closed_form_one,
+    cond_iv_closed_form_two,
+    cond_moments_oracle,
+    mean_noise_residual_two,
+)
 from polyurn.urns import (
     ONE_DRAW,
     TWO_DRAW,
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
-    UrnState,
     bias_bound,
-    cond_iv_closed_form_one,
-    cond_iv_closed_form_two,
-    cond_moments_oracle,
     drift_for,
     error_for,
     error_one,
     error_two,
-    mean_noise_residual_two,
     one_draw_model,
     two_draw_model,
 )
