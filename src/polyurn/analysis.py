@@ -421,19 +421,22 @@ def _point_from_dict(entry: dict) -> tuple[RootRecord, EquilibriumClass | None]:
 
     Exact rational points round-trip exactly; points serialized without an
     exact value come back as the (exact binary) fraction of their float
-    approximation, which is all that downstream clustering consumes.
+    approximation, which is all that downstream clustering consumes. A point
+    must lie in [0, 1] and its multiplicity, if given, be an integer of at
+    least 1, as every root the analysis writes is.
     """
     if not isinstance(entry, dict):
         raise ValueError(f"a point must be a JSON object, not {entry!r}")
-    if entry.get("point") is not None:
-        value = parse_rational(entry["point"])
-    else:
-        approx = _as_float(entry["approx"])
-        if not math.isfinite(approx):
-            raise ValueError(f"point approximation is not finite: {entry['approx']!r}")
-        value = Fraction(approx)
+    exact = entry.get("point") is not None
+    raw = entry["point"] if exact else entry["approx"]
+    value = parse_rational(raw) if exact else _as_float(raw)
+    if not 0 <= value <= 1:  # also refuses NaN
+        raise ValueError(f"a point must lie in [0, 1], not {raw!r}")
+    multiplicity = entry.get("multiplicity", 1)
+    if type(multiplicity) is not int or multiplicity < 1:
+        raise ValueError(f"a multiplicity must be an integer of at least 1, not {multiplicity!r}")
     cls = entry.get("classification")
-    record = RootRecord(int(entry.get("multiplicity", 1)), value=value)
+    record = RootRecord(multiplicity, value=Fraction(value))
     return record, EquilibriumClass(cls) if cls else None
 
 
@@ -441,9 +444,9 @@ def prediction_from_dict(data: dict) -> LimitPrediction:
     """Inverse of :func:`prediction_to_dict` (up to irrational-point records).
 
     Raises ``ValueError``, ``KeyError`` or ``TypeError`` for data that is not
-    a prediction: in particular a point without a finite location, two points
-    (predicted or excluded) at one location, and a Beta law without two
-    positive parameters in float range.
+    a prediction: in particular a point outside [0, 1], two points (predicted
+    or excluded) at one location, a verdict, theorem or note that is not a
+    string, and a Beta law without two positive parameters in float range.
     """
     kind = PredictionKind(data["kind"])
     points = tuple(
@@ -461,6 +464,14 @@ def prediction_from_dict(data: dict) -> LimitPrediction:
             first, value = format_rational(seen[p.root.approx]), format_rational(p.root.value)
             raise ValueError(f"two points at the same location: {first} and {value}")
         seen[p.root.approx] = p.root.value
+    # These are copied into the report, so each must be JSON text.
+    notes = data.get("notes", [])
+    if not isinstance(notes, list):
+        raise ValueError(f"notes must be a list of strings, not {notes!r}")
+    theorems = [data.get("theorem"), *(p.theorem for p in points + excluded)]
+    for text in [*notes, *(p.verdict for p in points), *(t for t in theorems if t is not None)]:
+        if type(text) is not str:
+            raise ValueError(f"verdicts, theorems and notes must be strings, not {text!r}")
     raw_beta = data.get("beta_params")
     beta_params = None
     if raw_beta or kind is PredictionKind.BETA_DISTRIBUTION:
@@ -475,7 +486,7 @@ def prediction_from_dict(data: dict) -> LimitPrediction:
         excluded=excluded,
         beta_params=beta_params,
         theorem=data.get("theorem"),
-        notes=tuple(data.get("notes", ())),
+        notes=tuple(notes),
     )
 
 

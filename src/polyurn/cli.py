@@ -47,7 +47,7 @@ from .urns import (
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
     UrnModel,
-    load_model,
+    model_from_dict,
     one_draw_model,
     two_draw_model,
 )
@@ -88,6 +88,21 @@ def _comma_rationals(text: str, count: int, flag: str) -> list[Fraction]:
     return [_rational(p, flag) for p in parts]
 
 
+def _read_json_file(path: str, what: str, build):
+    """``build`` of the JSON in the UTF-8 file at ``path``; each failure is one input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except OSError as exc:
+        raise CliError(f"cannot read {what} file {path}: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CliError(f"invalid {what} file {path}: invalid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise CliError(f"invalid {what} file {path}: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"invalid {what} file {path}: {exc}") from exc
+
+
 def model_from_args(args: argparse.Namespace) -> UrnModel:
     given = [args.one_draw is not None, args.two_draw is not None, args.model is not None]
     if sum(given) != 1:
@@ -99,12 +114,7 @@ def model_from_args(args: argparse.Namespace) -> UrnModel:
                     "--model files carry their own starting counts and sampling; "
                     "do not combine with --w0/--b0/--sampling"
                 )
-            try:
-                return load_model(args.model)
-            except OSError as exc:
-                raise CliError(f"cannot read model file {args.model}: {exc}") from exc
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CliError(f"invalid model file {args.model}: {exc}") from exc
+            return _read_json_file(args.model, "model", model_from_dict)
         counts = {"w0": args.w0, "b0": args.b0}
         start = {name: _rational(v, f"--{name}") for name, v in counts.items() if v is not None}
         if args.one_draw is not None:
@@ -360,16 +370,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         results = run_replicates(config, parallelism=args.jobs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    csv_text = "\n".join(finals_csv_lines(results)) + "\n"
     if args.out:
-        _write_text(args.out, csv_text)
+        _write_text(args.out, "\n".join(finals_csv_lines(results)) + "\n")
     if args.trajectory_out:
         _write_text(args.trajectory_out, "\n".join(trajectory_csv_lines(results)) + "\n")
 
     mean, bins = finals_summary([r.final_z for r in results])
     if args.format == "csv":
         if not args.out:
-            sys.stdout.write(csv_text)
+            sys.stdout.write("\n".join(finals_csv_lines(results)) + "\n")
     elif args.format == "json":
         payload = {
             "replicates": args.replicates,
@@ -424,13 +433,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_run_flags(args)
     prediction = None
     if args.prediction:
-        try:
-            with open(args.prediction, encoding="utf-8") as fh:
-                prediction = prediction_from_dict(json.load(fh))
-        except OSError as exc:
-            raise CliError(f"cannot read prediction file {args.prediction}: {exc}") from exc
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise CliError(f"invalid prediction file {args.prediction}: {exc}") from exc
+        prediction = _read_json_file(args.prediction, "prediction", prediction_from_dict)
     try:
         report = verify(
             model,

@@ -127,10 +127,6 @@ class ReplicateResult(Record):
         return Fraction(self.black, self.scale)
 
     @property
-    def final_total(self) -> Fraction:
-        return Fraction(self.white + self.black, self.scale)
-
-    @property
     def final_z(self) -> float:
         # int / int is correctly rounded, so this is float(W / T), without Fraction arithmetic.
         return self.white / (self.white + self.black)

@@ -234,9 +234,6 @@ class RatPoly(Record):
     def __sub__(self, other: "RatPoly | Rational") -> "RatPoly":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: "RatPoly | Rational") -> "RatPoly":
-        return _coerce(other) - self
-
     def __mul__(self, other: "RatPoly | Rational") -> "RatPoly":
         if isinstance(other, (int, Fraction)):
             return _poly([v * other.numerator for v in self.num], self.den * other.denominator)
@@ -410,13 +407,6 @@ def _integer_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
     while b:
         a, b = b, _pseudo_remainder(a, b)
     return _poly(a, 1)
-
-
-def poly_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
-    """Monic greatest common divisor (gcd of anything with zero is the other)."""
-    if p.is_zero and q.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    return _integer_gcd(p, q).monic()
 
 
 def squarefree_decomposition(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:

@@ -18,7 +18,6 @@ its conditional variance is ``error(Z) + O(1/T)`` for another polynomial
 from __future__ import annotations
 
 import functools
-import json
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -645,13 +644,3 @@ def model_from_dict(data) -> UrnModel:
                 f'"sampling": "{WITHOUT_REPLACEMENT}" applies only to pair-draw models')
         return one_draw_model(entries, **start)
     return two_draw_model(entries, **start, sampling=sampling)
-
-
-def load_model(path) -> UrnModel:
-    """Read a model from a JSON file path; errors leave naming the path to the caller."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"invalid JSON: {exc}") from exc
-    return model_from_dict(data)

@@ -8,6 +8,7 @@ a failed selftest.
 import ast
 import importlib.metadata
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -215,6 +216,25 @@ def test_analyze_model_file_round_trip(tmp_path, capsys):
     assert payload["model"] == model_to_dict(model)
 
 
+def test_model_file_numbers_read_as_their_decimals(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"model": "one-draw", "matrix": [[0.1, 0], [0, 1]], "w0": 2.5}')
+    code, out, _ = run_cli(["analyze", "--model", str(path)], capsys)
+    assert code == 0
+    model = json.loads(out)["model"]
+    assert (model["matrix"][0][0], model["w0"]) == ("1/10", "5/2")
+
+
+@pytest.mark.parametrize("number, shown", [("1e400", "inf"), ("true", "True")])
+def test_model_file_number_that_is_not_rational_is_a_one_line_error(number, shown, tmp_path,
+                                                                     capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"model": "one-draw", "matrix": [[%s, 0], [0, 1]]}' % number)
+    code, out, err = run_cli(["analyze", "--model", str(path)], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err == f"polyurn: error: invalid model file {path}: not a rational number: {shown}\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -241,6 +261,19 @@ def test_simulate_writes_finals_and_trajectories(tmp_path, capsys):
     lines = traj.read_text().splitlines()
     assert lines[0] == "replicate,step,Z"
     assert len(lines) == 1 + 5 * 6  # steps 0,10,20,30,40,50 per replicate
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_simulate_renders_the_finals_csv_only_when_it_is_written(fmt, monkeypatch, capsys):
+    argv = ["simulate", "--one-draw", "1,0,0,1", "--steps", "20", "--replicates", "4",
+            "--format", fmt]
+    expected = run_cli(argv, capsys)
+
+    def refuse(results):
+        raise AssertionError("rendered a finals CSV that nothing writes")
+
+    monkeypatch.setattr(montecarlo, "finals_csv_lines", refuse)
+    assert run_cli(argv, capsys) == expected
 
 
 def test_simulate_csv_to_stdout_without_out(capsys):
@@ -445,6 +478,14 @@ def test_analyze_refuses_numbers_too_long_to_print(flags):
     assert_one_line_usage_error(proc.returncode, proc.stdout, proc.stderr)
 
 
+def test_a_derived_number_too_long_to_print_is_a_one_line_error(capsys):
+    # The entries print, but a number derived from them has over 4300 digits.
+    entries = f"1/{'7' * 2500},1,1/{'3' * 2499}1,1"
+    code, out, err = run_cli(["analyze", "--one-draw", entries], capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err.startswith("polyurn: error: a derived number is too long to print: ")
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 3])
 def test_a_seed_outside_64_bits_is_a_usage_error(command, seed, capsys):
@@ -518,21 +559,53 @@ def test_verify_rejects_a_radius_that_is_not_positive_and_finite(model_flags, ra
     assert_one_line_usage_error(code, out, err)
 
 
+def _point(**fields):
+    return {"kind": "point-mass-set", "points": [{"verdict": "unique", **fields}]}
+
+
 BAD_PREDICTIONS = {
-    "beta-without-params": {"kind": "beta-distribution", "beta_params": None},
-    "beta-param-beyond-float": {"kind": "beta-distribution", "beta_params": ["1e400", "1"]},
-    "beta-param-count": {"kind": "beta-distribution", "beta_params": ["1"]},
-    "beta-params-not-a-list": {"kind": "beta-distribution", "beta_params": "12"},
-    "point-approx-beyond-float": {
-        "kind": "point-mass-set",
-        "points": [{"point": None, "approx": 1e400, "verdict": "unknown"}],
-    },
-    "point-not-an-object": {"kind": "point-mass-set", "points": [5]},
+    "beta-without-params": ({"kind": "beta-distribution", "beta_params": None},
+                            "beta_params must be a list of two numbers, not None"),
+    "beta-param-beyond-float": (
+        {"kind": "beta-distribution", "beta_params": ["1e400", "1"]},
+        "beta_params must be positive and within float range: ['1e400', '1']"),
+    "beta-param-count": ({"kind": "beta-distribution", "beta_params": ["1"]},
+                         "beta_params must be a list of two numbers, not ['1']"),
+    "beta-params-not-a-list": ({"kind": "beta-distribution", "beta_params": "12"},
+                               "beta_params must be a list of two numbers, not '12'"),
+    "point-approx-beyond-float": (_point(point=None, approx=1e400),
+                                  "a point must lie in [0, 1], not inf"),
+    "point-not-an-object": ({"kind": "point-mass-set", "points": [5]},
+                            "a point must be a JSON object, not 5"),
+    "point-beyond-float": (_point(point="1e400"), "a point must lie in [0, 1], not '1e400'"),
+    "point-below-zero": (_point(point="-1/3"), "a point must lie in [0, 1], not '-1/3'"),
+    "approx-above-one": (_point(point=None, approx=1.5), "a point must lie in [0, 1], not 1.5"),
+    "approx-nan": (_point(point=None, approx=math.nan), "a point must lie in [0, 1], not nan"),
+    "missing-approx": (_point(point=None), "missing key 'approx'"),
+    "multiplicity-beyond-float": (
+        _point(point="1/2", multiplicity=1e400),
+        "a multiplicity must be an integer of at least 1, not inf"),
+    "multiplicity-minus-infinity": (
+        _point(point="1/2", multiplicity=-math.inf),
+        "a multiplicity must be an integer of at least 1, not -inf"),
+    "multiplicity-zero": (_point(point="1/2", multiplicity=0),
+                          "a multiplicity must be an integer of at least 1, not 0"),
+    "multiplicity-float": (_point(point="1/2", multiplicity=2.0),
+                           "a multiplicity must be an integer of at least 1, not 2.0"),
+    "notes-not-a-list": ({"kind": "unknown", "notes": "split"},
+                         "notes must be a list of strings, not 'split'"),
+    "note-beyond-float": ({"kind": "unknown", "notes": ["a", 1e400]},
+                          "verdicts, theorems and notes must be strings, not inf"),
+    "verdict-not-a-string": (_point(point="1/2", verdict=["x"]),
+                             "verdicts, theorems and notes must be strings, not ['x']"),
+    "theorem-not-a-string": (_point(point="1/2", theorem={}),
+                             "verdicts, theorems and notes must be strings, not {}"),
 }
 
 
-@pytest.mark.parametrize("prediction", BAD_PREDICTIONS.values(), ids=BAD_PREDICTIONS.keys())
-def test_verify_rejects_a_malformed_prediction_file(prediction, tmp_path, capsys):
+@pytest.mark.parametrize("prediction, message", BAD_PREDICTIONS.values(),
+                         ids=BAD_PREDICTIONS.keys())
+def test_verify_rejects_a_malformed_prediction_file(prediction, message, tmp_path, capsys):
     path = tmp_path / "prediction.json"
     path.write_text(json.dumps(prediction))  # 1e400 is written as Infinity
     code, out, err = run_cli(
@@ -540,7 +613,7 @@ def test_verify_rejects_a_malformed_prediction_file(prediction, tmp_path, capsys
          "--prediction", str(path)], capsys
     )
     assert_one_line_usage_error(code, out, err)
-    assert "invalid prediction file" in err
+    assert err == f"polyurn: error: invalid prediction file {path}: {message}\n"
 
 
 @pytest.mark.parametrize("flags", [
@@ -553,6 +626,26 @@ def test_json_nested_deeper_than_the_decoder_recurses_is_a_one_line_error(flags,
     code, out, err = run_cli([*flags, str(path)], capsys)
     assert_one_line_usage_error(code, out, err)
     assert f"invalid {flags[-1][2:]} file" in err
+
+
+@pytest.mark.parametrize("what", ["model", "prediction"])
+@pytest.mark.parametrize("content, wording", [
+    (None, "cannot read {what} file {path}: [Errno 2] No such file or directory: '{path}'"),
+    (b"{bad", "invalid {what} file {path}: invalid JSON: Expecting property name enclosed in "
+              "double quotes: line 1 column 2 (char 1)"),
+    (b"\xff", "invalid {what} file {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+              "invalid start byte"),
+], ids=["missing", "json", "not-utf8"])
+def test_both_input_files_word_each_failure_alike(what, content, wording, tmp_path, capsys):
+    path = tmp_path / f"{what}.json"
+    if content is not None:
+        path.write_bytes(content)
+    flags = (["analyze", "--model", str(path)] if what == "model" else
+             ["verify", "--one-draw", "1,0,0,1", "--steps", "5", "--replicates", "2",
+              "--prediction", str(path)])
+    code, out, err = run_cli(flags, capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err == f"polyurn: error: {wording.format(what=what, path=path)}\n"
 
 
 @pytest.mark.parametrize("text", ["{bad", '{"model": "one-draw", "matrix": 1}'],

@@ -875,7 +875,8 @@ def test_integer_setup_scaling_rules():
 def test_without_replacement_fraction_path_runs():
     model = two_draw_model([F(1, 2), 0, 0, F(1, 2), F(1, 2), 0], 2, 2)
     result = simulate(SimConfig(model=model, steps=40, replicates=1), 0)
-    assert result.final_total == F(4) + F(40, 2)  # every row adds 1/2 in total
+    # every row adds 1/2 in total
+    assert result.final_white + result.final_black == F(4) + F(40, 2)
     assert 0 < result.final_z < 1
 
 
@@ -915,7 +916,7 @@ def test_trajectory_not_recorded_by_default():
 def test_replicate_result_derived_fields():
     r = ReplicateResult(0, 10, 14, 3, 2)
     assert (r.final_white, r.final_black) == (F(7), F(3, 2))
-    assert r.final_total == F(17, 2)
+    assert r.final_white + r.final_black == F(17, 2)
     assert r.final_z == float(F(14, 17))
 
 
@@ -940,7 +941,7 @@ def test_single_reinforcement_total_growth_and_mean():
     # at the symmetric starting value.
     model = one_draw_model([1, 0, 0, 1], 1, 1)
     results = run_replicates(SimConfig(model=model, steps=300, replicates=300, base_seed=4))
-    assert all(r.final_total == 302 for r in results)
+    assert all(r.final_white + r.final_black == 302 for r in results)
     mean = sum(r.final_z for r in results) / len(results)
     assert abs(mean - 0.5) < 0.06
 

@@ -1,11 +1,12 @@
 """Urn models: step laws, exact drift/noise closed forms, reductions, serialization.
 
-Closed forms are checked against ``cond_moments_oracle``, which computes the
-same conditional moments by direct enumeration of the outcome distribution
-and shares no code with the formulas under test. The identities that the
-``polyurn.oracle`` suites check exactly (bias numerators and closed forms,
-the pair noise mean, the variance decomposition, the inactive-row
-reductions) are run by acceptance criteria 3 and 4 and not repeated here.
+Closed forms are checked here on fixtures. Their identities against
+``cond_moments_oracle``, which computes the same conditional moments by
+direct enumeration of the outcome distribution, are properties in
+``test_urns_properties.py``. The identities that the ``polyurn.oracle``
+suites check exactly (bias numerators and closed forms, the pair noise mean,
+the variance decomposition, the inactive-row reductions) are run by
+acceptance criteria 3 and 4 and not repeated here.
 """
 
 import json
@@ -20,7 +21,6 @@ from polyurn.ratpoly import RatPoly, RootRecord
 from polyurn.oracle import (
     UrnState,
     cond_iv_remainders,
-    cond_moments_oracle,
     random_one_matrix,
     random_two_matrix,
     step_distribution,
@@ -34,7 +34,6 @@ from polyurn.urns import (
     TwoDrawMatrix,
     UrnModel,
     attainable_interval,
-    bias_bound,
     black_count_diverges_at_one,
     degenerate_case_id,
     degenerate_map_back,
@@ -42,10 +41,8 @@ from polyurn.urns import (
     drift_for,
     drift_one,
     drift_two,
-    error_for,
     error_one,
     error_two,
-    load_model,
     model_from_dict,
     model_meta,
     model_to_dict,
@@ -181,22 +178,6 @@ def test_drift_two_fixture():
     assert drift_two(TwoDrawMatrix.from_entries([9, 1, 2, 3, 1, 7])) == P(1, -6, 12, -8)
 
 
-def test_drift_matches_oracle_mean():
-    rng = random.Random(13)
-    for _ in range(80):
-        state = random_state(rng)
-        z = state.proportion_white
-        m1 = UrnModel(ONE_DRAW, random_one_matrix(rng), F(1), F(1), WITH_REPLACEMENT)
-        assert drift_for(m1).evaluate(z) == cond_moments_oracle(state, m1).mean_y
-        for sampling in (WITHOUT_REPLACEMENT, WITH_REPLACEMENT):
-            m2 = UrnModel(TWO_DRAW, random_two_matrix(rng), F(2), F(2), sampling)
-            moments = cond_moments_oracle(state, m2)
-            expected = drift_for(m2).evaluate(z) + (
-                moments.mean_u if sampling == WITHOUT_REPLACEMENT else 0
-            )
-            assert moments.mean_y == expected
-
-
 # ---------------------------------------------------------------------------
 # Noise
 # ---------------------------------------------------------------------------
@@ -206,26 +187,6 @@ def test_error_one_gap_and_error():
     assert noise.gap == P(2, -1)
     x, one = P(0, 1), P(1)
     assert noise.error == x * (one - x) * noise.gap * noise.gap
-
-
-def test_error_one_matches_oracle_variance():
-    rng = random.Random(17)
-    for _ in range(80):
-        state = random_state(rng)
-        model = UrnModel(ONE_DRAW, random_one_matrix(rng), F(1), F(1), WITH_REPLACEMENT)
-        moments = cond_moments_oracle(state, model)
-        assert moments.mean_u == 0
-        assert error_for(model).evaluate(state.proportion_white) == moments.mean_u_sq
-
-
-def test_error_two_matches_oracle_variance_with_replacement():
-    rng = random.Random(19)
-    for _ in range(80):
-        state = random_state(rng)
-        model = UrnModel(TWO_DRAW, random_two_matrix(rng), F(2), F(2), WITH_REPLACEMENT)
-        moments = cond_moments_oracle(state, model)
-        assert moments.mean_u == 0
-        assert error_for(model).evaluate(state.proportion_white) == moments.mean_u_sq
 
 
 def test_error_two_fixture_value():
@@ -241,20 +202,6 @@ def test_pair_remainders_need_two_balls():
     m = TwoDrawMatrix.from_entries([1, 1, 1, 1, 1, 1])
     with pytest.raises(ValueError):
         cond_iv_remainders(UrnState(F(1, 2), F(1, 2), 0), m)
-
-
-def test_bias_bound_dominates_exact_bias():
-    rng = random.Random(43)
-    for _ in range(100):
-        state = random_state(rng)
-        t = state.total
-        m1 = UrnModel(ONE_DRAW, random_one_matrix(rng), F(1), F(1), WITH_REPLACEMENT)
-        bias = cond_moments_oracle(state, m1).mean_u_over_next_t
-        assert abs(bias) * t * t <= bias_bound(m1)
-        for sampling in (WITHOUT_REPLACEMENT, WITH_REPLACEMENT):
-            m2 = UrnModel(TWO_DRAW, random_two_matrix(rng), F(2), F(2), sampling)
-            bias = cond_moments_oracle(state, m2).mean_u_over_next_t
-            assert abs(bias) * t * t <= bias_bound(m2)
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +334,6 @@ def test_model_from_dict_uses_the_constructor_start_defaults():
     two = model_from_dict({"model": "two-draw", "matrix": [[1, 0], [0, 1], [1, 1]], "w0": 3})
     assert (one.w0, one.b0) == (1, 1)
     assert (two.w0, two.b0) == (3, 2)
-
-
-def test_load_model_file(tmp_path):
-    model = two_draw_model([15, 3, 4, 1, 3, 21], 5, 2)
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(model_to_dict(model)))
-    assert load_model(path) == model
 
 
 def test_model_from_dict_rejects_bad_input():
