@@ -12,8 +12,8 @@ is one :class:`~polyurn.stability.LimitPrediction` plus a JSON-ready report.
 Every object of that report is a record written out as its fields in
 declaration order, so a field added to one of these records becomes a JSON
 key. Data meant only to explain a decision (the planned ``--explain``
-output, ROADMAP item 4) therefore stays out of these records until that
-output adds an opt-in.
+output) therefore stays out of these records until that output adds an
+opt-in.
 """
 
 from __future__ import annotations

@@ -337,8 +337,8 @@ def _check_run_flags(args: argparse.Namespace) -> None:
     """Refuse a ``simulate`` or ``verify`` flag out of range, naming the flag.
 
     The library refuses these values too, but in its own terms
-    (``parallelism``, ``trajectory_stride``, steps per replicate), so they are
-    checked here before it sees them.
+    (``parallelism``, ``trajectory_stride``, steps per replicate, base seed,
+    clustering radius), so they are checked here before it sees them.
     """
     if args.steps < 0:
         raise CliError("--steps must be nonnegative")
@@ -350,6 +350,10 @@ def _check_run_flags(args: argparse.Namespace) -> None:
         raise CliError("--jobs must be at least 1")
     if getattr(args, "trajectory_stride", 1) < 1:
         raise CliError("--trajectory-stride must be at least 1")
+    if not 0 <= args.seed < 2**64:
+        raise CliError("--seed must be in [0, 2**64)")
+    if getattr(args, "radius", None) is not None and not 0 < args.radius < math.inf:
+        raise CliError("--radius must be a positive finite number")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -812,13 +811,19 @@ def roots_in_unit_interval(
 
     Rational roots come back as exact values; irrational roots as isolating
     intervals refined to at most ``refine_width``, with a float approximation
-    at the midpoint. Isolating intervals are pairwise disjoint, disjoint
-    from every rational root, and hold neither 0 nor 1, so a point fits
-    between each irrational root and either end. Each is the interval that
-    halving the Sturm-isolated interval reaches; :func:`_bisect` gets there
-    with a checked Newton guess (its warm start), which Sturm isolation makes
-    valid by leaving exactly one root of the radical in each interval. Raises
-    ``ValueError`` for the zero polynomial.
+    at the midpoint. One sweep decides the Sturm intervals ``(lo, hi]`` in
+    increasing order, each holding one root of the radical: the root is
+    ``hi``, or a rational read off the interval by the nearest fraction, or
+    irrational and refined there. Refinement is the interval that halving the
+    Sturm interval reaches; :func:`_bisect` gets there with a checked Newton
+    guess (its warm start), which Sturm isolation makes valid by leaving
+    exactly one root of the radical in each interval. The halving then stops
+    at the first cell that holds neither end of the Sturm interval that is 0,
+    1 or a root; no other rational root, nor 0 or 1, can lie in that closed
+    interval. So the refined intervals are pairwise disjoint, disjoint from
+    every rational root, and hold neither 0 nor 1: a point fits between each
+    irrational root and its neighbours. Raises ``ValueError`` for the zero
+    polynomial.
     """
     if poly.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere; roots are undefined")
@@ -827,13 +832,17 @@ def roots_in_unit_interval(
     _, factors = squarefree_decomposition(poly)
     if not factors:
         return []
+    rad = functools.reduce(RatPoly.__mul__, (factor for factor, _m in factors))
 
-    rad = functools.reduce(operator.mul, (factor for factor, _m in factors))
-
-    def multiplicity_of(on_root) -> tuple[int, RatPoly]:
+    def record(lo: Fraction, hi: Fraction) -> RootRecord:
+        # The root belongs to the one factor that vanishes at lo = hi, or
+        # changes sign over the irrational root's interval (lo, hi).
         for factor, mult in factors:
-            if on_root(factor):
-                return mult, factor
+            sign_lo = sign_at(factor, lo)
+            if sign_lo == 0 or sign_lo != sign_at(factor, hi):
+                if lo == hi:
+                    return RootRecord(mult, value=lo, factor=factor)
+                return RootRecord(mult, interval=(lo, hi), factor=factor)
         raise ArithmeticError("root does not belong to any square-free factor")
 
     # A rational root of the radical has a denominator dividing n, the
@@ -847,45 +856,28 @@ def roots_in_unit_interval(
     n = abs(ints[-1])
     refine_width = Fraction(refine_width)
     width = min(Fraction(1, n * n), refine_width)
-    rational_roots = [Fraction(0)] if sign_at(rad, 0) == 0 else []
-    irrational: list[tuple[Fraction, Fraction]] = []
+    records = [record(Fraction(0), Fraction(0))] if sign_at(rad, 0) == 0 else []
     chain = sturm_chain(rad)
     for lo, hi in _isolate(chain, 0, 1, 1, _sign_variations(chain, 0, 1),
                            _sign_variations(chain, 1, 1)):
         if sign_at(rad, hi) == 0:
-            rational_roots.append(hi)
+            records.append(record(hi, hi))
             continue
         left, right = _bisect(rad, lo, hi, _wider_than(width), width)
         u, v = _nearest_fraction(left.numerator * right.denominator
                                  + right.numerator * left.denominator,
                                  2 * left.denominator * right.denominator, n)
         if _int_sign(ints, u, v) == 0 and lo < Fraction(u, v) < hi:
-            rational_roots.append(Fraction(u, v))
-        else:
-            irrational.append((left, right) if width == refine_width
-                              else _ancestor(lo, hi, left, refine_width))
-
-    records = []
-    for r in rational_roots:
-        mult, factor = multiplicity_of(lambda f, r=r: sign_at(f, r) == 0)
-        records.append(RootRecord(mult, value=r, factor=factor))
-
-    wider, holding = _wider_than(refine_width), _holding([0, 1, *rational_roots])
-
-    def keep_halving(a: int, c: int, q: int) -> bool:
-        # Until the interval is narrow and free of rational roots, which the
-        # owning factor may share, and of 0 and 1, so that the classifier's
-        # probes fit on both sides of the root.
-        return wider(a, c, q) or holding(a, c, q)
-
-    # Each isolating interval holds one root of the radical, so halving the
-    # radical follows that root even where lo is a rational root.
-    for lo, hi in irrational:
-        lo, hi = _bisect(rad, lo, hi, keep_halving, refine_width)
-        mult, factor = multiplicity_of(
-            lambda f, lo=lo, hi=hi: sign_at(f, lo) != sign_at(f, hi)
-        )
-        records.append(RootRecord(mult, interval=(lo, hi), factor=factor))
-
-    records.sort(key=lambda rec: rec.bounds[0])  # the intervals and values are disjoint
+            records.append(record(Fraction(u, v), Fraction(u, v)))
+            continue
+        if width < refine_width:
+            left, right = _ancestor(lo, hi, left, refine_width)
+        # The root is irrational and hi is not a root, so of 0, 1 and the
+        # rational roots a cell can hold only lo, when it is 0 or the last
+        # root, and hi, when it is 1. Halving keeps them out, since the owning
+        # factor may share a rational root and the classifier probes on both
+        # sides of the root. It follows the one root of the radical in
+        # (lo, hi], even where lo is a root.
+        ends = [x for x in (lo, hi) if x in (0, 1) or (records and records[-1].value == x)]
+        records.append(record(*_bisect(rad, left, right, _holding(ends))))
     return records

@@ -3,15 +3,20 @@
 The white proportion of a reinforcement urn is a stochastic-approximation
 scheme on [0, 1]: its conditional one-step mean movement is a polynomial
 drift (up to exactly bounded remainders), and its long-run limits live in
-the drift's zero set. This module classifies those zeros exactly by the
-drift's sign pattern around them, checks the two exclusion criteria (a
-noise floor at an interior repeller; vanishing noise with a diverging count
-at a boundary repeller), packages the constants that certify the scheme is
-well-behaved, and defines the prediction records consumed by simulation
-verification.
+the drift's zero set. This module classifies those zeros exactly, from one
+exact sign of the drift per gap: the gaps between neighbouring zeros, and
+those between the outer zeros and 0 or 1. It also checks the two exclusion
+criteria (a noise floor at an interior repeller; vanishing noise with a
+diverging count at a boundary repeller), packages the constants that
+certify the scheme is well-behaved, and defines the prediction records
+consumed by simulation verification.
 
 All decisions here are exact: signs are evaluated in rational arithmetic,
-including at irrational roots (via their isolating intervals).
+including at irrational roots (via their isolating intervals). A probe at
+a gap's midpoint meets no root, because root isolation keeps each
+irrational root's interval clear of the other roots and of 0 and 1: it
+refines the interval until it holds neither end of its Sturm interval that
+is 0, 1 or a rational root, the only such points it could hold.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ from fractions import Fraction
 
 from .ratpoly import (
     INTERIOR,
-    LEFT_BOUNDARY,
-    RIGHT_BOUNDARY,
     RatPoly,
     Record,
     RootRecord,
@@ -84,76 +87,50 @@ class Equilibrium(Record):
 def classify_all(drift: RatPoly) -> list[Equilibrium]:
     """Classify every root of ``drift`` in [0, 1], in increasing order.
 
-    Raises ``ValueError`` for the identically zero drift, whose equilibria
-    are not isolated points.
+    The drift has one exact sign on each gap between neighbouring roots, and
+    on the gaps from 0 to the first root and from the last root to 1 when
+    they are not empty. It is read once per gap, at the gap's midpoint, and
+    each root is classified from the signs of the gaps beside it. Raises
+    ``ValueError`` for the identically zero drift, whose equilibria are not
+    isolated points.
     """
     if drift.is_zero:
         raise ValueError("the zero drift has no isolated equilibria to classify")
     records = roots_in_unit_interval(drift)
-    deriv = drift.derivative()
-    return [_classify_record(drift, deriv, records, i) for i in range(len(records))]
 
-
-def _classify_record(
-    drift: RatPoly, deriv: RatPoly, records: list[RootRecord], index: int
-) -> Equilibrium:
-    record = records[index]
-    lo, hi = record.bounds
-
-    left_probe = None
-    if lo > 0:
-        left_neighbor_hi = records[index - 1].bounds[1] if index > 0 else Fraction(0)
-        left_probe = (left_neighbor_hi + lo) / 2
-    right_probe = None
-    if hi < 1:
-        right_neighbor_lo = records[index + 1].bounds[0] if index + 1 < len(records) else Fraction(1)
-        right_probe = (hi + right_neighbor_lo) / 2
-
-    def probe_sign(x: Fraction | None) -> int | None:
-        if x is None:
+    def gap_sign(lo: Fraction, hi: Fraction) -> int | None:
+        if lo == hi:
             return None
-        sign = sign_at(drift, x)
+        sign = sign_at(drift, (lo + hi) / 2)
         if sign == 0:
             raise ArithmeticError("probe point unexpectedly hit a root")
         return sign
 
-    sign_left = probe_sign(left_probe)
-    sign_right = probe_sign(right_probe)
-
-    if record.location == LEFT_BOUNDARY:
-        cls = (
-            EquilibriumClass.STRICTLY_UNSTABLE
-            if sign_right > 0
-            else EquilibriumClass.STABLE
-        )
-    elif record.location == RIGHT_BOUNDARY:
-        cls = (
-            EquilibriumClass.STRICTLY_UNSTABLE
-            if sign_left < 0
-            else EquilibriumClass.STABLE
-        )
-    elif sign_left > 0 and sign_right < 0:
-        cls = EquilibriumClass.STABLE
-    elif sign_left < 0 and sign_right > 0:
-        cls = EquilibriumClass.STRICTLY_UNSTABLE
-    else:
-        cls = EquilibriumClass.TOUCHPOINT
-
-    if record.location == INTERIOR:
-        crosses = sign_left != sign_right
-        if crosses != (record.multiplicity % 2 == 1):
+    ends = [Fraction(0), *(end for record in records for end in record.bounds), Fraction(1)]
+    signs = [gap_sign(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])]
+    deriv = drift.derivative()
+    equilibria = []
+    for record, sign_left, sign_right in zip(records, signs, signs[1:]):
+        # A boundary root has only its inward gap. It counts as a crossing:
+        # the missing side takes the opposite of the inward sign.
+        left, right = sign_left or -sign_right, sign_right or -sign_left
+        if left == right:
+            cls = EquilibriumClass.TOUCHPOINT
+        elif left > 0:
+            cls = EquilibriumClass.STABLE
+        else:
+            cls = EquilibriumClass.STRICTLY_UNSTABLE
+        if record.location == INTERIOR and (left != right) != (record.multiplicity % 2 == 1):
             raise ArithmeticError("sign pattern inconsistent with root multiplicity")
-
-    deriv_sign = sign_at_root(deriv, record)
-    deriv_value = deriv.evaluate(record.value) if record.value is not None else None
-    return Equilibrium(
-        root=record,
-        classification=cls,
-        sign_left=sign_left,
-        sign_right=sign_right,
-        drift_derivative_sign=deriv_sign,
-        drift_derivative=deriv_value,
-    )
+        equilibria.append(Equilibrium(
+            root=record,
+            classification=cls,
+            sign_left=sign_left,
+            sign_right=sign_right,
+            drift_derivative_sign=sign_at_root(deriv, record),
+            drift_derivative=deriv.evaluate(record.value) if record.value is not None else None,
+        ))
+    return equilibria
 
 
 # ---------------------------------------------------------------------------

@@ -507,6 +507,9 @@ def test_a_seed_outside_64_bits_is_a_usage_error(command, seed, capsys):
     ("simulate", "--jobs", "0", "--jobs must be at least 1"),
     ("verify", "--jobs", "-2", "--jobs must be at least 1"),
     ("simulate", "--trajectory-stride", "0", "--trajectory-stride must be at least 1"),
+    ("simulate", "--seed", "-1", "--seed must be in [0, 2**64)"),
+    ("verify", "--seed", "18446744073709551616", "--seed must be in [0, 2**64)"),
+    ("verify", "--radius", "nan", "--radius must be a positive finite number"),
 ])
 def test_a_simulation_flag_out_of_range_names_its_flag(command, flag, value, message, capsys):
     code, out, err = run_cli(

@@ -304,7 +304,11 @@ def test_roots_match_numpy_on_random_polynomials():
         f = RatPoly(coeffs)
         if f.degree < 1:
             continue
-        mine = sorted(r.position() for r in roots_in_unit_interval(f))
+        records = roots_in_unit_interval(f)
+        # in increasing order as returned, each one clear of the next
+        for left, right in zip(records, records[1:]):
+            assert left.bounds[1] < right.bounds[0]
+        mine = [r.position() for r in records]
         np_roots = np.roots(list(map(float, reversed([float(c) for c in coeffs]))))
         reference = sorted(
             float(r.real)

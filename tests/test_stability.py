@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyurn import stability
 from polyurn.analysis import (
     analysis_to_dict,
     analyze_model,
@@ -12,7 +13,7 @@ from polyurn.analysis import (
     prediction_to_dict,
     sa_conditions_for,
 )
-from polyurn.ratpoly import RatPoly, roots_in_unit_interval, sign_at_root
+from polyurn.ratpoly import RatPoly, roots_in_unit_interval, sign_at, sign_at_root
 from polyurn.stability import (
     THEOREM_BOUNDARY_EXCLUSION,
     THEOREM_LIMIT_EXISTS,
@@ -108,6 +109,24 @@ def test_irrational_equilibrium_classified():
     (eq,) = classify_all(P(-1, 0, 2))
     assert eq.root.value is None
     assert eq.classification == EquilibriumClass.STRICTLY_UNSTABLE
+
+
+@pytest.mark.parametrize("model, gaps", [
+    # roots 1/4, 1/2, 3/4: two interior gaps and the gaps at both ends
+    (two_draw_model([15, 3, 4, 1, 3, 21]), 4),
+    # roots 0 and 1: one gap between them, none at the ends
+    (one_draw_model([1, 0, 0, 2]), 1),
+])
+def test_classification_reads_each_gap_sign_once(model, gaps, monkeypatch):
+    probes = []
+
+    def counted(poly, x):
+        probes.append(x)
+        return sign_at(poly, x)
+
+    monkeypatch.setattr(stability, "sign_at", counted)
+    classify_all(drift_for(model))
+    assert len(probes) == gaps
 
 
 # ---------------------------------------------------------------------------
