@@ -54,9 +54,9 @@ print("  simulated finals:", [round(r.final_z, 4) for r in run_replicates(config
 # A borderline configuration the theory does not settle
 # ---------------------------------------------------------------------------
 # Same inactive row, but the mixed row adds no black and twice its white
-# addition equals the black-black total. The boundary zero of the reduced
-# drift sits exactly at a degenerate transition, so the package refuses to
-# certify anything rather than guess.
+# addition equals the black-black total. The reduced drift then has a double
+# root at the boundary y = 1, a degenerate transition, so the package refuses
+# to certify anything rather than guess.
 
 borderline = two_draw_model([0, 0, 1, 0, 1, 2], w0=2, b0=2)
 prediction = predict_limit(borderline)

@@ -6,8 +6,10 @@ derives the drift and noise polynomials, classifies the drift's equilibria
 closed-form families (zero drift; one active row), and decides every
 classified root's verdict in one table, where the noise-floor exclusion
 (``theorem:pem``), the touchpoint verdict (``theorem:pem2``) and the
-promotion of a lone undecided root need every matrix row active. The result
-is one :class:`~polyurn.stability.LimitPrediction` plus a JSON-ready report.
+promotion of a lone undecided root need every matrix row active, and a
+reduced drift's root of multiplicity at least 2 at ``y = 1`` is borderline.
+The result is one :class:`~polyurn.stability.LimitPrediction` plus a
+JSON-ready report.
 
 Every object of that report is a record written out as its fields in
 declaration order, so a field added to one of these records becomes a JSON
@@ -69,7 +71,6 @@ from .urns import (
     UrnModel,
     active_white_ratios,
     attainable_interval,
-    degenerate_map_back,
     degenerate_reduce,
     drift_for,
     error_one,
@@ -88,40 +89,26 @@ __all__ = [
 
 
 def _map_record(record: RootRecord, reduction: DegenerateReduction | None) -> RootRecord:
-    """Send a reduced-coordinate root record back to the original proportion.
+    """Send a reduced-variable root record back to the original proportion.
 
-    A mapped irrational root keeps an isolating interval but no factor.
+    A record whose bounds the map leaves in place comes back as it is, with
+    its factor: every root in case 6, whose map is the identity, and a
+    rational root at a fixed end (refined intervals hold neither 0 nor 1). A
+    moved irrational root keeps an isolating interval but no factor.
     """
-    if reduction is None or reduction.case_id not in (4, 5):
+    if reduction is None:
         return record
-    if record.value is not None:
-        return RootRecord(record.multiplicity, value=degenerate_map_back(reduction, record.value))
-    a, b = (degenerate_map_back(reduction, end) for end in record.interval)
+    a, b = (reduction.to_original(end) for end in record.bounds)
+    if (a, b) == record.bounds:
+        return record
+    if a == b:
+        return RootRecord(record.multiplicity, value=a)
     return RootRecord(record.multiplicity, interval=(min(a, b), max(a, b)))
 
 
 # ---------------------------------------------------------------------------
 # Prediction
 # ---------------------------------------------------------------------------
-
-def _borderline_boundary(model: UrnModel, reduction: DegenerateReduction) -> str | None:
-    """The boundary where a root of a case-4 or case-5 reduced drift is borderline, or None.
-
-    With the white-white row inactive, a root of the reduced drift at the
-    all-white boundary (which needs the mixed row to add no black) sits at a
-    degenerate repeller/attractor transition exactly when twice the mixed
-    row's white addition equals the black-black row's total; the available
-    arguments do not settle that configuration. Mirrored for the
-    black-black-inactive case, whose color swap reverses the entries.
-    """
-    if reduction.case_id not in (4, 5):
-        return None
-    entries = model.scaled.entries if reduction.case_id == 4 else model.scaled.entries[::-1]
-    a, b, c, d, e, f = entries
-    if d != 0 or 2 * c != f:
-        return None
-    return RIGHT_BOUNDARY if reduction.case_id == 4 else LEFT_BOUNDARY
-
 
 def _predict_from_roots(
     meta: ModelMeta,
@@ -130,16 +117,18 @@ def _predict_from_roots(
     equilibria: Sequence[Equilibrium],
     span: AttainableInterval,
     reduction: DegenerateReduction | None = None,
-    borderline: str | None = None,
 ) -> LimitPrediction:
     """The verdict of every classified drift root, decided in one table.
 
     ``equilibria`` and ``span`` use the classified drift's variable: the
-    proportion when every row is active (``reduction`` is None) or in case 6,
-    the reduced one in cases 4 and 5, whose roots are mapped back. The
-    noise-floor exclusion, the touchpoint verdict and the promotion of a lone
-    ``unknown`` candidate need every row active. A root at the ``borderline``
-    boundary (cases 4 and 5 only) leaves the limit unsettled.
+    proportion when every row is active (``reduction`` is None), else the
+    reduced variable ``y``, whose roots are mapped back. The noise-floor
+    exclusion, the touchpoint verdict and the promotion of a lone
+    ``unknown`` candidate need every row active. A reduced root at ``y = 1``
+    of multiplicity at least 2 is borderline and leaves the limit unsettled:
+    in cases 4 and 5 that is the entry rule ``d = 0`` and ``f = 2c`` (entries
+    reversed in case 5), and a case-6 drift has no such root, since it would
+    need ``a = b = 0``.
     """
     full_support = reduction is None
     diverges = {
@@ -154,7 +143,7 @@ def _predict_from_roots(
         cls = eq.classification
         mapped = _map_record(rec, reduction)
         verdict, theorem = VERDICT_UNKNOWN, None
-        if mapped.location == borderline:
+        if reduction is not None and rec.value == 1 and rec.multiplicity > 1:
             # Neither exclusion nor retention is certified, whatever the exact
             # local sign says, and the chain of effective draws need not run
             # forever, so no "limit lies in this set" statement survives.
@@ -240,8 +229,7 @@ def _predict_degenerate(
 ) -> LimitPrediction:
     """Models with inactive matrix rows (some draws change nothing).
 
-    ``equilibria`` are those of the drift, which in case 6 is also the
-    reduced drift; cases 4 and 5 classify their own reduced drift.
+    ``equilibria`` are those of the reduced drift, in the reduced variable.
     """
     if reduction.fixed_limit is not None:
         point = PredictedPoint(RootRecord(1, value=reduction.fixed_limit), None, VERDICT_UNIQUE, None)
@@ -251,26 +239,17 @@ def _predict_degenerate(
             notes=("a single active matrix row pins the proportion to its white ratio",),
         )
 
-    reduced = reduction.reduced_drift
-    if reduced.is_zero:
+    if reduction.reduced_drift.is_zero:
         return LimitPrediction(
             kind=PredictionKind.UNKNOWN,
             notes=("the reduced drift is identically zero; no certified statement",),
         )
 
-    # The span of the active rows' white ratios, in the reduced variable
-    # y = 2u/(1+u) of u = x (case 4) or u = 1 - x (case 5).
+    # The span of the active rows' white ratios, in the reduced variable.
     ratios = active_white_ratios(model)
-    lo, hi = min(ratios), max(ratios)
-    if reduction.case_id == 5:
-        lo, hi = 1 - hi, 1 - lo
-    if reduction.case_id != 6:
-        lo, hi = 2 * lo / (1 + lo), 2 * hi / (1 + hi)
-        equilibria = classify_all(reduced)
-    return _predict_from_roots(
-        meta, drift, error_poly, equilibria, AttainableInterval(lo, hi, closed_bounds=True),
-        reduction, _borderline_boundary(model, reduction),
-    )
+    lo, hi = sorted(map(reduction.to_reduced, (min(ratios), max(ratios))))
+    span = AttainableInterval(lo, hi, closed_bounds=True)
+    return _predict_from_roots(meta, drift, error_poly, equilibria, span, reduction)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +279,13 @@ def analyze_model(model: UrnModel) -> ModelAnalysis:
     equilibria: tuple[Equilibrium, ...] = ()
     if meta.degenerate_case != 0:
         degenerate = degenerate_reduce(model)
-        if degenerate.case_id == 6 and not drift.is_zero:
-            equilibria = tuple(classify_all(drift))
-        prediction = _predict_degenerate(model, meta, drift, noise.error, degenerate, equilibria)
+        reduced = degenerate.reduced_drift
+        classified = () if reduced is None or reduced.is_zero else tuple(classify_all(reduced))
+        prediction = _predict_degenerate(model, meta, drift, noise.error, degenerate, classified)
+        # Only roots in the proportion's own variable are listed (case 6,
+        # where the reduced drift is the drift).
+        if reduced == drift:
+            equilibria = classified
     else:
         attain = attainable_interval(model)
         scheme = SAConditions.build(
@@ -422,13 +405,16 @@ def _point_from_dict(entry: dict) -> tuple[RootRecord, EquilibriumClass | None]:
     Exact rational points round-trip exactly; points serialized without an
     exact value come back as the (exact binary) fraction of their float
     approximation, which is all that downstream clustering consumes. A point
-    must lie in [0, 1] and its multiplicity, if given, be an integer of at
-    least 1, as every root the analysis writes is.
+    must lie in [0, 1], an approximation must not be a boolean, and a
+    multiplicity, if given, must be an integer of at least 1, as every root
+    the analysis writes is.
     """
     if not isinstance(entry, dict):
         raise ValueError(f"a point must be a JSON object, not {entry!r}")
     exact = entry.get("point") is not None
     raw = entry["point"] if exact else entry["approx"]
+    if not exact and type(raw) is bool:  # float(True) would read as the point 1
+        raise ValueError(f"an approximate point must be a number, not {raw!r}")
     value = parse_rational(raw) if exact else _as_float(raw)
     if not 0 <= value <= 1:  # also refuses NaN
         raise ValueError(f"a point must lie in [0, 1], not {raw!r}")

@@ -379,11 +379,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trajectory_out:
         _write_text(args.trajectory_out, "\n".join(trajectory_csv_lines(results)) + "\n")
 
-    mean, bins = finals_summary([r.final_z for r in results])
     if args.format == "csv":
         if not args.out:
             sys.stdout.write("\n".join(finals_csv_lines(results)) + "\n")
-    elif args.format == "json":
+        return EXIT_OK
+    mean, bins = finals_summary([r.final_z for r in results])
+    if args.format == "json":
         payload = {
             "replicates": args.replicates,
             "steps": args.steps,

@@ -533,14 +533,21 @@ class DegenerateReduction(Record):
       to ``fixed_limit``, the active row's white ratio.
     - Cases 4 and 5 (pair draws, white-white resp. black-black row inactive):
       steps that hit the inactive row change nothing, so the process embeds
-      into a chain over the remaining outcomes. In the reparametrized
-      coordinate the embedded drift is the quadratic ``reduced_drift`` in the
-      variable ``y``, related to the original proportion by ``x = y/(2-y)``
-      (case 4) or its color-swapped mirror (case 5).
+      into a chain over the remaining outcomes. In the variable
+      ``y = 2u/(1+u)``, where ``u`` is the proportion ``x`` (case 4) or its
+      color-swapped mirror ``1 - x`` (case 5), the embedded drift is the
+      quadratic ``reduced_drift``; case 5 builds it from the reversed
+      entries. For the entries ``a..f`` it is ``[2e, 2c-4e-f, -2c-d+2e+f]/s``,
+      which is ``-d`` at ``y = 1`` with slope ``f - 2c - 2d`` there: it has a
+      double root at ``y = 1`` exactly when ``d = 0`` and ``f = 2c``, the
+      borderline configuration that leaves the limit unsettled.
     - Case 6 (mixed row inactive): the embedded drift is the original cubic
       divided by the positive weight ``weight_denominator`` (values
       ``x^2 + (1-x)^2``), so its zeros and signs in the unit interval match
-      the cubic's.
+      the cubic's, and ``y`` is ``x`` itself.
+
+    :meth:`to_reduced` and :meth:`to_original` are the one home of that
+    change of variable.
     """
 
     case_id: int
@@ -549,10 +556,19 @@ class DegenerateReduction(Record):
     weight_denominator: RatPoly | None = None
     variable_map: str = "identity"
 
+    def to_reduced(self, x: Fraction) -> Fraction:
+        """The reduced variable ``y`` of a proportion ``x`` (cases 4-6)."""
+        if self.case_id == 6:
+            return x
+        u = 1 - x if self.case_id == 5 else x
+        return 2 * u / (1 + u)
 
-def _case4_reduced_drift(entries: Sequence[int], scale: int) -> RatPoly:
-    a, b, c, d, e, f = entries
-    return _poly([2 * e, 2 * c - 4 * e - f, -2 * c - d + 2 * e + f], scale)
+    def to_original(self, y: Fraction) -> Fraction:
+        """The proportion ``x`` of a reduced value ``y``: the inverse of :meth:`to_reduced`."""
+        if self.case_id == 6:
+            return y
+        u = y / (2 - y)
+        return 1 - u if self.case_id == 5 else u
 
 
 def degenerate_reduce(model: UrnModel) -> DegenerateReduction:
@@ -560,37 +576,22 @@ def degenerate_reduce(model: UrnModel) -> DegenerateReduction:
     case = degenerate_case_id(model)
     if case == 0:
         raise ValueError("the model has no inactive matrix row; nothing to reduce")
-    v = model.scaled
     if model.kind == ONE_DRAW or case <= 3:
         (limit,) = active_white_ratios(model)
         return DegenerateReduction(case_id=case, fixed_limit=limit)
-    if case == 4:
+    if case == 6:
         return DegenerateReduction(
-            case_id=4,
-            reduced_drift=_case4_reduced_drift(v.entries, v.scale),
-            variable_map="x = y/(2-y)",
+            case_id=6,
+            reduced_drift=drift_two(model),
+            weight_denominator=RatPoly([1, -2, 2]),
         )
-    if case == 5:
-        return DegenerateReduction(
-            case_id=5,
-            reduced_drift=_case4_reduced_drift(v.entries[::-1], v.scale),
-            variable_map="x = 1 - y/(2-y)",
-        )
+    v = model.scaled
+    a, b, c, d, e, f = v.entries if case == 4 else v.entries[::-1]
     return DegenerateReduction(
-        case_id=6,
-        reduced_drift=drift_two(model),
-        weight_denominator=RatPoly([1, -2, 2]),
-        variable_map="identity",
+        case_id=case,
+        reduced_drift=_poly([2 * e, 2 * c - 4 * e - f, -2 * c - d + 2 * e + f], v.scale),
+        variable_map="x = y/(2-y)" if case == 4 else "x = 1 - y/(2-y)",
     )
-
-
-def degenerate_map_back(reduction: DegenerateReduction, y: Fraction) -> Fraction:
-    """Map a reduced-coordinate value back to an original proportion."""
-    if reduction.case_id == 4:
-        return y / (2 - y)
-    if reduction.case_id == 5:
-        return 1 - y / (2 - y)
-    return y
 
 
 # ---------------------------------------------------------------------------

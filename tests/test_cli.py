@@ -585,6 +585,8 @@ BAD_PREDICTIONS = {
     "approx-above-one": (_point(point=None, approx=1.5), "a point must lie in [0, 1], not 1.5"),
     "approx-nan": (_point(point=None, approx=math.nan), "a point must lie in [0, 1], not nan"),
     "missing-approx": (_point(point=None), "missing key 'approx'"),
+    "approx-boolean": (_point(point=None, approx=True),
+                       "an approximate point must be a number, not True"),
     "multiplicity-beyond-float": (
         _point(point="1/2", multiplicity=1e400),
         "a multiplicity must be an integer of at least 1, not inf"),

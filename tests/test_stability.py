@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyurn import stability
 from polyurn.analysis import (
@@ -34,6 +36,8 @@ from polyurn.stability import (
 )
 from polyurn.urns import (
     WITH_REPLACEMENT,
+    WITHOUT_REPLACEMENT,
+    degenerate_reduce,
     drift_for,
     error_for,
     one_draw_model,
@@ -285,6 +289,55 @@ def test_case4_borderline_is_unknown():
     # d = 0 with f = 2c puts the reduced boundary analysis out of reach
     prediction = predict_limit(two_draw_model([0, 0, 1, 0, 1, 2], 2, 2))
     assert prediction.kind is PredictionKind.UNKNOWN
+
+
+BORDERLINE_NOTE = "a borderline boundary root leaves the long-run behaviour unsettled"
+rational_entry = st.builds(F, st.integers(0, 6), st.integers(1, 3))
+
+
+@st.composite
+def case_4_or_5_entries(draw):
+    """Case-4 entries ``(0, 0, c, d, e, f)``, about half with ``f = 2c`` and
+    half of those with ``d = 0`` too, and whether to mirror them into case 5."""
+    c, d, e, f = (draw(rational_entry) for _ in range(4))
+    if draw(st.booleans()):
+        c = c or F(1)
+        f = 2 * c
+        if draw(st.booleans()):
+            d = F(0)
+    # Both remaining rows active: a row sum of zero is another case.
+    if c + d == 0:
+        d = F(1)
+    if e + f == 0:
+        f = F(1)
+    return (0, 0, c, d, e, f), draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case_4_or_5_entries(), st.sampled_from([WITH_REPLACEMENT, WITHOUT_REPLACEMENT]))
+def test_borderline_unknown_is_the_entry_rule_on_a_nonzero_reduced_drift(drawn, sampling):
+    # The reduced root at y = 1 of multiplicity 2 is the entry rule d = 0,
+    # f = 2c, read on the case-4 entries; case 5 reverses them.
+    entries, mirrored = drawn
+    model = two_draw_model(entries[::-1] if mirrored else entries, 2, 2, sampling=sampling)
+    reduction = degenerate_reduce(model)
+    assert reduction.case_id == (5 if mirrored else 4)
+    _, _, c, d, _, f = entries
+    borderline = d == 0 and f == 2 * c and not reduction.reduced_drift.is_zero
+    prediction = predict_limit(model)
+    assert (BORDERLINE_NOTE in prediction.notes) == borderline
+    if borderline:
+        assert prediction.kind is PredictionKind.UNKNOWN
+
+
+def test_case6_irrational_point_keeps_its_factor():
+    # The identity map of case 6 returns the drift's root record as it is.
+    model = two_draw_model([0, 1, 0, 0, 1, 1], 2, 2)
+    (point,) = predict_limit(model).points
+    (root,) = roots_in_unit_interval(drift_for(model))
+    assert point.root.value is None and point.root == root
+    assert point.root.factor is not None
+    assert point.root.within(F(2, 5), F(1, 2), strict=True)
 
 
 def test_case6_prediction():

@@ -36,7 +36,6 @@ from polyurn.urns import (
     attainable_interval,
     black_count_diverges_at_one,
     degenerate_case_id,
-    degenerate_map_back,
     degenerate_reduce,
     drift_for,
     drift_one,
@@ -265,9 +264,9 @@ def test_case4_reduction_and_map_back():
     assert reduction.case_id == 4
     assert reduction.reduced_drift == P(2, -3)
     # reduced-variable root 2/3 sits at original proportion 1/2
-    assert degenerate_map_back(reduction, F(2, 3)) == F(1, 2)
-    assert degenerate_map_back(reduction, F(0)) == F(0)
-    assert degenerate_map_back(reduction, F(1)) == F(1)
+    assert reduction.to_original(F(2, 3)) == F(1, 2)
+    assert reduction.to_original(F(0)) == F(0)
+    assert reduction.to_original(F(1)) == F(1)
 
 
 def test_case6_reduction_weight():
@@ -278,7 +277,21 @@ def test_case6_reduction_weight():
     # embedded drift is reduced_drift / weight_denominator; the stored
     # numerator is the plain cubic drift, so signs and zeros coincide
     assert reduction.reduced_drift == drift_for(model)
-    assert degenerate_map_back(reduction, F(1, 3)) == F(1, 3)
+    assert reduction.to_original(F(1, 3)) == F(1, 3)
+
+
+@pytest.mark.parametrize("entries, rises", [
+    ([0, 0, 1, 1, 1, 1], True),  # case 4: y = 2x/(1+x)
+    ([1, 1, 1, 1, 0, 0], False),  # case 5: its color mirror, y = 2(1-x)/(2-x)
+    ([2, 3, 0, 0, 1, 4], True),  # case 6: y = x
+], ids=["case-4", "case-5", "case-6"])
+def test_reduced_variable_round_trips_and_is_monotone(entries, rises):
+    reduction = degenerate_reduce(two_draw_model(entries, 2, 2))
+    xs = sorted({F(k, 24) for k in range(25)} | {F(1, 7), F(5, 9), F(99, 100)})
+    ys = [reduction.to_reduced(x) for x in xs]
+    assert [reduction.to_original(y) for y in ys] == xs
+    assert all(0 <= y <= 1 for y in ys)
+    assert ys == sorted(set(ys), reverse=not rises)
 
 
 def test_single_draw_degenerate_limit():
