@@ -257,7 +257,16 @@ def _predict_degenerate(
 # ---------------------------------------------------------------------------
 
 class ModelAnalysis(Record):
-    """Everything the exact pipeline can say about one model."""
+    """Everything the exact pipeline can say about one model.
+
+    ``equilibria`` lists the classified roots of the drift in the unit
+    interval, in the proportion's own variable: for a model whose rows are all
+    active, and for an inactive mixed row (case 6), whose reduced drift has
+    the drift's roots. It is empty for a zero drift and for cases 1-5. Cases
+    1-3 have a fixed limit; the reduced drift's roots of cases 4 and 5 lie in
+    the reduced variable and appear, mapped back to proportions, only under
+    ``prediction``.
+    """
 
     model: UrnModel
     meta: ModelMeta
@@ -405,7 +414,7 @@ def _point_from_dict(entry: dict) -> tuple[RootRecord, EquilibriumClass | None]:
     Exact rational points round-trip exactly; points serialized without an
     exact value come back as the (exact binary) fraction of their float
     approximation, which is all that downstream clustering consumes. A point
-    must lie in [0, 1], an approximation must not be a boolean, and a
+    must lie in [0, 1], an approximation must be a JSON number, and a
     multiplicity, if given, must be an integer of at least 1, as every root
     the analysis writes is.
     """
@@ -413,7 +422,7 @@ def _point_from_dict(entry: dict) -> tuple[RootRecord, EquilibriumClass | None]:
         raise ValueError(f"a point must be a JSON object, not {entry!r}")
     exact = entry.get("point") is not None
     raw = entry["point"] if exact else entry["approx"]
-    if not exact and type(raw) is bool:  # float(True) would read as the point 1
+    if not exact and type(raw) not in (int, float):  # float() also reads True and " 0.5 "
         raise ValueError(f"an approximate point must be a number, not {raw!r}")
     value = parse_rational(raw) if exact else _as_float(raw)
     if not 0 <= value <= 1:  # also refuses NaN

@@ -48,6 +48,7 @@ from .urns import (
     WITHOUT_REPLACEMENT,
     UrnModel,
     model_from_dict,
+    model_to_dict,
     one_draw_model,
     two_draw_model,
 )
@@ -262,24 +263,17 @@ def _write_json(value, newline: str, out: list[str]) -> None:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _matrix_text(model: UrnModel) -> str:
-    rows = []
-    entries = [format_rational(e) for e in model.matrix.entries]
-    for i in range(0, len(entries), 2):
-        rows.append(" ".join(entries[i : i + 2]))
-    return "[" + "; ".join(rows) + "]"
-
-
 def _root_text(root: RootRecord) -> str:
     return format_rational(root.value) if root.value is not None else f"~{root.approx!r}"
 
 
 def _render_analysis_text(analysis: ModelAnalysis) -> str:
     model = analysis.model
+    data = model_to_dict(model)
     kind = "single-draw" if model.kind == ONE_DRAW else f"pair-draw ({model.sampling} replacement)"
+    matrix = "; ".join(" ".join(row) for row in data["matrix"])
     lines = [
-        f"model: {kind} urn, matrix {_matrix_text(model)}, "
-        f"start W={format_rational(model.w0)} B={format_rational(model.b0)}",
+        f"model: {kind} urn, matrix [{matrix}], start W={data['w0']} B={data['b0']}",
         f"drift: {analysis.drift.to_text()}",
         f"noise floor: {analysis.noise.error.to_text()}",
     ]
@@ -324,11 +318,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _render_histogram(bins: tuple[int, ...]) -> list[str]:
-    peak = max(bins) if any(bins) else 1
+    peak = max(bins) or 1
     width = 1.0 / len(bins)
     lines = []
     for i, count in enumerate(bins):
-        bar = "#" * round(40 * count / peak) if peak else ""
+        bar = "#" * round(40 * count / peak)
         lines.append(f"  [{i * width:.2f}, {(i + 1) * width:.2f}) {count:6d} {bar}")
     return lines
 

@@ -112,7 +112,6 @@ class ReplicateResult(Record):
     """Final counts times the model's ``scale`` (and optional trajectory) of one replicate."""
 
     replicate_index: int
-    steps: int
     white: int
     black: int
     scale: int
@@ -430,7 +429,7 @@ def simulate(config: SimConfig, replicate_index: int) -> ReplicateResult:
         d = num(scale if model.sampling == WITHOUT_REPLACEMENT else 0)
         w, b = _pair(grb, w, b, rows, top, most_w, most_b, d, unit, segments, traj)
 
-    return ReplicateResult(replicate_index, steps, int(w), int(b), scale,
+    return ReplicateResult(replicate_index, int(w), int(b), scale,
                            tuple(traj) if record else None)
 
 
@@ -533,10 +532,8 @@ def trajectory_csv_lines(results: list[ReplicateResult]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 class ClusterCounts(Record):
-    """Counts of samples within ``radius`` of each center, plus the rest."""
+    """Counts of samples near each center, in the centers' order, plus the rest."""
 
-    centers: tuple[float, ...]
-    radius: float
     counts: tuple[int, ...]
     unassigned: int
 
@@ -563,7 +560,7 @@ def cluster_finals(samples, centers, radius) -> ClusterCounts:
                 break
         else:
             unassigned += 1
-    return ClusterCounts(centers, radius, tuple(counts), unassigned)
+    return ClusterCounts(tuple(counts), unassigned)
 
 
 # ---------------------------------------------------------------------------
@@ -601,25 +598,18 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 401 + int(min(math.sqrt(max(a, b)), _CF_SQRT_CAP))):
         m2 = 2 * m
-        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numerator / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numerator / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # The even and the odd half-step: the same update, each with its numerator.
+        for numerator in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                          -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + numerator * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + numerator / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
         if delta != delta:  # NaN: it never converges
@@ -668,8 +658,6 @@ class KSResult(Record):
 
     statistic: float
     sample_size: int
-    alpha: float
-    beta: float
 
     def threshold(self, level: float) -> float:
         """Critical value at the given significance level (asymptotic form).
@@ -693,7 +681,7 @@ def ks_beta(samples, alpha, beta) -> KSResult:
     for i, x in enumerate(xs):
         cdf = regularized_incomplete_beta(a, b, x)
         d = max(d, cdf - i / n, (i + 1) / n - cdf)
-    return KSResult(statistic=d, sample_size=n, alpha=a, beta=b)
+    return KSResult(statistic=d, sample_size=n)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ class UrnState(Record):
 class StepOutcome(Record):
     """One possible draw outcome with its exact probability and effect."""
 
-    label: str  # "W" / "B" for single draws; "WW" / "WB" / "BB" for pairs
     probability: Fraction
     add_white: Fraction
     add_black: Fraction
@@ -63,32 +62,34 @@ class StepOutcome(Record):
 def step_distribution(state: UrnState, model: urns.UrnModel) -> tuple[StepOutcome, ...]:
     """Exact outcome distribution for one step from ``state``.
 
-    Probabilities are nonnegative rationals summing to one. Pair draws
-    without replacement require a total of at least 2 and enough balls of
-    each present color for the pair counts to make sense.
+    The outcomes come in the matrix's row order (white, black; or
+    white-white, mixed, black-black), with nonnegative rational
+    probabilities summing to one. Pair draws without replacement require a
+    total of at least 2 and enough balls of each present color for the pair
+    counts to make sense.
     """
     w, b, t = state.white, state.black, state.total
     m = model.matrix
     if model.kind == urns.ONE_DRAW:
         outcomes = (
-            StepOutcome("W", w / t, m.w_add_white, m.w_add_black),
-            StepOutcome("B", b / t, m.b_add_white, m.b_add_black),
+            StepOutcome(w / t, m.w_add_white, m.w_add_black),
+            StepOutcome(b / t, m.b_add_white, m.b_add_black),
         )
     elif model.sampling == urns.WITH_REPLACEMENT:
         z = state.proportion_white
         outcomes = (
-            StepOutcome("WW", z * z, m.ww_add_white, m.ww_add_black),
-            StepOutcome("WB", 2 * z * (1 - z), m.wb_add_white, m.wb_add_black),
-            StepOutcome("BB", (1 - z) * (1 - z), m.bb_add_white, m.bb_add_black),
+            StepOutcome(z * z, m.ww_add_white, m.ww_add_black),
+            StepOutcome(2 * z * (1 - z), m.wb_add_white, m.wb_add_black),
+            StepOutcome((1 - z) * (1 - z), m.bb_add_white, m.bb_add_black),
         )
     else:
         if t < 2:
             raise ValueError("pair draws without replacement need a total of at least 2")
         denom = t * (t - 1)
         outcomes = (
-            StepOutcome("WW", w * (w - 1) / denom, m.ww_add_white, m.ww_add_black),
-            StepOutcome("WB", 2 * w * b / denom, m.wb_add_white, m.wb_add_black),
-            StepOutcome("BB", b * (b - 1) / denom, m.bb_add_white, m.bb_add_black),
+            StepOutcome(w * (w - 1) / denom, m.ww_add_white, m.ww_add_black),
+            StepOutcome(2 * w * b / denom, m.wb_add_white, m.wb_add_black),
+            StepOutcome(b * (b - 1) / denom, m.bb_add_white, m.bb_add_black),
         )
     if any(o.probability < 0 for o in outcomes):
         raise ValueError(
@@ -127,7 +128,6 @@ class ExactMoments(Record):
     With ``Y = dW - Z dT`` the centered white increment, ``U`` the noise
     ``Y - drift(Z)``, and ``T_next`` the total after the step:
 
-    - ``mean_dz``: expected change of the white proportion
     - ``mean_y``: expected ``Y``
     - ``mean_u``: expected ``U`` (zero for single draws and pair draws with
       replacement; an explicit O(1/T) remainder otherwise)
@@ -136,7 +136,6 @@ class ExactMoments(Record):
       the proportion increment around ``drift(Z)/T_next``)
     """
 
-    mean_dz: Fraction
     mean_y: Fraction
     mean_u: Fraction
     mean_u_sq: Fraction
@@ -148,19 +147,18 @@ def cond_moments_oracle(state: UrnState, model: urns.UrnModel) -> ExactMoments:
     z = state.proportion_white
     t = state.total
     fz = urns.drift_for(model).evaluate(z)
-    mean_dz = mean_y = mean_u = mean_u_sq = mean_u_over_next_t = Fraction(0)
+    mean_y = mean_u = mean_u_sq = mean_u_over_next_t = Fraction(0)
     for outcome in step_distribution(state, model):
         dt = outcome.add_white + outcome.add_black
         y = outcome.add_white - z * dt
         u = y - fz
         t_next = t + dt
         p = outcome.probability
-        mean_dz += p * y / t_next
         mean_y += p * y
         mean_u += p * u
         mean_u_sq += p * u * u
         mean_u_over_next_t += p * u / t_next
-    return ExactMoments(mean_dz, mean_y, mean_u, mean_u_sq, mean_u_over_next_t)
+    return ExactMoments(mean_y, mean_u, mean_u_sq, mean_u_over_next_t)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +337,7 @@ def _suite_variance_decomposition(rng: random.Random) -> int:
         )
         if noise.variance_factor != quartic or noise.error != x * (one - x) * quartic:
             raise SuiteFailure(f"variance decomposition fails for {m.entries}")
-        model = urns.UrnModel(urns.TWO_DRAW, m, Fraction(2), Fraction(2), urns.WITH_REPLACEMENT)
+        model = urns.UrnModel(m, Fraction(2), Fraction(2), urns.WITH_REPLACEMENT)
         state = random_state(rng)
         moments = cond_moments_oracle(state, model)
         z = state.proportion_white
@@ -354,7 +352,7 @@ def _suite_single_draw_bias_oracle(rng: random.Random) -> int:
     for _ in range(500):
         m = random_one_matrix(rng)
         state = random_state(rng)
-        model = urns.UrnModel(urns.ONE_DRAW, m, Fraction(1), Fraction(1), urns.WITH_REPLACEMENT)
+        model = urns.UrnModel(m, Fraction(1), Fraction(1), urns.WITH_REPLACEMENT)
         moments = cond_moments_oracle(state, model)
         if cond_iv_closed_form_one(state, m) != moments.mean_u_over_next_t:
             raise SuiteFailure(f"single-draw bias closed form disagrees for {m.entries}")
@@ -368,7 +366,7 @@ def _suite_pair_bias_oracle(rng: random.Random) -> int:
         m = random_two_matrix(rng)
         state = random_state(rng)
         for sampling in (urns.WITHOUT_REPLACEMENT, urns.WITH_REPLACEMENT):
-            model = urns.UrnModel(urns.TWO_DRAW, m, Fraction(2), Fraction(2), sampling)
+            model = urns.UrnModel(m, Fraction(2), Fraction(2), sampling)
             moments = cond_moments_oracle(state, model)
             if sampling == urns.WITHOUT_REPLACEMENT:
                 if mean_noise_residual_two(state, m) != moments.mean_u:

@@ -3,9 +3,11 @@
 An urn holds white and black balls (counts may be any nonnegative rationals).
 Each step draws either one ball or an unordered pair (with or without
 replacement), looks the outcome up in a nonnegative replacement matrix, and
-adds the prescribed balls. The closed forms of a single step's conditional
-moments are computed here exactly; :mod:`polyurn.oracle` holds the outcome
-enumeration they are checked against.
+adds the prescribed balls. The draw rule is the matrix's: a 2x2
+:class:`OneDrawMatrix` draws one ball, a 3x2 :class:`TwoDrawMatrix` a pair,
+and a model stores no other record of it. The closed forms of a single
+step's conditional moments are computed here exactly; :mod:`polyurn.oracle`
+holds the outcome enumeration they are checked against.
 
 Writing ``Z`` for the white proportion and ``T`` for the total count, one step
 changes ``Z`` by ``(Y / T_next)`` where ``Y = dW - Z * dT`` is the centered
@@ -70,7 +72,10 @@ def _scale(entries: Sequence[Fraction], start: Sequence[Fraction] = ()) -> Scale
 
 
 class _Matrix(Record):
-    """What both matrix types derive from their fields, the entries in row order."""
+    """What both matrix types derive from their fields, the entries in row order.
+
+    Each type's class attribute ``kind`` is its draw rule, which a model reads off.
+    """
 
     def __post_init__(self):
         for name in self._fields:
@@ -108,6 +113,7 @@ class OneDrawMatrix(_Matrix):
     """
 
     _RULE = "single-draw"
+    kind = ONE_DRAW
     w_add_white: Fraction
     w_add_black: Fraction
     b_add_white: Fraction
@@ -123,6 +129,7 @@ class TwoDrawMatrix(_Matrix):
     """
 
     _RULE = "pair-draw"
+    kind = TWO_DRAW
     ww_add_white: Fraction
     ww_add_black: Fraction
     wb_add_white: Fraction
@@ -132,25 +139,23 @@ class TwoDrawMatrix(_Matrix):
 
 
 class UrnModel(Record):
-    """A complete urn specification: draw rule, replacement matrix, start.
+    """A complete urn specification: replacement matrix, start, sampling.
 
+    The draw rule is the matrix's: a :class:`OneDrawMatrix` draws one ball, a
+    :class:`TwoDrawMatrix` an unordered pair, and :attr:`kind` names it.
     ``sampling`` selects pair draws with or without replacement; it is
     meaningful only for pair-draw models (single draws always return the
     drawn ball).
     """
 
-    kind: str
     matrix: OneDrawMatrix | TwoDrawMatrix
     w0: Fraction
     b0: Fraction
     sampling: str = WITHOUT_REPLACEMENT
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown model kind: {self.kind!r}")
-        expected = OneDrawMatrix if self.kind == ONE_DRAW else TwoDrawMatrix
-        if not isinstance(self.matrix, expected):
-            raise ValueError(f"matrix type does not match model kind {self.kind!r}")
+        if not isinstance(self.matrix, _Matrix):
+            raise ValueError(f"an urn model needs a replacement matrix, not {self.matrix!r}")
         object.__setattr__(self, "w0", parse_rational(self.w0))
         object.__setattr__(self, "b0", parse_rational(self.b0))
         if self.w0 < 0 or self.b0 < 0:
@@ -162,13 +167,18 @@ class UrnModel(Record):
         if self.kind == ONE_DRAW:
             object.__setattr__(self, "sampling", WITH_REPLACEMENT)
 
+    @property
+    def kind(self) -> str:
+        """The draw rule, :data:`ONE_DRAW` or :data:`TWO_DRAW`, which the matrix's class fixes."""
+        return self.matrix.kind
+
     @functools.cached_property
     def scaled(self) -> ScaledModel:
         """The one scaled-integer view of this model, built on first use."""
         return _scale(self.matrix.entries, (self.w0, self.b0))
 
     def color_swap(self) -> "UrnModel":
-        return UrnModel(self.kind, self.matrix.color_swap(), self.b0, self.w0, self.sampling)
+        return UrnModel(self.matrix.color_swap(), self.b0, self.w0, self.sampling)
 
     def validate_for_simulation(self) -> None:
         """Checks required before stepping (not needed for pure analysis)."""
@@ -181,11 +191,11 @@ class UrnModel(Record):
 
 
 def one_draw_model(entries: Sequence, w0=1, b0=1) -> UrnModel:
-    return UrnModel(ONE_DRAW, OneDrawMatrix.from_entries(entries), w0, b0)
+    return UrnModel(OneDrawMatrix.from_entries(entries), w0, b0)
 
 
 def two_draw_model(entries: Sequence, w0=2, b0=2, sampling=WITHOUT_REPLACEMENT) -> UrnModel:
-    return UrnModel(TWO_DRAW, TwoDrawMatrix.from_entries(entries), w0, b0, sampling)
+    return UrnModel(TwoDrawMatrix.from_entries(entries), w0, b0, sampling)
 
 
 # ---------------------------------------------------------------------------

@@ -587,6 +587,8 @@ BAD_PREDICTIONS = {
     "missing-approx": (_point(point=None), "missing key 'approx'"),
     "approx-boolean": (_point(point=None, approx=True),
                        "an approximate point must be a number, not True"),
+    "approx-string": (_point(point=None, approx=" 0.5 "),
+                      "an approximate point must be a number, not ' 0.5 '"),
     "multiplicity-beyond-float": (
         _point(point="1/2", multiplicity=1e400),
         "a multiplicity must be an integer of at least 1, not inf"),

@@ -190,7 +190,7 @@ def oracle_run(config, replicate_index):
     white, black = state.white * scale, state.black * scale
     assert white.denominator == black.denominator == 1
     return ReplicateResult(
-        replicate_index, config.steps, white.numerator, black.numerator, scale,
+        replicate_index, white.numerator, black.numerator, scale,
         tuple(traj) if traj is not None else None,
     )
 
@@ -914,7 +914,7 @@ def test_trajectory_not_recorded_by_default():
 
 
 def test_replicate_result_derived_fields():
-    r = ReplicateResult(0, 10, 14, 3, 2)
+    r = ReplicateResult(0, 14, 3, 2)
     assert (r.final_white, r.final_black) == (F(7), F(3, 2))
     assert r.final_white + r.final_black == F(17, 2)
     assert r.final_z == float(F(14, 17))
@@ -923,16 +923,16 @@ def test_replicate_result_derived_fields():
 @settings(derandomize=True, database=None, max_examples=200)
 @given(w=st.integers(0, 10**40), b=st.integers(1, 10**40), scale=st.integers(1, 10**6))
 def test_final_z_is_the_rounded_proportion(w, b, scale):
-    assert ReplicateResult(0, 1, w, b, scale).final_z == float(F(w, w + b))
+    assert ReplicateResult(0, w, b, scale).final_z == float(F(w, w + b))
 
 
 def test_replicate_result_pickles_as_integers():
-    result = ReplicateResult(4, 10, 14, 3 * (10**30 + 1), 6, ((0, 0.5), (10, 0.25)))
+    result = ReplicateResult(4, 14, 3 * (10**30 + 1), 6, ((0, 0.5), (10, 0.25)))
     loaded = pickle.loads(pickle.dumps(result))
     assert loaded == result
     assert (loaded.final_white, loaded.final_black) == (F(7, 3), F(10**30 + 1, 2))
     assert all(type(getattr(loaded, name)) is int
-               for name in ("replicate_index", "steps", "white", "black", "scale"))
+               for name in ("replicate_index", "white", "black", "scale"))
     assert b"Fraction" not in pickle.dumps(result)
 
 
@@ -1133,8 +1133,8 @@ def test_run_replicates_names_the_exit_code_of_a_child_that_sent_nothing(monkeyp
 
 def test_finals_csv_exact_format():
     rows = [
-        ReplicateResult(0, 10, 14, 3, 2),
-        ReplicateResult(1, 10, 4, 4, 1),
+        ReplicateResult(0, 14, 3, 2),
+        ReplicateResult(1, 4, 4, 1),
     ]
     lines = finals_csv_lines(rows)
     assert lines[0] == "replicate,final_W,final_B,final_Z"
@@ -1144,8 +1144,8 @@ def test_finals_csv_exact_format():
 
 def test_trajectory_csv_exact_format():
     rows = [
-        ReplicateResult(0, 10, 1, 1, 1, trajectory=((0, 0.5), (10, 0.625))),
-        ReplicateResult(1, 10, 1, 1, 1, trajectory=None),
+        ReplicateResult(0, 1, 1, 1, trajectory=((0, 0.5), (10, 0.625))),
+        ReplicateResult(1, 1, 1, 1, trajectory=None),
     ]
     lines = trajectory_csv_lines(rows)
     assert lines == ["replicate,step,Z", "0,0,0.5", "0,10,0.625"]
@@ -1253,7 +1253,7 @@ def test_ks_statistic_matches_scipy():
 
 
 def test_ks_threshold_closed_form():
-    result = KSResult(statistic=0.0, sample_size=1000, alpha=1.0, beta=1.0)
+    result = KSResult(statistic=0.0, sample_size=1000)
     expected = math.sqrt(-0.5 * math.log(0.005)) / math.sqrt(1000)
     assert result.threshold(0.01) == pytest.approx(expected)
     assert result.threshold(0.01) == pytest.approx(1.628 / math.sqrt(1000), rel=3e-4)

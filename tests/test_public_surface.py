@@ -1,9 +1,10 @@
-"""The top-level ``polyurn`` names, and the functions the benchmark traces.
+"""The top-level ``polyurn`` names, the functions the benchmark traces, and no dead names.
 
 ``polyurn`` exports (``__all__``) exactly what the demos and the README quick
 start import from it. The benchmark's tracer rebinds the functions listed in
 ``perfbench/tracing.py`` by name, so each of them must still exist; the list
-is read as data, without importing anything from ``perfbench``.
+is read as data, without importing anything from ``perfbench``. Every
+function, class and method that ``src/polyurn`` defines is used somewhere.
 """
 
 import ast
@@ -44,7 +45,7 @@ def test_package_exports_exactly_the_demo_and_quick_start_names():
     assert polyurn.__version__
 
 
-def test_every_traced_benchmark_target_resolves():
+def _traced_targets() -> list[tuple[str, str]]:
     tree = ast.parse((REPO_ROOT / "perfbench" / "tracing.py").read_text())
     (targets,) = [
         ast.literal_eval(node.value)
@@ -52,6 +53,11 @@ def test_every_traced_benchmark_target_resolves():
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
     ]
+    return targets
+
+
+def test_every_traced_benchmark_target_resolves():
+    targets = _traced_targets()
     missing = []
     for module_name, attr in targets:
         owner = importlib.import_module(module_name)
@@ -60,3 +66,48 @@ def test_every_traced_benchmark_target_resolves():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert targets and not missing, f"traced names that no longer exist: {missing}"
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _package_definitions() -> list[str]:
+    """``module.name`` of each module-level function and class, and each non-dunder method."""
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "polyurn").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            found.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.stem}.{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [name for name in found if not _is_dunder(name.rsplit(".", 1)[1])]
+
+
+def _referenced_names() -> set[str]:
+    """Every name read, every attribute taken and every name imported, plus the traced names.
+
+    The sources are ``src``, ``tests``, ``demos`` and ``tools``. A name counts
+    wherever it appears, so this finds what nothing mentions, not what nothing
+    calls. ``ast`` sees the names inside f-strings, which ``tokenize`` on
+    Python 3.11 reads as one string token.
+    """
+    names = {part for module, attr in _traced_targets() for part in attr.split(".")}
+    for folder in ("src", "tests", "demos", "tools"):
+        for path in (REPO_ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update(node.name.split("."))
+    return names
+
+
+def test_every_package_definition_is_referenced():
+    used = _referenced_names()
+    unused = [name for name in _package_definitions() if name.rsplit(".", 1)[1] not in used]
+    assert not unused, f"defined in src/polyurn but referenced nowhere: {unused}"

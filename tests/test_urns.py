@@ -95,6 +95,20 @@ def test_one_draw_forces_with_replacement():
     assert model.sampling == WITH_REPLACEMENT
 
 
+def test_the_draw_rule_is_the_matrix_class():
+    one, two = one_draw_model([3, 2, 0, 1], 1, 2), two_draw_model([15, 3, 4, 1, 3, 21], 5, 2)
+    for model, kind in ((one, ONE_DRAW), (two, TWO_DRAW)):
+        for same_rule in (model, model.color_swap(), model_from_dict(model_to_dict(model))):
+            assert same_rule.kind == same_rule.matrix.kind == kind
+    assert "kind" not in UrnModel._fields
+    # The old leading kind argument, the entries, a scaled view: none is a matrix.
+    for not_a_matrix in (TWO_DRAW, list(two.matrix.entries), two.scaled, None):
+        with pytest.raises(ValueError, match="needs a replacement matrix"):
+            UrnModel(not_a_matrix, 2, 2)
+    with pytest.raises(ValueError, match="needs a replacement matrix"):
+        UrnModel(TWO_DRAW, two.matrix, 2, 2)
+
+
 def test_model_start_validation():
     with pytest.raises(ValueError):
         one_draw_model([1, 0, 0, 1], -1, 1)
@@ -140,9 +154,9 @@ def test_probabilities_sum_to_one_randomly():
     for _ in range(60):
         state = random_state(rng)
         for model in (
-            UrnModel(ONE_DRAW, random_one_matrix(rng), F(1), F(1), WITH_REPLACEMENT),
-            UrnModel(TWO_DRAW, random_two_matrix(rng), F(2), F(2), WITHOUT_REPLACEMENT),
-            UrnModel(TWO_DRAW, random_two_matrix(rng), F(2), F(2), WITH_REPLACEMENT),
+            UrnModel(random_one_matrix(rng), F(1), F(1), WITH_REPLACEMENT),
+            UrnModel(random_two_matrix(rng), F(2), F(2), WITHOUT_REPLACEMENT),
+            UrnModel(random_two_matrix(rng), F(2), F(2), WITH_REPLACEMENT),
         ):
             outcomes = step_distribution(state, model)
             assert sum(o.probability for o in outcomes) == 1
