@@ -43,7 +43,7 @@ from .analysis import (
 )
 from .ratpoly import RootRecord, format_rational, parse_rational
 from .urns import (
-    ONE_DRAW,
+    TWO_DRAW,
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
     UrnModel,
@@ -270,7 +270,9 @@ def _root_text(root: RootRecord) -> str:
 def _render_analysis_text(analysis: ModelAnalysis) -> str:
     model = analysis.model
     data = model_to_dict(model)
-    kind = "single-draw" if model.kind == ONE_DRAW else f"pair-draw ({model.sampling} replacement)"
+    kind = model.matrix.rule
+    if model.kind == TWO_DRAW:
+        kind += f" ({model.sampling} replacement)"
     matrix = "; ".join(" ".join(row) for row in data["matrix"])
     lines = [
         f"model: {kind} urn, matrix [{matrix}], start W={data['w0']} B={data['b0']}",

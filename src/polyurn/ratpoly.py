@@ -400,45 +400,51 @@ def _exact_quotient(a: RatPoly, b: RatPoly) -> RatPoly:
     return _poly(quotient[::-1], 1)
 
 
-def _integer_gcd(p: RatPoly, q: RatPoly) -> RatPoly:
-    """A primitive integer gcd of ``p`` and ``q``, by primitive pseudo-remainders."""
-    a, b = p.primitive_integer_coeffs(), q.primitive_integer_coeffs()
-    while b:
-        a, b = b, _pseudo_remainder(a, b)
-    return _poly(a, 1)
-
-
 def squarefree_decomposition(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:
     """Split ``p`` into monic square-free factors with multiplicities.
 
     Returns ``(constant, [(factor, multiplicity), ...])`` such that
     ``p == constant * prod(factor**multiplicity)``, each factor is monic and
     square-free and the factors are pairwise coprime (Yun's algorithm). The
-    steps run on integer polynomials: each gcd is primitive and each
-    division by it is exact.
+    steps run on integer polynomials: each gcd is the last member of a
+    signed remainder sequence, primitive, and each division by it is exact.
+    """
+    factors, _chain = _squarefree_split(p)
+    return p.leading_coeff, factors
+
+
+def _squarefree_split(p: RatPoly):
+    """The factors of :func:`squarefree_decomposition`, and the radical's Sturm chain or ``None``.
+
+    Yun's first gcd, that of ``p`` and ``p'``, is the last member of
+    ``sturm_chain(p)``, their signed remainder sequence. When it is a
+    constant, ``p`` is square-free, its one factor is ``p.monic()`` and that
+    sequence is returned as the chain: it is ``sturm_chain(p.monic())``
+    member for member, times the sign of ``p``'s leading coefficient, which
+    changes no count of sign variations. Otherwise Yun's loop runs on and
+    the chain is ``None``.
     """
     if p.is_zero:
         raise ValueError("the zero polynomial has no square-free decomposition")
-    constant = p.leading_coeff
     if p.degree == 0:
-        return constant, []
-    f = _poly(p.primitive_integer_coeffs(), 1)
-    deriv = f.derivative()
-    g0 = _integer_gcd(f, deriv)
-    if g0.degree == 0:
-        return constant, [(p.monic(), 1)]
-    b = _exact_quotient(f, g0)
-    d = _exact_quotient(deriv, g0) - b.derivative()
+        return [], None
+    chain = sturm_chain(p)
+    if len(chain[-1]) == 1:
+        return [(p.monic(), 1)], chain
+    f = _poly(chain[0], 1)
+    g = _poly(chain[-1], 1)
+    b = _exact_quotient(f, g)
+    d = _exact_quotient(f.derivative(), g) - b.derivative()
     factors: list[tuple[RatPoly, int]] = []
     mult = 1
     while b.degree > 0:
-        a = _integer_gcd(b, d)
+        a = _poly(_remainder_sequence(b, d)[-1], 1)
         if a.degree > 0:
             factors.append((a.monic(), mult))
         b = _exact_quotient(b, a)
         d = _exact_quotient(d, a) - b.derivative()
         mult += 1
-    return constant, factors
+    return factors, None
 
 
 def radical(p: RatPoly) -> RatPoly:
@@ -507,8 +513,8 @@ def sturm_chain(p: RatPoly) -> list[tuple[int, ...]]:
 
 def _sign_variations(chain: Sequence[Sequence[int]], p: int, q: int) -> int:
     """Sign changes along ``chain`` at ``p/q``, for ``q > 0``, skipping zeros."""
-    signs = [s for s in (_int_sign(member, p, q) for member in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    signs = [v > 0 for v in (_horner(member, p, q) for member in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_distinct_roots(chain: Sequence[Sequence[int]], lo: Rational, hi: Rational) -> int:
@@ -571,10 +577,11 @@ class RootRecord(Record):
         if self.value is not None:
             v = self.value
             return lower < v < upper if strict else lower <= v <= upper
-        factor = self.defining_factor()
+        ints = self.defining_factor().primitive_integer_coeffs()
         lo, hi = self.interval
         if lo <= lower <= hi or lo <= upper <= hi:
-            lo, hi = _bisect(factor, lo, hi, _holding((lower, upper)))
+            a, c, q = _bisect(ints, *_over_common_denominator(lo, hi), _holding((lower, upper)))
+            lo, hi = Fraction(a, q), Fraction(c, q)
         return lower < lo and hi < upper
 
     def defining_factor(self) -> RatPoly:
@@ -588,32 +595,30 @@ class RootRecord(Record):
 _GUESS_BITS = 16
 
 
-def _bisect(poly: RatPoly, lo: Fraction, hi: Fraction, keep_halving,
-            width: Fraction | None = None) -> tuple[Fraction, Fraction]:
-    """Halve ``(lo, hi)`` around the one sign change of ``poly`` while asked to.
+def _bisect(ints: Sequence[int], a: int, c: int, q: int, keep_halving,
+            levels: int = 0) -> tuple[int, int, int]:
+    """Halve ``(a/q, c/q)`` around the one sign change of ``ints`` while asked to.
 
-    The interval is held as ``(a/q, c/q)`` over a common denominator
-    ``q > 0`` that doubles with each halving, and ``keep_halving(a, c, q)``
-    decides whether to halve again. The sign at the midpoint is decided by
-    :func:`_int_sign` on ``poly``'s primitive integer coefficients, and the
-    sign at ``lo`` is carried forward, so each halving costs one exact
-    integer evaluation. If ``poly`` vanishes at ``lo``, the sign just right of
-    it, opposite to the sign at ``hi``, is carried instead. A midpoint that is
-    a root of ``poly`` ends the halving with ``(mid, mid)``.
+    ``ints`` are a polynomial's primitive integer coefficients and ``q > 0``.
+    The interval is held over a denominator that doubles with each halving,
+    and ``keep_halving(a, c, q)`` decides whether to halve again; the result
+    is the last interval, as ``(a, c, q)``. The sign at the midpoint is
+    decided by :func:`_int_sign`, and the sign at ``a/q`` is carried
+    forward, so each halving costs one exact integer evaluation. If the
+    polynomial vanishes at ``a/q``, the sign just right of it, opposite to
+    the sign at ``c/q``, is carried instead. A midpoint that is a root ends
+    the halving with ``(mid, mid, 2q)``.
 
-    ``width`` asks for a warm start. The caller then promises that
-    ``(lo, hi]`` holds exactly one root of ``poly``, not at ``hi``, and that
-    ``keep_halving`` holds while the interval is wider than ``width``. The
-    halving jumps to the first level at which it is not, when
-    :func:`_warm_start` certifies the cell of that level which holds the
-    root, and the loop goes on from there; the result is the interval that
-    plain halving reaches, in a few evaluations instead of one per level.
+    ``levels`` asks for a warm start. The caller then promises that
+    ``(a/q, c/q]`` holds exactly one root, not at ``c/q``, and that
+    ``keep_halving`` holds for the first ``levels`` halvings. The halving
+    jumps to that level when :func:`_warm_start` certifies its cell which
+    holds the root, and the loop goes on from there; the result is the
+    interval that plain halving reaches, in a few evaluations instead of one
+    per level.
     """
-    ints = poly.primitive_integer_coeffs()
-    a, c, q = _over_common_denominator(lo, hi)
-    levels = 0 if width is None else _levels_to(c - a, q, width)
     if not levels and not keep_halving(a, c, q):
-        return lo, hi
+        return a, c, q
     sign_lo = _int_sign(ints, a, q) or -_int_sign(ints, c, q)
     if levels:
         a, c, q, sign_lo = _warm_start(ints, a, c, q, sign_lo, levels)
@@ -622,12 +627,12 @@ def _bisect(poly: RatPoly, lo: Fraction, hi: Fraction, keep_halving,
         a, c, q = 2 * a, 2 * c, 2 * q
         sign_mid = _int_sign(ints, mid, q)
         if sign_mid == 0:
-            return Fraction(mid, q), Fraction(mid, q)
+            return mid, mid, q
         if sign_mid != sign_lo:
             c = mid
         else:
             a = mid
-    return Fraction(a, q), Fraction(c, q)
+    return a, c, q
 
 
 def _warm_start(ints: Sequence[int], a: int, c: int, q: int, sign_lo: int,
@@ -683,20 +688,18 @@ def _levels_to(d: int, q: int, width: Fraction) -> int:
     return (-(-d * width.denominator // (width.numerator * q)) - 1).bit_length()
 
 
-def _ancestor(lo: Fraction, hi: Fraction, left: Fraction,
-              width: Fraction) -> tuple[Fraction, Fraction]:
-    """The cell that halving ``(lo, hi)`` reaches first at ``width``, on its way to a finer cell.
+def _ancestor(a: int, c: int, q: int, left: int, left_q: int,
+              width: Fraction) -> tuple[int, int, int]:
+    """The cell that halving ``(a/q, c/q)`` reaches first at ``width``, on its way to a finer cell.
 
-    ``left`` is the lower end of a cell that halving ``(lo, hi)`` reached
-    after more halvings; cells nest, so the coarser cell is the one of its
-    level that holds ``left``.
+    ``left / left_q`` is the lower end of a cell that halving reached after
+    more halvings; cells nest, so the coarser cell is the one of its level
+    that holds ``left / left_q``.
     """
-    a, c, q = _over_common_denominator(lo, hi)
     d = c - a
     levels = _levels_to(d, q, width)
-    big_q = q << levels
-    start = (a << levels) + (left - lo) * big_q // d * d
-    return Fraction(start, big_q), Fraction(start + d, big_q)
+    start = (a << levels) + ((left * q - a * left_q) << levels) // (left_q * d) * d
+    return start, start + d, q << levels
 
 
 def _over_common_denominator(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
@@ -755,11 +758,13 @@ def sign_at_root(poly: RatPoly, record: RootRecord) -> int:
 # ---------------------------------------------------------------------------
 
 def _isolate(chain: Sequence[Sequence[int]], a: int, c: int, q: int,
-             var_a: int, var_c: int) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint subintervals ``(lo, hi]`` of ``(a/q, c/q]`` each holding one distinct root.
+             var_a: int, var_c: int) -> list[tuple[int, int, int]]:
+    """Disjoint subintervals ``(a'/q', c'/q']`` of ``(a/q, c/q]``, each holding one distinct root.
 
-    ``var_a`` and ``var_c`` are the chain's sign variations at the two ends.
-    The chain's polynomial must be square-free, so that endpoints may be roots.
+    ``var_a`` and ``var_c`` are the chain's sign variations at the two ends;
+    each subinterval comes back as ``(a', c', q')``, with ``q'`` the halved
+    interval's denominator ``q 2^k``. The chain's polynomial must be
+    square-free, so that endpoints may be roots.
     Halving runs on an explicit stack, left half first, so the intervals come
     out in order; roots 1e-300 apart take about 1000 halvings, past the
     interpreter's recursion limit.
@@ -769,7 +774,7 @@ def _isolate(chain: Sequence[Sequence[int]], a: int, c: int, q: int,
         a, c, q, var_a, var_c = stack.pop()
         count = var_a - var_c
         if count == 1:
-            out.append((Fraction(a, q), Fraction(c, q)))
+            out.append((a, c, q))
         elif count:
             var_mid = _sign_variations(chain, a + c, 2 * q)
             stack.append((a + c, 2 * c, 2 * q, var_mid, var_c))
@@ -811,10 +816,17 @@ def roots_in_unit_interval(
 
     Rational roots come back as exact values; irrational roots as isolating
     intervals refined to at most ``refine_width``, with a float approximation
-    at the midpoint. One sweep decides the Sturm intervals ``(lo, hi]`` in
-    increasing order, each holding one root of the radical: the root is
-    ``hi``, or a rational read off the interval by the nearest fraction, or
-    irrational and refined there. Refinement is the interval that halving the
+    at the midpoint. One signed remainder sequence of ``poly`` and its
+    derivative serves both the square-free test and the isolation: when its
+    last member, Yun's first gcd, is a constant, ``poly`` is square-free and
+    the sequence is the Sturm chain of the radical (see
+    :func:`_squarefree_split`); only a polynomial with a repeated factor has
+    the chain of its radical built anew. One sweep decides the Sturm
+    intervals ``(lo, hi]``, held as integers ``(a, c, q)``, in increasing
+    order, each holding one root of the radical: the root is ``hi``, or a
+    rational read off the interval by the nearest fraction, or irrational
+    and refined there. ``Fraction`` values are built only for the records.
+    Refinement is the interval that halving the
     Sturm interval reaches; :func:`_bisect` gets there with a checked Newton
     guess (its warm start), which Sturm isolation makes valid by leaving
     exactly one root of the radical in each interval. The halving then stops
@@ -829,17 +841,18 @@ def roots_in_unit_interval(
         raise ValueError("the zero polynomial vanishes everywhere; roots are undefined")
     if refine_width <= 0:
         raise ValueError("refine_width must be positive")
-    _, factors = squarefree_decomposition(poly)
+    factors, chain = _squarefree_split(poly)
     if not factors:
         return []
-    rad = functools.reduce(RatPoly.__mul__, (factor for factor, _m in factors))
+    chain = chain or sturm_chain(functools.reduce(RatPoly.__mul__, (f for f, _m in factors)))
 
     def record(lo: Fraction, hi: Fraction) -> RootRecord:
         # The root belongs to the one factor that vanishes at lo = hi, or
-        # changes sign over the irrational root's interval (lo, hi).
+        # changes sign over the irrational root's interval (lo, hi); a lone
+        # factor owns every root.
         for factor, mult in factors:
-            sign_lo = sign_at(factor, lo)
-            if sign_lo == 0 or sign_lo != sign_at(factor, hi):
+            sign_lo = len(factors) > 1 and sign_at(factor, lo)
+            if not sign_lo or sign_lo != sign_at(factor, hi):
                 if lo == hi:
                     return RootRecord(mult, value=lo, factor=factor)
                 return RootRecord(mult, interval=(lo, hi), factor=factor)
@@ -852,32 +865,33 @@ def roots_in_unit_interval(
     # Halving to 1/n^2 when it is finer than refine_width passes through the
     # interval that refinement reaches first, so an irrational root resumes
     # from that ancestor of its cell.
-    ints = rad.primitive_integer_coeffs()
+    ints = chain[0]  # the radical's, up to a sign that no test below reads
     n = abs(ints[-1])
     refine_width = Fraction(refine_width)
     width = min(Fraction(1, n * n), refine_width)
-    records = [record(Fraction(0), Fraction(0))] if sign_at(rad, 0) == 0 else []
-    chain = sturm_chain(rad)
-    for lo, hi in _isolate(chain, 0, 1, 1, _sign_variations(chain, 0, 1),
-                           _sign_variations(chain, 1, 1)):
-        if sign_at(rad, hi) == 0:
-            records.append(record(hi, hi))
+    records = [record(Fraction(0), Fraction(0))] if ints[0] == 0 else []
+    for a, c, q in _isolate(chain, 0, 1, 1, _sign_variations(chain, 0, 1),
+                            _sign_variations(chain, 1, 1)):
+        if _int_sign(ints, c, q) == 0:
+            records.append(record(Fraction(c, q), Fraction(c, q)))
             continue
-        left, right = _bisect(rad, lo, hi, _wider_than(width), width)
-        u, v = _nearest_fraction(left.numerator * right.denominator
-                                 + right.numerator * left.denominator,
-                                 2 * left.denominator * right.denominator, n)
-        if _int_sign(ints, u, v) == 0 and lo < Fraction(u, v) < hi:
+        left, right, cell_q = _bisect(ints, a, c, q, _wider_than(width),
+                                      _levels_to(c - a, q, width))
+        u, v = _nearest_fraction(left + right, 2 * cell_q, n)
+        if _int_sign(ints, u, v) == 0 and a * v < u * q < c * v:
             records.append(record(Fraction(u, v), Fraction(u, v)))
             continue
         if width < refine_width:
-            left, right = _ancestor(lo, hi, left, refine_width)
-        # The root is irrational and hi is not a root, so of 0, 1 and the
-        # rational roots a cell can hold only lo, when it is 0 or the last
-        # root, and hi, when it is 1. Halving keeps them out, since the owning
-        # factor may share a rational root and the classifier probes on both
-        # sides of the root. It follows the one root of the radical in
-        # (lo, hi], even where lo is a root.
-        ends = [x for x in (lo, hi) if x in (0, 1) or (records and records[-1].value == x)]
-        records.append(record(*_bisect(rad, left, right, _holding(ends))))
+            left, right, cell_q = _ancestor(a, c, q, left, cell_q, refine_width)
+        # The root is irrational and c/q is not a root, so of 0, 1 and the
+        # rational roots a cell can hold only a/q, when it is 0 or the last
+        # root, and c/q, when it is 1. Halving keeps them out, since the
+        # owning factor may share a rational root and the classifier probes
+        # on both sides of the root. It follows the one root of the radical
+        # in (a/q, c/q], even where a/q is a root.
+        last = records[-1].value if records else None
+        ends = [Fraction(x, q) for x in (a, c) if x in (0, q)
+                or last is not None and x * last.denominator == last.numerator * q]
+        left, right, cell_q = _bisect(ints, left, right, cell_q, _holding(ends))
+        records.append(record(Fraction(left, cell_q), Fraction(right, cell_q)))
     return records

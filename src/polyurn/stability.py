@@ -29,6 +29,8 @@ from .ratpoly import (
     RatPoly,
     Record,
     RootRecord,
+    _horner,
+    _int_sign,
     roots_in_unit_interval,
     sign_at,
     sign_at_root,
@@ -89,24 +91,32 @@ def classify_all(drift: RatPoly) -> list[Equilibrium]:
 
     The drift has one exact sign on each gap between neighbouring roots, and
     on the gaps from 0 to the first root and from the last root to 1 when
-    they are not empty. It is read once per gap, at the gap's midpoint, and
-    each root is classified from the signs of the gaps beside it. Raises
+    they are not empty. It is read once per gap, by integer Horner
+    evaluation (:func:`polyurn.ratpoly._int_sign`) of the drift's primitive
+    integer coefficients at the gap's midpoint ``(a d + c b) / (2 b d)``,
+    for a gap from ``a/b`` to ``c/d``, and each root is classified from the
+    signs of the gaps beside it. The drift's derivative at a rational root
+    is one integer Horner evaluation, which gives both its value and its
+    sign; at an irrational root its sign is :func:`sign_at_root`'s. Raises
     ``ValueError`` for the identically zero drift, whose equilibria are not
     isolated points.
     """
     if drift.is_zero:
         raise ValueError("the zero drift has no isolated equilibria to classify")
     records = roots_in_unit_interval(drift)
+    ints = drift.primitive_integer_coeffs()
 
-    def gap_sign(lo: Fraction, hi: Fraction) -> int | None:
+    def gap_sign(lo: tuple[int, int], hi: tuple[int, int]) -> int | None:
         if lo == hi:
             return None
-        sign = sign_at(drift, (lo + hi) / 2)
+        (a, b), (c, d) = lo, hi
+        sign = _int_sign(ints, a * d + c * b, 2 * b * d)  # at (a/b + c/d) / 2
         if sign == 0:
             raise ArithmeticError("probe point unexpectedly hit a root")
         return sign
 
-    ends = [Fraction(0), *(end for record in records for end in record.bounds), Fraction(1)]
+    # Each gap's ends as (numerator, denominator) pairs, from 0 = (0, 1) to 1 = (1, 1).
+    ends = [(0, 1), *((e.numerator, e.denominator) for r in records for e in r.bounds), (1, 1)]
     signs = [gap_sign(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])]
     deriv = drift.derivative()
     equilibria = []
@@ -122,14 +132,12 @@ def classify_all(drift: RatPoly) -> list[Equilibrium]:
             cls = EquilibriumClass.STRICTLY_UNSTABLE
         if record.location == INTERIOR and (left != right) != (record.multiplicity % 2 == 1):
             raise ArithmeticError("sign pattern inconsistent with root multiplicity")
-        equilibria.append(Equilibrium(
-            root=record,
-            classification=cls,
-            sign_left=sign_left,
-            sign_right=sign_right,
-            drift_derivative_sign=sign_at_root(deriv, record),
-            drift_derivative=deriv.evaluate(record.value) if record.value is not None else None,
-        ))
+        slope = None
+        if record.value is not None:  # deriv(u/v), one integer Horner pass over deriv.num
+            u, v = record.value.numerator, record.value.denominator
+            slope = Fraction(_horner(deriv.num, u, v), deriv.den * v ** (len(deriv.num) - 1))
+        slope_sign = sign_at_root(deriv, record) if slope is None else (slope > 0) - (slope < 0)
+        equilibria.append(Equilibrium(record, cls, sign_left, sign_right, slope_sign, slope))
     return equilibria
 
 

@@ -74,7 +74,8 @@ def _scale(entries: Sequence[Fraction], start: Sequence[Fraction] = ()) -> Scale
 class _Matrix(Record):
     """What both matrix types derive from their fields, the entries in row order.
 
-    Each type's class attribute ``kind`` is its draw rule, which a model reads off.
+    Each type's class attribute ``kind`` is its draw rule, which a model reads off,
+    and ``rule`` that rule's name in messages and reports.
     """
 
     def __post_init__(self):
@@ -100,7 +101,7 @@ class _Matrix(Record):
     @classmethod
     def from_entries(cls, entries: Sequence):
         if len(entries) != len(cls._fields):
-            raise ValueError(f"a {cls._RULE} matrix needs exactly {len(cls._fields)} entries")
+            raise ValueError(f"a {cls.rule} matrix needs exactly {len(cls._fields)} entries")
         return cls(*entries)
 
 
@@ -112,7 +113,7 @@ class OneDrawMatrix(_Matrix):
     black balls. Entries are nonnegative rationals, not all zero.
     """
 
-    _RULE = "single-draw"
+    rule = "single-draw"
     kind = ONE_DRAW
     w_add_white: Fraction
     w_add_black: Fraction
@@ -128,7 +129,7 @@ class TwoDrawMatrix(_Matrix):
     rationals, not all zero.
     """
 
-    _RULE = "pair-draw"
+    rule = "pair-draw"
     kind = TWO_DRAW
     ww_add_white: Fraction
     ww_add_black: Fraction

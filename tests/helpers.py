@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from polyurn.oracle import UrnState
-from polyurn.ratpoly import RatPoly, RootRecord, _bisect, _wider_than
+from polyurn.ratpoly import RatPoly, RootRecord, _bisect, _over_common_denominator, _wider_than
 from polyurn.urns import ONE_DRAW, WITHOUT_REPLACEMENT, OneDrawNoise, TwoDrawNoise, UrnModel
 
 
@@ -51,10 +51,12 @@ def refine_root(record: RootRecord, width) -> RootRecord:
     """
     if record.value is not None:
         return record
-    lo, hi = _bisect(record.factor, *record.interval, _wider_than(Fraction(width)))
-    if lo == hi:
+    a, c, q = _bisect(record.factor.primitive_integer_coeffs(),
+                      *_over_common_denominator(*record.interval), _wider_than(Fraction(width)))
+    if a == c:
         raise ArithmeticError("isolating interval midpoint unexpectedly a root")
-    return RootRecord(record.multiplicity, interval=(lo, hi), factor=record.factor)
+    return RootRecord(record.multiplicity, interval=(Fraction(a, q), Fraction(c, q)),
+                      factor=record.factor)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import polyurn.ratpoly as ratpoly
 from polyurn.ratpoly import (
     INTERIOR,
     LEFT_BOUNDARY,
@@ -13,7 +14,7 @@ from polyurn.ratpoly import (
     RatPoly,
     RootRecord,
     _int_sign,
-    _integer_gcd,
+    _remainder_sequence,
     count_distinct_roots,
     format_rational,
     parse_rational,
@@ -23,6 +24,8 @@ from polyurn.ratpoly import (
     squarefree_decomposition,
     sturm_chain,
 )
+
+from polyurn.urns import drift_for, two_draw_model
 
 from helpers import poly_divmod, poly_from_roots, refine_root
 
@@ -133,12 +136,12 @@ def test_poly_gcd_shared_factor():
     shared = P(-1, 2)  # 2x - 1
     f = shared * P(1, 1)
     g = shared * P(3, 0, 1)
-    gcd = _integer_gcd(f, g).monic()
+    gcd = RatPoly(_remainder_sequence(f, g)[-1]).monic()
     assert gcd.monic() == shared.monic()
 
 
 def test_poly_gcd_coprime_is_constant():
-    assert _integer_gcd(P(1, 1), P(2, 1)).monic().degree == 0
+    assert RatPoly(_remainder_sequence(P(1, 1), P(2, 1))[-1]).degree == 0
 
 
 def test_squarefree_decomposition():
@@ -173,6 +176,28 @@ def test_sturm_count_is_half_open_even_at_root_endpoints():
     assert count_distinct_roots(chain, F(0), F(1, 4)) == 1
     assert count_distinct_roots(chain, F(1, 4), F(3, 4)) == 2
     assert count_distinct_roots(chain, F(1, 2), F(1, 2)) == 0
+
+
+@pytest.mark.parametrize("drift, roots, remainders, divisions", [
+    # The bistable cubic is square-free: one remainder sequence of it and its
+    # derivative, three pseudo-remainders, is both the gcd that tests it and
+    # its Sturm chain, and Yun's loop never divides.
+    (drift_for(two_draw_model([15, 3, 4, 1, 3, 21], 5, 2)), [F(1, 4), F(1, 2), F(3, 4)], 3, 0),
+    # (x - 1/2)^2 (x - 1/4) goes on to Yun's loop and to the radical's chain.
+    (poly_from_roots([F(1, 2), F(1, 2), F(1, 4)]), [F(1, 4), F(1, 2)], 5, 6),
+])
+def test_a_square_free_drift_builds_one_remainder_sequence(drift, roots, remainders, divisions,
+                                                           monkeypatch):
+    calls = {"remainder": 0, "division": 0}
+
+    def counted(name, original):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or original(*args)
+
+    monkeypatch.setattr(ratpoly, "_pseudo_remainder",
+                        counted("remainder", ratpoly._pseudo_remainder))
+    monkeypatch.setattr(ratpoly, "_exact_quotient", counted("division", ratpoly._exact_quotient))
+    assert [r.value for r in roots_in_unit_interval(drift)] == roots
+    assert calls == {"remainder": remainders, "division": divisions}
 
 
 def test_rational_roots_found_exactly():

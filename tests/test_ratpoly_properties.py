@@ -24,11 +24,12 @@ from polyurn.ratpoly import (
     RootRecord,
     _ancestor,
     _bisect,
-    _integer_gcd,
     _isolate,
+    _levels_to,
     _poly,
     _remainder_sequence,
     _sign_variations,
+    _squarefree_split,
     _warm_start,
     _wider_than,
     count_distinct_roots,
@@ -176,7 +177,7 @@ def test_squarefree_decomposition_rebuilds_with_monic_coprime_factors(parts, sca
         for other, _ in split[i + 1:]:
             assert _ref_gcd(factor, other).degree == 0
     if poly.degree > 0:
-        gcd = _integer_gcd(poly, poly.derivative())
+        gcd = RatPoly(_remainder_sequence(poly, poly.derivative())[-1])
         assert gcd.monic() == _ref_gcd(poly, poly.derivative()).monic()
 
 
@@ -197,6 +198,23 @@ def test_integer_remainder_sequences_match_fraction_sturm_chains(p, q, points):
             assert _sign_variations(chain, x.numerator, x.denominator) == (
                 _ref_sign_variations(reference, x)
             )
+
+
+integer_polys = st.lists(st.integers(-30, 30), min_size=2, max_size=7).map(RatPoly)
+square_free_polys = integer_polys.filter(
+    lambda p: p.degree > 0 and _ref_gcd(p, p.derivative()).degree == 0)
+
+
+@PROPERTIES
+@given(square_free_polys, factors)
+def test_a_square_free_polynomial_is_split_with_its_sturm_chain(poly, factor):
+    split, chain = _squarefree_split(poly)
+    assert split == [(poly.monic(), 1)]
+    reference = sturm_chain(radical(poly))
+    sign = 1 if chain[0] == reference[0] else -1
+    assert chain == [tuple(sign * v for v in member) for member in reference]
+    # A repeated factor leaves the chain to be built from the radical.
+    assert _squarefree_split(poly * factor ** 2)[1] is None
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +239,16 @@ _SQRT_HALF = RatPoly([F(-1, 2), 0, 1])
 
 
 def _isolating_intervals(rad):
-    """Sturm isolation of the square-free ``rad`` in (0, 1], each ``hi`` not a root."""
+    """Sturm isolation of the square-free ``rad`` in (0, 1] as ``(a, c, q)``, ``c/q`` not a root."""
     chain = sturm_chain(rad)
-    return [(lo, hi) for lo, hi in _isolate(chain, 0, 1, 1, _sign_variations(chain, 0, 1),
-                                            _sign_variations(chain, 1, 1))
-            if sign_at(rad, hi) != 0]
+    return [(a, c, q) for a, c, q in _isolate(chain, 0, 1, 1, _sign_variations(chain, 0, 1),
+                                              _sign_variations(chain, 1, 1))
+            if sign_at(rad, F(c, q)) != 0]
+
+
+def _ends(a, c, q):
+    """The interval ``(a/q, c/q)`` as a pair of fractions."""
+    return F(a, q), F(c, q)
 
 
 @PROPERTIES
@@ -236,16 +259,19 @@ def _isolating_intervals(rad):
 @example([], RatPoly([-(10**399) - 7, 3, 2 * 10**399 + 1]))
 def test_warm_started_refinement_reaches_the_interval_of_plain_halving(roots, factor):
     rad = radical(poly_from_roots(roots) * factor)
-    n = abs(rad.primitive_integer_coeffs()[-1])
-    for lo, hi in _isolating_intervals(rad):
+    ints = rad.primitive_integer_coeffs()
+    n = abs(ints[-1])
+    for a, c, q in _isolating_intervals(rad):
+        record = RootRecord(1, interval=_ends(a, c, q), factor=rad)
         for width in (F(1, 10**12), F(1, n * n)):
             try:
-                expected = refine_root(RootRecord(1, interval=(lo, hi), factor=rad), width).interval
+                expected = refine_root(record, width).interval
             except ArithmeticError:
                 # A midpoint was a rational root; plain halving ends on it.
-                expected = _bisect(rad, lo, hi, _wider_than(width))
+                expected = _ends(*_bisect(ints, a, c, q, _wider_than(width)))
                 assert expected[0] == expected[1] and sign_at(rad, expected[0]) == 0
-            assert _bisect(rad, lo, hi, _wider_than(width), width) == expected
+            levels = _levels_to(c - a, q, width)
+            assert _ends(*_bisect(ints, a, c, q, _wider_than(width), levels)) == expected
 
 
 @PROPERTIES
@@ -253,13 +279,15 @@ def test_warm_started_refinement_reaches_the_interval_of_plain_halving(roots, fa
 @example([F(1, 2)], _SQRT_HALF, 3)
 def test_the_ancestor_of_a_finer_cell_is_the_cell_of_plain_halving(roots, factor, coarser):
     rad = radical(poly_from_roots(roots) * factor)
+    ints = rad.primitive_integer_coeffs()
     fine = F(1, 10**12)
-    for lo, hi in _isolating_intervals(rad):
-        left, right = _bisect(rad, lo, hi, _wider_than(fine), fine)
+    for a, c, q in _isolating_intervals(rad):
+        left, right, cell_q = _bisect(ints, a, c, q, _wider_than(fine), _levels_to(c - a, q, fine))
         if left == right:
             continue  # a midpoint was a rational root
         width = fine * 2**coarser
-        assert _ancestor(lo, hi, left, width) == _bisect(rad, lo, hi, _wider_than(width))
+        assert (_ends(*_ancestor(a, c, q, left, cell_q, width))
+                == _ends(*_bisect(ints, a, c, q, _wider_than(width))))
 
 
 def test_a_large_coefficient_root_is_refined_with_one_warm_start(monkeypatch):
@@ -277,8 +305,8 @@ def test_a_large_coefficient_root_is_refined_with_one_warm_start(monkeypatch):
                         lambda *args: levels.append(args[-1]) or warm_start(*args))
     (root,) = roots_in_unit_interval(drift_for(model))
     assert len(levels) == 1
-    ((lo, hi),) = _isolating_intervals(rad)
-    record = RootRecord(1, interval=(lo, hi), factor=rad)
+    (interval,) = _isolating_intervals(rad)
+    record = RootRecord(1, interval=_ends(*interval), factor=rad)
     assert root.interval == refine_root(record, DEFAULT_REFINE_WIDTH).interval
 
 

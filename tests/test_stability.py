@@ -15,7 +15,7 @@ from polyurn.analysis import (
     prediction_to_dict,
     sa_conditions_for,
 )
-from polyurn.ratpoly import RatPoly, roots_in_unit_interval, sign_at, sign_at_root
+from polyurn.ratpoly import RatPoly, _int_sign, roots_in_unit_interval, sign_at, sign_at_root
 from polyurn.stability import (
     THEOREM_BOUNDARY_EXCLUSION,
     THEOREM_LIMIT_EXISTS,
@@ -124,11 +124,11 @@ def test_irrational_equilibrium_classified():
 def test_classification_reads_each_gap_sign_once(model, gaps, monkeypatch):
     probes = []
 
-    def counted(poly, x):
-        probes.append(x)
-        return sign_at(poly, x)
+    def counted(ints, p, q):
+        probes.append(F(p, q))
+        return _int_sign(ints, p, q)
 
-    monkeypatch.setattr(stability, "sign_at", counted)
+    monkeypatch.setattr(stability, "_int_sign", counted)
     classify_all(drift_for(model))
     assert len(probes) == gaps
 
