@@ -41,12 +41,14 @@ from .analysis import (
     analyze_model,
     prediction_from_dict,
 )
-from .ratpoly import RootRecord, format_rational, parse_rational
+from .ratpoly import RatPoly, RootRecord, format_rational, parse_rational
 from .urns import (
     TWO_DRAW,
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
     UrnModel,
+    drift_for,
+    error_for,
     model_from_dict,
     model_to_dict,
     one_draw_model,
@@ -56,6 +58,9 @@ from .urns import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONSISTENT = 2
+
+#: A model with a scaled integer longer than this may derive a number too long to print.
+LONG_MODEL_BITS = 4096
 
 
 class CliError(Exception):
@@ -307,6 +312,12 @@ def _render_analysis_text(analysis: ModelAnalysis) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     model = model_from_args(args)
+    v = model.scaled
+    if max(v.scale, *v.entries, v.w0, v.b0).bit_length() > LONG_MODEL_BITS:
+        # Every report prints the drift and the noise polynomial: one that
+        # cannot is refused before its roots are isolated.
+        for poly in (drift_for(model), error_for(model)):
+            _rendered(RatPoly.coefficient_strings, poly)
     analysis = analyze_model(model)
     if args.format == "text":
         _emit(args, _rendered(_render_analysis_text, analysis))

@@ -773,7 +773,8 @@ def judge(
     together: consistency needs at least ``MIN_ALLOWED_FRACTION`` of them on
     allowed points and at most ``MAX_EXCLUDED_FRACTION`` on each excluded point.
     Centers closer than twice the positive finite ``radius`` shrink it to just
-    under half the smallest gap, as the reasons state. Beta laws are judged by the
+    under half the smallest gap, as the reasons state; two centers at one float
+    location make the verdict ``inconclusive``. Beta laws are judged by the
     KS statistic at level ``KS_LEVEL``. No-atoms and unknown predictions, which
     clustering cannot refute, and Beta laws with a parameter outside the float
     range or a distribution function that does not converge are ``inconclusive``.
@@ -791,8 +792,11 @@ def judge(
         centers = [c for c, _ in allowed + excluded]
         reasons = []
         radius_used = float(radius)
-        min_gap = min((abs(a - b) for a, b in itertools.combinations(centers, 2)),
-                      default=math.inf)
+        min_gap, near = min(((abs(a - b), a) for a, b in itertools.combinations(centers, 2)),
+                            default=(math.inf, None))
+        if min_gap == 0:
+            return report(VERDICT_INCONCLUSIVE, (
+                f"two points share the location {near!r}; clustering cannot tell them apart",))
         if min_gap <= 2 * radius_used:
             radius_used = 0.49 * min_gap
             reasons.append(f"radius shrunk to {radius_used!r} so clusters cannot overlap")

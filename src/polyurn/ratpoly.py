@@ -19,10 +19,9 @@ distinct roots; a rational root is read off its isolating interval, narrowed
 until at most one fraction with a small enough denominator fits. Narrowing
 jumps to the interval that halving would reach on a Newton guess in integer
 fixed point, kept only when exact signs at both its ends confirm it. The
-sign of another polynomial at an irrational root is read at the interval's
-midpoint when a bound on its slope proves it constant over the interval, and
-is otherwise a Sturm-Tarski query: a difference of sign variations at the
-two ends of the root's isolating interval.
+sign of another polynomial at an irrational root is a Sturm-Tarski query: a
+difference of sign variations at the two ends of the root's isolating
+interval.
 
 The unit interval is the natural domain here because these polynomials arise
 as drift and noise curves of urn processes whose state is a proportion.
@@ -724,33 +723,18 @@ def sign_at_root(poly: RatPoly, record: RootRecord) -> int:
     """Exact sign (-1, 0, +1) of ``poly`` at the root described by ``record``.
 
     At a rational root this is :func:`sign_at`. At an irrational root of the
-    square-free factor ``g``, isolated in ``(lo, hi)`` within ``[-1, 1]``,
-    the sign at the midpoint ``m`` is certified first: with ``c_k`` the
-    primitive integer coefficients of ``poly`` and ``L = sum k |c_k|``, which
-    bounds ``|poly'|`` on ``[-1, 1]``, ``|poly(m)| > L (hi - lo) / 2`` leaves
-    ``poly`` no zero in ``[lo, hi]``, so its sign at the root is that at
-    ``m``. Otherwise it is the Sturm-Tarski query ``Var(lo) - Var(hi)`` over
-    the signed remainder sequence of ``g`` and ``g' * poly``. That difference
-    is the sum of the signs of ``poly`` at the roots of ``g`` in ``(lo, hi]``
-    (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2),
-    and the interval holds exactly one.
+    square-free factor ``g``, isolated in ``(lo, hi)``, it is the
+    Sturm-Tarski query ``Var(lo) - Var(hi)`` over the signed remainder
+    sequence of ``g`` and ``g' * poly``. That difference is the sum of the
+    signs of ``poly`` at the roots of ``g`` in ``(lo, hi]`` (Basu, Pollack
+    and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2), and the
+    interval holds exactly one.
     """
     if record.value is not None:
         return sign_at(poly, record.value)
     g = record.defining_factor()
-    if poly.is_zero:
-        return 0
-    lo, hi = record.interval
-    a, c, q = _over_common_denominator(lo, hi)
-    if -q <= a and c <= q:
-        ints = poly.primitive_integer_coeffs()
-        value = _horner(ints, a + c, 2 * q)  # poly(m) (2q)^n, with m = (a + c) / 2q
-        slope_bound = sum(k * abs(v) for k, v in enumerate(ints))
-        # |poly(m)| > L (c - a) / 2q, both sides times (2q)^(n + 1)
-        if abs(value) * 2 * q > slope_bound * (c - a) * (2 * q) ** (len(ints) - 1):
-            return 1 if value > 0 else -1
-    chain = _remainder_sequence(g, g.derivative() * poly)
-    return count_distinct_roots(chain, lo, hi)  # Var(lo) - Var(hi)
+    chain = _remainder_sequence(g, g.derivative() * poly)  # only g when poly is 0: sign 0
+    return count_distinct_roots(chain, *record.interval)  # Var(lo) - Var(hi)
 
 
 # ---------------------------------------------------------------------------

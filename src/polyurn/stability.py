@@ -74,8 +74,10 @@ class Equilibrium(Record):
     ``sign_left``/``sign_right`` are the exact drift signs strictly between
     this root and its neighbor root (or domain end) on each side; a boundary
     root has only its inward side. ``drift_derivative_sign`` is the exact
-    sign of the drift's derivative at the root, and ``drift_derivative`` its
-    exact value when the root is rational.
+    sign of the drift's derivative at the root, read off those signs: the
+    sign on the right at a simple root, where the drift changes sign, and 0
+    at a repeated one. ``drift_derivative`` is its exact value when the root
+    is rational.
     """
 
     root: RootRecord
@@ -95,11 +97,12 @@ def classify_all(drift: RatPoly) -> list[Equilibrium]:
     evaluation (:func:`polyurn.ratpoly._int_sign`) of the drift's primitive
     integer coefficients at the gap's midpoint ``(a d + c b) / (2 b d)``,
     for a gap from ``a/b`` to ``c/d``, and each root is classified from the
-    signs of the gaps beside it. The drift's derivative at a rational root
-    is one integer Horner evaluation, which gives both its value and its
-    sign; at an irrational root its sign is :func:`sign_at_root`'s. Raises
-    ``ValueError`` for the identically zero drift, whose equilibria are not
-    isolated points.
+    signs of the gaps beside it. The sign of the drift's derivative is read
+    off the same signs: at a simple root the drift changes sign, and the
+    derivative has the sign on the right; at a repeated root it is 0. No
+    sign is evaluated at a root. The derivative's exact value at a rational
+    root is one integer Horner evaluation. Raises ``ValueError`` for the
+    identically zero drift, whose equilibria are not isolated points.
     """
     if drift.is_zero:
         raise ValueError("the zero drift has no isolated equilibria to classify")
@@ -118,7 +121,8 @@ def classify_all(drift: RatPoly) -> list[Equilibrium]:
     # Each gap's ends as (numerator, denominator) pairs, from 0 = (0, 1) to 1 = (1, 1).
     ends = [(0, 1), *((e.numerator, e.denominator) for r in records for e in r.bounds), (1, 1)]
     signs = [gap_sign(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])]
-    deriv = drift.derivative()
+    # Only a rational root's slope is printed, so only then is the derivative built.
+    deriv = drift.derivative() if any(r.value is not None for r in records) else None
     equilibria = []
     for record, sign_left, sign_right in zip(records, signs, signs[1:]):
         # A boundary root has only its inward gap. It counts as a crossing:
@@ -136,7 +140,7 @@ def classify_all(drift: RatPoly) -> list[Equilibrium]:
         if record.value is not None:  # deriv(u/v), one integer Horner pass over deriv.num
             u, v = record.value.numerator, record.value.denominator
             slope = Fraction(_horner(deriv.num, u, v), deriv.den * v ** (len(deriv.num) - 1))
-        slope_sign = sign_at_root(deriv, record) if slope is None else (slope > 0) - (slope < 0)
+        slope_sign = right if record.multiplicity == 1 else 0
         equilibria.append(Equilibrium(record, cls, sign_left, sign_right, slope_sign, slope))
     return equilibria
 

@@ -22,6 +22,7 @@ import polyurn
 import polyurn.cli as cli
 import polyurn.montecarlo as montecarlo
 import polyurn.oracle as oracle
+import polyurn.stability as stability
 import polyurn.urns as urns
 from polyurn.montecarlo import SimConfig, finals_csv_lines, run_replicates
 from polyurn.ratpoly import RatPoly
@@ -421,6 +422,24 @@ def test_verify_inconclusive_still_exits_zero(capsys):
     assert json.loads(out)["verdict"] == "inconclusive"
 
 
+def test_verify_two_predicted_points_at_one_float_is_inconclusive(capsys):
+    # The allowed root 1/2 + 1e-20 and the excluded root 1/2 round to one
+    # float, so clustering cannot tell them apart.
+    entries = ",".join(["349999999999999999999/50000000000000000000",
+                        "149999999999999999997/50000000000000000000", "1/2", "0",
+                        "50000000000000000001/50000000000000000000",
+                        "300000000000000000003/50000000000000000000"])
+    code, out, err = run_cli(
+        ["verify", "--two-draw", entries, "--w0", "5", "--b0", "2", "--steps", "200",
+         "--replicates", "5"], capsys
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdict"] == "inconclusive"
+    assert report["reasons"] == [
+        "two points share the location 0.5; clustering cannot tell them apart"]
+
+
 @pytest.mark.parametrize("w0", ["1e-400", "1e400"], ids=["underflow", "overflow"])
 def test_verify_beta_parameter_beyond_float_range_is_inconclusive(w0, capsys):
     # The predicted law Beta(w0, 1) is correct, but its first parameter has
@@ -484,6 +503,26 @@ def test_a_derived_number_too_long_to_print_is_a_one_line_error(capsys):
     code, out, err = run_cli(["analyze", "--one-draw", entries], capsys)
     assert_one_line_usage_error(code, out, err)
     assert err.startswith("polyurn: error: a derived number is too long to print: ")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_an_unprintable_report_is_refused_before_its_roots_are_isolated(fmt, monkeypatch, capsys):
+    monkeypatch.setattr(stability, "roots_in_unit_interval",
+                        lambda *args: pytest.fail("isolated the roots of an unprintable report"))
+    code, out, err = run_cli(["analyze", "--two-draw", "1e4000,1,2,1,1,3", "--format", fmt],
+                             capsys)
+    assert_one_line_usage_error(code, out, err)
+    assert err.startswith("polyurn: error: a derived number is too long to print: ")
+
+
+def test_a_long_model_whose_report_fits_is_analyzed(capsys):
+    # 1e1300 has more bits than the early check's bound, but the squares in
+    # the noise polynomial have 2600 digits, which print.
+    assert (10**1300).bit_length() > cli.LONG_MODEL_BITS
+    code, out, err = run_cli(["analyze", "--one-draw", "1e1300,1,1,1e1300"], capsys)
+    assert (code, err) == (0, "")
+    (point,) = json.loads(out)["prediction"]["points"]
+    assert point["point"] == "1/2"
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

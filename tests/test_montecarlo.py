@@ -1398,6 +1398,26 @@ def test_judge_shrinks_a_radius_wider_than_half_the_gap_and_says_so():
     assert judged([0.25, 0.75], radius=0.12).radius_used == 0.12
 
 
+# The allowed point 1/2 + 1e-20 and the excluded point 1/2 share one float.
+ONE_FLOAT_APART = two_draw_model(
+    [Fraction(349999999999999999999, 50000000000000000000),
+     Fraction(149999999999999999997, 50000000000000000000), Fraction(1, 2), 0,
+     Fraction(50000000000000000001, 50000000000000000000),
+     Fraction(300000000000000000003, 50000000000000000000)], 5, 2)
+
+
+def test_judge_calls_two_points_at_one_float_inconclusive():
+    prediction = predict_limit(ONE_FLOAT_APART)
+    (_, allowed), (excluded,) = prediction.points, prediction.excluded
+    assert allowed.root.value == Fraction(1, 2) + Fraction(1, 10**20)
+    assert excluded.root.value == Fraction(1, 2)
+    report = judge(prediction, [0.25, 0.5, 0.5], steps=200, base_seed=3)
+    assert report.verdict == VERDICT_INCONCLUSIVE
+    assert report.reasons == (
+        "two points share the location 0.5; clustering cannot tell them apart",)
+    assert (report.radius_used, report.allowed_fraction) == (None, None)
+
+
 def test_judge_calls_a_beta_law_it_cannot_evaluate_inconclusive():
     # Beta(1e300, 1e300): the terms of the continued fraction of its
     # distribution function overflow.

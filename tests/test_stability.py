@@ -1,9 +1,10 @@
 """Equilibrium classification and limit predictions."""
 
+import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyurn import stability
@@ -131,6 +132,40 @@ def test_classification_reads_each_gap_sign_once(model, gaps, monkeypatch):
     monkeypatch.setattr(stability, "_int_sign", counted)
     classify_all(drift_for(model))
     assert len(probes) == gaps
+
+
+def test_classification_asks_no_sign_at_a_root(monkeypatch):
+    def refused(poly, record):
+        raise AssertionError("classification evaluated a sign at a root")
+
+    monkeypatch.setattr(stability, "sign_at_root", refused)
+    half_sqrt = P(F(-1, 2), 0, 1)  # x^2 - 1/2, root sqrt(1/2)
+    drifts = [drift_for(two_draw_model([2, 1, 1, 1, 1, 0])), P(-1, 0, 2), half_sqrt * half_sqrt]
+    slopes = [[eq.drift_derivative_sign for eq in classify_all(d)] for d in drifts]
+    # 1 - x - x^2 falls through its root, 2x^2 - 1 rises, and the double root is flat.
+    assert slopes == [[-1], [1], [0]]
+
+
+# Integer factors with a rational root in [0, 1], and (s x - t)^2 - d with
+# irrational roots (t +- sqrt(d)) / s, raised to powers up to 3 so that roots repeat.
+_factors = st.one_of(
+    st.builds(lambda a, b: RatPoly([-(a % (b + 1)), b]), st.integers(0, 40), st.integers(1, 12)),
+    st.builds(lambda s, t, d: RatPoly([t * t - d, -2 * s * t, s * s]), st.integers(1, 12),
+              st.integers(0, 12), st.sampled_from([2, 3, 5, 6, 7])),
+)
+_drifts = st.lists(st.tuples(_factors, st.integers(1, 3)), min_size=1, max_size=3).map(
+    lambda pairs: functools.reduce(lambda acc, pair: acc * pair[0] ** pair[1], pairs, P(1)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_drifts)
+@example(P(-1, 0, 3) * P(-1, 0, 2) ** 2 * P(-1, 3))  # roots 1/3, sqrt(1/3) and sqrt(1/2) twice
+def test_the_slope_read_off_the_gap_signs_is_the_derivative_at_the_root(drift):
+    deriv = drift.derivative()
+    for eq in classify_all(drift):
+        assert eq.drift_derivative_sign == sign_at_root(deriv, eq.root)
+        if eq.root.value is not None:
+            assert eq.drift_derivative == deriv.evaluate(eq.root.value)
 
 
 # ---------------------------------------------------------------------------
