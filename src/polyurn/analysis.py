@@ -336,8 +336,8 @@ def sa_conditions_for(model: UrnModel) -> SAConditions | None:
 # JSON rendering
 # ---------------------------------------------------------------------------
 
-def _to_json(value):
-    """The JSON form of an analysis value, as :func:`_json_form` decides for its type."""
+def to_json(value):
+    """The JSON form of an analysis or verify report value, as :func:`_json_form` decides."""
     return _json_form(type(value))(value)
 
 
@@ -362,11 +362,11 @@ def _json_form(cls: type):
     if issubclass(cls, Enum):
         return attrgetter("value")
     if issubclass(cls, tuple):
-        return lambda items: [_to_json(item) for item in items]
+        return lambda items: [to_json(item) for item in items]
     if issubclass(cls, RootRecord):
         return lambda root: {
-            "point": _to_json(root.value),
-            "interval": _to_json(root.interval),
+            "point": to_json(root.value),
+            "interval": to_json(root.interval),
             "approx": root.approx,
             "location": root.location,
             "multiplicity": root.multiplicity,
@@ -392,7 +392,7 @@ def _json_form(cls: type):
 
 
 def prediction_to_dict(prediction: LimitPrediction) -> dict:
-    return _to_json(prediction)
+    return to_json(prediction)
 
 
 def _as_float(x) -> float:
@@ -486,17 +486,17 @@ def prediction_from_dict(data: dict) -> LimitPrediction:
 
 
 def analysis_to_dict(analysis: ModelAnalysis) -> dict:
-    degenerate = _to_json(analysis.degenerate)
+    degenerate = to_json(analysis.degenerate)
     if degenerate is not None:
         degenerate = {"case": degenerate.pop("case_id"), **degenerate}
     return {
         "model": model_to_dict(analysis.model),
-        "meta": _to_json(analysis.meta),
-        "drift": {"coefficients": _to_json(analysis.drift), "text": analysis.drift.to_text()},
-        "noise": _to_json(analysis.noise),
-        "scheme_constants": _to_json(analysis.scheme),
-        "attainable": _to_json(analysis.attainable),
-        "equilibria": _to_json(analysis.equilibria),
-        "prediction": _to_json(analysis.prediction),
+        "meta": to_json(analysis.meta),
+        "drift": {"coefficients": to_json(analysis.drift), "text": analysis.drift.to_text()},
+        "noise": to_json(analysis.noise),
+        "scheme_constants": to_json(analysis.scheme),
+        "attainable": to_json(analysis.attainable),
+        "equilibria": to_json(analysis.equilibria),
+        "prediction": to_json(analysis.prediction),
         "degenerate": degenerate,
     }

@@ -418,7 +418,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _render_report_text(report: VerificationReport) -> str:
     lines = [
         f"prediction: {report.prediction.kind.value}",
-        f"replicates: {report.replicates}  steps: {report.steps}  seed: {report.base_seed}",
+        f"replicates: {report.replicates}  steps: {report.steps}  seed: {report.seed}",
     ]
     for entry in report.allowed_points:
         lines.append(

@@ -26,22 +26,22 @@ Children send their results to the caller pickled by default, as records
 whose counts are plain ints.
 
 :func:`verify` simulates replicates and then calls :func:`judge`, a pure
-function that compares final proportions from any source against a
+function that compares a run's results against a
 :class:`~polyurn.stability.LimitPrediction`: point predictions by clustering
-around the predicted and excluded points, Beta-law predictions by a
-Kolmogorov-Smirnov test with the exact Beta distribution function.
+the final proportions around the predicted and excluded points, Beta-law
+predictions by a Kolmogorov-Smirnov test with the exact Beta distribution
+function.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
 import struct
 from fractions import Fraction
 
-from .analysis import beta_in_float_range, predict_limit, prediction_to_dict
+from .analysis import beta_in_float_range, predict_limit, to_json
 from .stability import LimitPrediction, PredictionKind
 from .urns import ONE_DRAW, WITHOUT_REPLACEMENT, UrnModel
 from .ratpoly import Record, format_rational
@@ -704,50 +704,37 @@ VERDICT_INCONSISTENT = "inconsistent"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
+class Conventions(Record):
+    """A verdict's thresholds: the two fractions, the radius asked for and used, the KS level."""
+
+    min_allowed_fraction: float
+    max_excluded_fraction: float
+    radius_requested: float
+    radius_used: float | None
+    ks_level: float
+
+
 class VerificationReport(Record):
-    """Outcome of comparing final proportions against a prediction."""
+    """Outcome of judging a run's results against a prediction; its fields are its JSON keys."""
 
     prediction: LimitPrediction
     steps: int
     replicates: int
-    base_seed: int
-    verdict: str
-    reasons: tuple[str, ...]
+    seed: int
+    conventions: Conventions
     mean_final: float
     histogram: tuple[int, ...]
-    radius_requested: float
-    radius_used: float | None = None
-    allowed_points: tuple[dict, ...] = ()
-    excluded_points: tuple[dict, ...] = ()
-    unassigned: int | None = None
-    allowed_fraction: float | None = None
-    ks_statistic: float | None = None
-    ks_threshold: float | None = None
+    allowed_points: tuple[dict, ...]
+    excluded_points: tuple[dict, ...]
+    unassigned: int | None
+    allowed_fraction: float | None
+    ks_statistic: float | None
+    ks_threshold: float | None
+    verdict: str
+    reasons: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "prediction": prediction_to_dict(self.prediction),
-            "steps": self.steps,
-            "replicates": self.replicates,
-            "seed": self.base_seed,
-            "conventions": {
-                "min_allowed_fraction": MIN_ALLOWED_FRACTION,
-                "max_excluded_fraction": MAX_EXCLUDED_FRACTION,
-                "radius_requested": self.radius_requested,
-                "radius_used": self.radius_used,
-                "ks_level": KS_LEVEL,
-            },
-            "mean_final": self.mean_final,
-            "histogram": list(self.histogram),
-            "allowed_points": list(self.allowed_points),
-            "excluded_points": list(self.excluded_points),
-            "unassigned": self.unassigned,
-            "allowed_fraction": self.allowed_fraction,
-            "ks_statistic": self.ks_statistic,
-            "ks_threshold": self.ks_threshold,
-            "verdict": self.verdict,
-            "reasons": list(self.reasons),
-        }
+        return to_json(self)
 
 
 def finals_summary(finals: list[float]) -> tuple[float, tuple[int, ...]]:
@@ -758,47 +745,57 @@ def finals_summary(finals: list[float]) -> tuple[float, tuple[int, ...]]:
     return sum(finals) / len(finals), tuple(bins)
 
 
-def judge(
-    prediction: LimitPrediction,
-    finals: list[float],
-    *,
-    steps: int,
-    base_seed: int,
-    radius: float = DEFAULT_RADIUS,
-) -> VerificationReport:
-    """Judge final proportions from any source against a prediction, without simulating.
+def judge(prediction: LimitPrediction, config: SimConfig, results: list[ReplicateResult],
+          radius: float = DEFAULT_RADIUS) -> VerificationReport:
+    """Judge a run's results against a prediction, without simulating.
 
-    ``finals`` is nonempty; ``steps`` and ``base_seed`` only label the report.
-    Point predictions cluster the finals around the allowed and excluded points
+    ``results`` is the nonempty list of :class:`ReplicateResult` records of a
+    run of ``config``, whose steps and seed label the report; each final
+    proportion is read once from its replicate's integer counts. Point
+    predictions cluster the finals around the allowed and excluded points
     together: consistency needs at least ``MIN_ALLOWED_FRACTION`` of them on
-    allowed points and at most ``MAX_EXCLUDED_FRACTION`` on each excluded point.
+    allowed points and at most ``MAX_EXCLUDED_FRACTION`` on each excluded
+    point.
     Centers closer than twice the positive finite ``radius`` shrink it to just
-    under half the smallest gap, as the reasons state; two centers at one float
-    location make the verdict ``inconclusive``. Beta laws are judged by the
-    KS statistic at level ``KS_LEVEL``. No-atoms and unknown predictions, which
-    clustering cannot refute, and Beta laws with a parameter outside the float
-    range or a distribution function that does not converge are ``inconclusive``.
+    under half the smallest gap, as the reasons state; points too close for
+    that shrunk radius to be positive and below half the gap (two at one
+    float location, say) make the verdict ``inconclusive``. Beta laws are
+    judged by the KS statistic at level ``KS_LEVEL``. No-atoms and unknown
+    predictions, which clustering cannot refute, and Beta laws with a
+    parameter outside the float range or a distribution function that does
+    not converge are ``inconclusive``.
     """
+    finals = [r.final_z for r in results]
     n = len(finals)
     mean_final, histogram = finals_summary(finals)
-    report = functools.partial(
-        VerificationReport, prediction, steps, n, base_seed,
-        mean_final=mean_final, histogram=histogram, radius_requested=float(radius),
-    )
+    radius = float(radius)
+
+    def report(verdict, reasons, radius_used=None, allowed_points=(), excluded_points=(),
+               unassigned=None, allowed_fraction=None, ks_statistic=None, ks_threshold=None):
+        conventions = Conventions(
+            MIN_ALLOWED_FRACTION, MAX_EXCLUDED_FRACTION, radius, radius_used, KS_LEVEL)
+        return VerificationReport(
+            prediction, config.steps, n, config.base_seed, conventions, mean_final, histogram,
+            allowed_points, excluded_points, unassigned, allowed_fraction, ks_statistic,
+            ks_threshold, verdict, reasons)
+
     kind = prediction.kind
     if kind is PredictionKind.POINT_MASS_SET and prediction.points:
         allowed = [(p.root.approx, p.verdict) for p in prediction.points]
         excluded = [(p.root.approx, p.theorem) for p in prediction.excluded]
         centers = [c for c, _ in allowed + excluded]
         reasons = []
-        radius_used = float(radius)
-        min_gap, near = min(((abs(a - b), a) for a, b in itertools.combinations(centers, 2)),
-                            default=(math.inf, None))
-        if min_gap == 0:
-            return report(VERDICT_INCONCLUSIVE, (
-                f"two points share the location {near!r}; clustering cannot tell them apart",))
-        if min_gap <= 2 * radius_used:
+        radius_used = radius
+        min_gap, near, far = min(
+            ((abs(a - b), a, b) for a, b in itertools.combinations(centers, 2)),
+            default=(math.inf, None, None))
+        if min_gap / 2 <= radius:
             radius_used = 0.49 * min_gap
+            if not 0 < 2 * radius_used < min_gap:
+                return report(VERDICT_INCONCLUSIVE, (
+                    f"two points share the location {near!r}; clustering cannot tell them apart"
+                    if near == far else f"the points at {near!r} and {far!r} are too close to "
+                    "shrink the radius between them; clustering cannot tell them apart",))
             reasons.append(f"radius shrunk to {radius_used!r} so clusters cannot overlap")
         clusters = cluster_finals(finals, centers, radius_used)
         allowed_counts = clusters.counts[:len(allowed)]
@@ -821,7 +818,7 @@ def judge(
         return report(
             VERDICT_CONSISTENT if consistent else VERDICT_INCONSISTENT,
             tuple(reasons),
-            radius_used=radius_used,
+            radius_used,
             allowed_points=tuple({"approx": c, "verdict": v, "count": k}
                                  for (c, v), k in zip(allowed, allowed_counts)),
             excluded_points=tuple({"approx": c, "theorem": t, "count": k}
@@ -864,7 +861,7 @@ def verify(
     parallelism: int = 1,
     radius: float = DEFAULT_RADIUS,
 ) -> VerificationReport:
-    """Simulate the model and :func:`judge` its finals against the (given or derived) prediction.
+    """Simulate the model and :func:`judge` the run against the (given or derived) prediction.
 
     A run without replicates or without steps has no samples to judge by, a
     radius that is not a positive finite number clusters nothing, and a model
@@ -880,5 +877,4 @@ def verify(
     config = SimConfig(model=model, steps=steps, replicates=replicates, base_seed=base_seed)
     if prediction is None:
         prediction = predict_limit(model)
-    finals = [r.final_z for r in run_replicates(config, parallelism=parallelism)]
-    return judge(prediction, finals, steps=steps, base_seed=base_seed, radius=radius)
+    return judge(prediction, config, run_replicates(config, parallelism), radius)

@@ -440,6 +440,25 @@ def test_verify_two_predicted_points_at_one_float_is_inconclusive(capsys):
         "two points share the location 0.5; clustering cannot tell them apart"]
 
 
+@pytest.mark.parametrize("ulps", [1, 2])
+def test_verify_two_predicted_points_a_subnormal_apart_is_inconclusive(ulps, tmp_path, capsys):
+    # The shrunk radius 0.49 * ulps * 2**-1074 rounds to 0 at one ulp and to
+    # half the gap at two; neither separates the points, and no --radius is given.
+    points = [{"point": p, "verdict": "converges-a.s."} for p in ["0", f"{ulps}/{2**1074}"]]
+    path = tmp_path / "prediction.json"
+    path.write_text(json.dumps({"kind": "point-mass-set", "points": points}))
+    code, out, err = run_cli(
+        ["verify", "--one-draw", "1,0,0,1", "--steps", "10", "--replicates", "3",
+         "--prediction", str(path)], capsys
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdict"] == "inconclusive"
+    assert report["reasons"] == [
+        f"the points at 0.0 and {ulps * 5e-324!r} are too close to shrink the radius between "
+        "them; clustering cannot tell them apart"]
+
+
 @pytest.mark.parametrize("w0", ["1e-400", "1e400"], ids=["underflow", "overflow"])
 def test_verify_beta_parameter_beyond_float_range_is_inconclusive(w0, capsys):
     # The predicted law Beta(w0, 1) is correct, but its first parameter has

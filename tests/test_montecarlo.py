@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import polyurn.montecarlo as mc
 import polyurn.oracle as oracle
-from polyurn.analysis import predict_limit
+from polyurn.analysis import predict_limit, prediction_from_dict
 from polyurn.montecarlo import (
     DEFAULT_RADIUS,
     KS_LEVEL,
@@ -33,9 +33,11 @@ from polyurn.montecarlo import (
     VERDICT_CONSISTENT,
     VERDICT_INCONCLUSIVE,
     VERDICT_INCONSISTENT,
+    Conventions,
     KSResult,
     ReplicateResult,
     SimConfig,
+    VerificationReport,
     cluster_finals,
     finals_csv_lines,
     judge,
@@ -1275,7 +1277,7 @@ def test_verify_consistent_single_point():
     report = verify(model, steps=2000, replicates=50, base_seed=7)
     assert report.verdict == VERDICT_CONSISTENT
     assert report.allowed_fraction >= MIN_ALLOWED_FRACTION
-    assert report.radius_used == DEFAULT_RADIUS
+    assert report.conventions.radius_used == DEFAULT_RADIUS
     assert sum(report.histogram) == 50
     assert abs(report.mean_final - 1 / 3) < 0.05
 
@@ -1292,8 +1294,8 @@ def test_verify_flags_wrong_point_prediction():
 def test_verify_shrinks_radius_and_discloses_it():
     model = two_draw_model([15, 3, 4, 1, 3, 21], 5, 2)  # points 1/4 and 3/4, excluded 1/2
     report = verify(model, steps=2000, replicates=30, base_seed=2, radius=0.2)
-    assert report.radius_requested == 0.2
-    assert report.radius_used == pytest.approx(0.49 * 0.25)
+    assert report.conventions.radius_requested == 0.2
+    assert report.conventions.radius_used == pytest.approx(0.49 * 0.25)
     assert any("radius shrunk" in reason for reason in report.reasons)
     assert report.verdict == VERDICT_CONSISTENT
     assert len(report.allowed_points) == 2
@@ -1341,20 +1343,36 @@ def test_verify_report_serializes_to_json():
     assert "parallelism" not in again
 
 
+def test_verify_report_fields_are_its_json_keys_in_order():
+    payload = verify(two_draw_model([3, 2, 2, 3, 1, 4], 2, 2), steps=20, replicates=3).to_dict()
+    assert list(payload) == list(VerificationReport._fields)
+    assert list(payload["conventions"]) == list(Conventions._fields)
+
+
 # ---------------------------------------------------------------------------
-# The judge on synthetic finals
+# The judge on scripted results
 # ---------------------------------------------------------------------------
 
 BISTABLE = two_draw_model([15, 3, 4, 1, 3, 21], 5, 2)  # points 1/4 and 3/4, excluded 1/2
 
 
+def scripted(finals):
+    """Replicate results whose final proportions are exactly ``finals``."""
+    results = []
+    for i, z in enumerate(finals):
+        p, q = Fraction(z).as_integer_ratio()
+        results.append(ReplicateResult(i, p, q - p, 1))
+    return results
+
+
 def judged(finals, radius=DEFAULT_RADIUS):
     """The judge's report on ``finals`` against the bistable prediction; nothing is simulated."""
     prediction = predict_limit(BISTABLE)
+    config = SimConfig(BISTABLE, 123, len(finals), base_seed=4)
     with pytest.MonkeyPatch.context() as patch:
         for name in ("simulate", "run_replicates"):
             patch.setattr(mc, name, lambda *args, **kwargs: pytest.fail("the judge simulated"))
-        return judge(prediction, finals, steps=123, base_seed=4, radius=radius)
+        return judge(prediction, config, scripted(finals), radius)
 
 
 @pytest.mark.parametrize("on_allowed, verdict", [(90, VERDICT_CONSISTENT),
@@ -1364,13 +1382,13 @@ def test_judge_needs_the_allowed_fraction_on_allowed_points(on_allowed, verdict)
     finals = [0.25] * low + [0.75] * (on_allowed - low) + [0.1] * (100 - on_allowed)
     report = judged(finals)
     assert (report.verdict, report.allowed_fraction) == (verdict, on_allowed / 100)
-    assert (report.unassigned, report.radius_used) == (100 - on_allowed, DEFAULT_RADIUS)
+    assert (report.unassigned, report.conventions.radius_used) == (100 - on_allowed, DEFAULT_RADIUS)
     assert [p["count"] for p in report.allowed_points] == [low, on_allowed - low]
     assert report.excluded_points == ({"approx": 0.5, "theorem": "theorem:pem", "count": 0},)
     expected = () if verdict == VERDICT_CONSISTENT else (
         "only 0.890 of replicates landed on allowed points (need >= 0.9)",)
     assert report.reasons == expected
-    assert (report.steps, report.replicates, report.base_seed) == (123, 100, 4)
+    assert (report.steps, report.replicates, report.seed) == (123, 100, 4)
     assert sum(report.histogram) == 100
 
 
@@ -1389,13 +1407,14 @@ def test_judge_tolerates_at_most_the_excluded_fraction(on_excluded, verdict):
 def test_judge_shrinks_a_radius_wider_than_half_the_gap_and_says_so():
     # 0.13 is within the shrunk radius 0.1225 of 1/4; 0.12 is not.
     report = judged([0.25, 0.13, 0.12, 0.75], radius=0.2)
-    assert (report.radius_requested, report.radius_used) == (0.2, 0.49 * 0.25)
+    conventions = report.conventions
+    assert (conventions.radius_requested, conventions.radius_used) == (0.2, 0.49 * 0.25)
     assert report.reasons[0] == "radius shrunk to 0.1225 so clusters cannot overlap"
     assert [p["count"] for p in report.allowed_points] == [2, 1]
     assert report.unassigned == 1
     # The smallest gap is 0.25: a radius of half of it shrinks, a smaller one does not.
-    assert judged([0.25, 0.75], radius=0.125).radius_used == 0.49 * 0.25
-    assert judged([0.25, 0.75], radius=0.12).radius_used == 0.12
+    assert judged([0.25, 0.75], radius=0.125).conventions.radius_used == 0.49 * 0.25
+    assert judged([0.25, 0.75], radius=0.12).conventions.radius_used == 0.12
 
 
 # The allowed point 1/2 + 1e-20 and the excluded point 1/2 share one float.
@@ -1411,11 +1430,50 @@ def test_judge_calls_two_points_at_one_float_inconclusive():
     (_, allowed), (excluded,) = prediction.points, prediction.excluded
     assert allowed.root.value == Fraction(1, 2) + Fraction(1, 10**20)
     assert excluded.root.value == Fraction(1, 2)
-    report = judge(prediction, [0.25, 0.5, 0.5], steps=200, base_seed=3)
+    config = SimConfig(ONE_FLOAT_APART, 200, 3, base_seed=3)
+    report = judge(prediction, config, scripted([0.25, 0.5, 0.5]))
     assert report.verdict == VERDICT_INCONCLUSIVE
     assert report.reasons == (
         "two points share the location 0.5; clustering cannot tell them apart",)
-    assert (report.radius_used, report.allowed_fraction) == (None, None)
+    assert (report.conventions.radius_used, report.allowed_fraction) == (None, None)
+
+
+def _two_points(second):
+    """An allowed point at 0 and another at the exact rational ``second``."""
+    points = [{"point": p, "verdict": "converges-a.s."} for p in ["0", second]]
+    return prediction_from_dict({"kind": "point-mass-set", "points": points})
+
+
+@pytest.mark.parametrize("ulps", [1, 2])
+def test_judge_calls_two_points_a_subnormal_apart_inconclusive(ulps):
+    # The shrunk radius 0.49 * ulps * 2**-1074 rounds to 0 at one ulp and to
+    # half the gap at two.
+    prediction = _two_points(f"{ulps}/{2**1074}")
+    config = SimConfig(one_draw_model([1, 0, 0, 1]), 10, 3)
+    report = judge(prediction, config, scripted([0.0, 0.0, 0.5]))
+    assert report.verdict == VERDICT_INCONCLUSIVE
+    assert report.reasons == (
+        f"the points at 0.0 and {ulps * 5e-324!r} are too close to shrink the radius "
+        "between them; clustering cannot tell them apart",)
+    assert (report.conventions.radius_used, report.allowed_fraction) == (None, None)
+
+
+def test_judge_clusters_points_three_subnormals_apart():
+    # 0.49 * 3 * 2**-1074 rounds to 2**-1074, which is under half the gap.
+    prediction = _two_points(f"3/{2**1074}")
+    config = SimConfig(one_draw_model([1, 0, 0, 1]), 10, 3)
+    report = judge(prediction, config, scripted([0.0, 0.0, 1.5e-323]))
+    assert report.conventions.radius_used == 5e-324
+    assert [p["count"] for p in report.allowed_points] == [2, 1]
+    assert report.verdict == VERDICT_CONSISTENT
+
+
+def test_judge_keeps_any_finite_radius_around_a_lone_point():
+    # Twice the radius overflows to inf, which is also the gap of a lone point.
+    model = two_draw_model([3, 2, 2, 3, 1, 4], 2, 2)
+    report = judge(predict_limit(model), SimConfig(model, 10, 2), scripted([0.2, 0.9]), 1e308)
+    assert (report.conventions.radius_used, report.reasons) == (1e308, ())
+    assert [p["count"] for p in report.allowed_points] == [2]
 
 
 def test_judge_calls_a_beta_law_it_cannot_evaluate_inconclusive():
@@ -1425,7 +1483,8 @@ def test_judge_calls_a_beta_law_it_cannot_evaluate_inconclusive():
     assert prediction.beta_params == (10**300, 10**300)
     with pytest.raises(RuntimeError, match="did not converge"):
         regularized_incomplete_beta(1e300, 1e300, 0.5)
-    report = judge(prediction, [0.4999, 0.5, 0.5001], steps=200, base_seed=3)
+    config = SimConfig(one_draw_model([1, 0, 0, 1], 10**300, 10**300), 200, 3, base_seed=3)
+    report = judge(prediction, config, scripted([0.4999, 0.5, 0.5001]))
     assert report.verdict == VERDICT_INCONCLUSIVE
     assert report.reasons == (
         "the Beta distribution function did not converge at these parameters; "
@@ -1441,8 +1500,7 @@ def test_judge_calls_a_beta_law_it_cannot_evaluate_inconclusive():
 ], ids=["points", "beta", "no-atoms"])
 def test_judge_on_simulated_finals_is_verify(model, radius):
     config = SimConfig(model=model, steps=300, replicates=20, base_seed=5)
-    finals = [r.final_z for r in run_replicates(config)]
-    report = judge(predict_limit(model), finals, steps=300, base_seed=5, radius=radius)
+    report = judge(predict_limit(model), config, run_replicates(config), radius)
     assert report == verify(model, steps=300, replicates=20, base_seed=5, radius=radius)
 
 

@@ -35,6 +35,7 @@ def _samples() -> dict[type, Record]:
     config = SimConfig(bistable, 20, 3, record_trajectory=True, trajectory_stride=5)
     results = run_replicates(config)
     finals = [r.final_z for r in results]
+    report = judge(full.prediction, config, results)
     single = one_draw_model([1, 0, 0, 1])
     state = UrnState(5, 2)
     found = [
@@ -45,7 +46,7 @@ def _samples() -> dict[type, Record]:
         analyze_model(two_draw_model([0, 0, 0, 1, 1, 0])).degenerate,
         state, step_distribution(state, bistable)[0], cond_moments_oracle(state, bistable),
         config, results[0], cluster_finals(finals, [0.25, 0.75], 0.05), ks_beta(finals, 1, 1),
-        judge(full.prediction, finals, steps=20, base_seed=0, radius=0.05),
+        report, report.conventions,
         _Inner(1, "two", (3,)),
     ]
     return {type(record): record for record in found}

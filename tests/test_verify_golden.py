@@ -48,6 +48,14 @@ CASES = {
     "beta-beyond-float-range": ["--one-draw", "1,0,0,1", "--w0", "1e-400", *SIZE],
     "no-atoms": ["--two-draw", "2,0,1,1,0,2", *SIZE],
     "unknown": ["--two-draw", "0,0,1,0,1,2", *SIZE],
+    # The allowed point 1/2 + 1e-20 and the excluded point 1/2 share one float.
+    "two-points-at-one-float": [
+        "--two-draw", "349999999999999999999/50000000000000000000,"
+        "149999999999999999997/50000000000000000000,1/2,0,"
+        "50000000000000000001/50000000000000000000,"
+        "300000000000000000003/50000000000000000000", "--w0", "5", "--b0", "2", *SIZE],
+    # The continued fraction of the Beta(1e16, 1e16) distribution function does not converge.
+    "beta-not-converging": ["--one-draw", "1,0,0,1", "--w0", "1e16", "--b0", "1e16", *SIZE],
 }
 
 
