@@ -1,10 +1,13 @@
 """Golden digests of the whole analysis over a seeded model corpus.
 
-For each model the test hashes three outputs: the analysis JSON
-(``analysis_to_dict(analyze_model(m))``), the prediction JSON
-(``prediction_to_dict(predict_limit(m))``) and ``repr(sa_conditions_for(m))``.
-The digests in ``golden_analysis.json`` pin every byte of those outputs, so
-a refactor of the analysis layer must reproduce them exactly.
+For each model the test hashes four outputs: the analysis JSON
+(``analysis_to_dict(analyze_model(m))``) and the prediction JSON
+(``prediction_to_dict(predict_limit(m))``), each dumped with sorted keys,
+``repr(sa_conditions_for(m))``, and the stdout of ``polyurn analyze --format
+json`` for the model. The first two pin the content of the dicts but not
+their key order; the stdout digest pins every byte the CLI prints, key order
+and layout included. A refactor of the analysis layer must reproduce all
+four exactly.
 
 Regenerate the file only for an intended change of the analysis output:
 
@@ -13,7 +16,9 @@ Regenerate the file only for an intended change of the analysis output:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
@@ -22,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+import polyurn.cli as cli
 from polyurn.analysis import (
     analysis_to_dict,
     analyze_model,
@@ -38,6 +44,7 @@ from polyurn.urns import (
     UrnModel,
     degenerate_case_id,
     drift_for,
+    model_to_dict,
     one_draw_model,
     two_draw_model,
 )
@@ -119,11 +126,26 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def analyze_stdout(model: UrnModel) -> str:
+    """The stdout of ``polyurn analyze --format json`` for ``model``, run in process."""
+    data = model_to_dict(model)
+    flag = "--one-draw" if model.kind == ONE_DRAW else "--two-draw"
+    argv = ["analyze", flag, ",".join(v for row in data["matrix"] for v in row),
+            "--w0", data["w0"], "--b0", data["b0"]]
+    if model.kind != ONE_DRAW:
+        argv += ["--sampling", model.sampling]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
 def digests(model: UrnModel) -> dict[str, str]:
     return {
         "analysis": _sha(json.dumps(analysis_to_dict(analyze_model(model)), sort_keys=True)),
         "prediction": _sha(json.dumps(prediction_to_dict(predict_limit(model)), sort_keys=True)),
         "scheme": _sha(repr(sa_conditions_for(model))),
+        "stdout": _sha(analyze_stdout(model)),
     }
 
 
