@@ -9,22 +9,24 @@ classified root's verdict in one table, where the noise-floor exclusion
 promotion of a lone undecided root need every matrix row active, and a
 reduced drift's root of multiplicity at least 2 at ``y = 1`` is borderline.
 The result is one :class:`~polyurn.stability.LimitPrediction` plus a
-JSON-ready report.
+report, laid out once by :func:`analysis_payload`.
 
-Every object of that report is a record written out as its fields in
-declaration order, so a field added to one of these records becomes a JSON
-key. Data meant only to explain a decision (the planned ``--explain``
-output) therefore stays out of these records until that output adds an
-opt-in.
+:func:`json_text` is the one JSON writer: one walk over a report's records
+writes its text. Every object of a report is a record written out as its
+fields in declaration order, so a field added to one of these records
+becomes a JSON key. Data meant only to explain a decision (the planned
+``--explain`` output) therefore stays out of these records until that output
+adds an opt-in. The dict API (:func:`analysis_to_dict`,
+:func:`prediction_to_dict`, ``VerificationReport.to_dict``) is that text read
+back.
 """
 
 from __future__ import annotations
 
-import functools
+import json
 import math
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
 from typing import Sequence
 
 from .ratpoly import (
@@ -81,8 +83,10 @@ from .urns import (
 
 __all__ = [
     "ModelAnalysis",
+    "analysis_payload",
     "analysis_to_dict",
     "analyze_model",
+    "json_text",
     "predict_limit",
     "sa_conditions_for",
 ]
@@ -336,59 +340,133 @@ def sa_conditions_for(model: UrnModel) -> SAConditions | None:
 # JSON rendering
 # ---------------------------------------------------------------------------
 
-def to_json(value):
-    """The JSON form of an analysis or verify report value, as :func:`_json_form` decides."""
-    return _json_form(type(value))(value)
+def json_text(value) -> str:
+    """The indented JSON text of a report value and a newline: the one JSON writer.
 
-
-#: Field types a record stores in its JSON as they are.
-_PLAIN = frozenset({str, int, float, bool, type(None)})
-
-
-@functools.cache
-def _json_form(cls: type):
-    """How a value of type ``cls`` becomes JSON; every format decision is made here.
-
-    A rational becomes its :func:`format_rational` string, a polynomial its
-    coefficient strings, an enum its value and a tuple a list. A
+    For plain values this is ``json.dumps(value, indent=2) + "\\n"`` byte
+    for byte; a report value is written in its JSON form, decided here. A
+    rational becomes its :func:`format_rational` string, a polynomial its
+    coefficient strings, an enum its value and a tuple an array. A
     :class:`RootRecord` becomes ``point, interval, approx, location,
-    multiplicity``, spread into the object that holds it. Any other record
-    becomes its fields in declaration order; other values are already JSON.
+    multiplicity``, spread into the record that holds it; any other record
+    becomes an object of its fields in declaration order.
+
+    The stdlib's indenting encoder is pure Python and builds closures that
+    refer to each other, so every call would leave a reference cycle for the
+    cyclic collector; this walk leaves none.
     """
-    if issubclass(cls, Fraction):
-        return format_rational
-    if issubclass(cls, RatPoly):
-        return RatPoly.coefficient_strings
-    if issubclass(cls, Enum):
-        return attrgetter("value")
-    if issubclass(cls, tuple):
-        return lambda items: [to_json(item) for item in items]
-    if issubclass(cls, RootRecord):
-        return lambda root: {
-            "point": to_json(root.value),
-            "interval": to_json(root.interval),
-            "approx": root.approx,
-            "location": root.location,
-            "multiplicity": root.multiplicity,
+    out: list[str] = []
+    _write(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def to_json(value):
+    """The JSON form of a report value: its :func:`json_text` read back."""
+    return json.loads(json_text(value))
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _members(record: Record) -> dict:
+    """The keys and values of a record's JSON object, a root's spread in."""
+    if isinstance(record, RootRecord):
+        return {
+            "point": record.value,
+            "interval": record.interval,
+            "approx": record.approx,
+            "location": record.location,
+            "multiplicity": record.multiplicity,
         }
-    if not issubclass(cls, Record):
-        return lambda value: value
-    names = cls._fields
+    out = {}
+    for name in record._fields:
+        field = getattr(record, name)
+        if isinstance(field, RootRecord):
+            out.update(_members(field))
+        else:
+            out[name] = field
+    return out
 
-    def record(value) -> dict:
-        out = {}
-        for name in names:
-            field = getattr(value, name)
-            kind = type(field)
-            if kind in _PLAIN:
-                out[name] = field
-            elif issubclass(kind, RootRecord):
-                out.update(_json_form(kind)(field))
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the indented JSON of ``value`` to ``out``; ``newline`` opens a line at its depth.
+
+    Plain ``str``, ``dict`` with ``str`` keys, ``list``, ``tuple``, ``int``,
+    finite ``float``, ``True``, ``False`` and ``None`` are written here, and
+    so are rationals, polynomials, records and enums, as their JSON forms.
+    Anything else (NaN and infinities, subclasses of the plain types, other
+    keys, values JSON cannot hold) is ``json.dumps(value, indent=2)`` moved
+    to this depth, with its output or its exception unchanged; a dict's keys
+    are checked as they come, and a dict with another key is taken back and
+    handed over whole. The ``str`` items of a list and the ``str``, ``int``
+    and ``None`` values of a dict, most of a report's leaves, are written in
+    the loop over their container without a call of their own. Plain types
+    are compared exactly, so a ``bool`` never passes for an ``int``.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        start = len(out)
+        inner = newline + "  "
+        comma = "," + inner
+        separator = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                del out[start:]
+                out.append(json.dumps(value, indent=2).replace("\n", newline))
+                return
+            leaf = type(item)
+            if leaf is str:
+                out.append(f"{separator}{_encode_str(key)}: {_encode_str(item)}")
+            elif leaf is int:
+                out.append(f"{separator}{_encode_str(key)}: {int.__repr__(item)}")
+            elif item is None:
+                out.append(f"{separator}{_encode_str(key)}: null")
             else:
-                out[name] = _json_form(kind)(field)
-        return out
-
-    return record
+                out.append(f"{separator}{_encode_str(key)}: ")
+                _write(item, inner, out)
+            separator = comma
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        separator = "[" + inner
+        for item in value:
+            if type(item) is str:
+                out.append(separator + _encode_str(item))
+            else:
+                out.append(separator)
+                _write(item, inner, out)
+            separator = comma
+        out.append(newline + "]")
+    elif kind is float and math.isfinite(value):
+        out.append(float.__repr__(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, Fraction):
+        out.append(_encode_str(format_rational(value)))
+    elif isinstance(value, RatPoly):
+        _write(value.coefficient_strings(), newline, out)
+    elif isinstance(value, Record):
+        _write(_members(value), newline, out)
+    elif isinstance(value, Enum):
+        _write(value.value, newline, out)
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", newline))
 
 
 def prediction_to_dict(prediction: LimitPrediction) -> dict:
@@ -485,18 +563,25 @@ def prediction_from_dict(data: dict) -> LimitPrediction:
     )
 
 
-def analysis_to_dict(analysis: ModelAnalysis) -> dict:
-    degenerate = to_json(analysis.degenerate)
+def analysis_payload(analysis: ModelAnalysis) -> dict:
+    """The analyze report as a dict of records, in its JSON key order."""
+    degenerate = analysis.degenerate
     if degenerate is not None:
+        degenerate = _members(degenerate)
         degenerate = {"case": degenerate.pop("case_id"), **degenerate}
     return {
         "model": model_to_dict(analysis.model),
-        "meta": to_json(analysis.meta),
-        "drift": {"coefficients": to_json(analysis.drift), "text": analysis.drift.to_text()},
-        "noise": to_json(analysis.noise),
-        "scheme_constants": to_json(analysis.scheme),
-        "attainable": to_json(analysis.attainable),
-        "equilibria": to_json(analysis.equilibria),
-        "prediction": to_json(analysis.prediction),
+        "meta": analysis.meta,
+        "drift": {"coefficients": analysis.drift, "text": analysis.drift.to_text()},
+        "noise": analysis.noise,
+        "scheme_constants": analysis.scheme,
+        "attainable": analysis.attainable,
+        "equilibria": analysis.equilibria,
+        "prediction": analysis.prediction,
         "degenerate": degenerate,
     }
+
+
+def analysis_to_dict(analysis: ModelAnalysis) -> dict:
+    """The analyze report as ``polyurn analyze --format json`` prints it, read back."""
+    return to_json(analysis_payload(analysis))

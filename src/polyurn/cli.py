@@ -12,9 +12,10 @@ Exit status: 0 on success (including an inconclusive verification),
 selftest suite fails.
 
 Each call parses its argv once, with the subcommand's own parser when the
-argv starts with its name (:func:`_parse`). JSON output is exactly the bytes
-of ``json.dumps(payload, indent=2)`` and a newline, written by
-:func:`_write_json` without a call for most leaves. Output files are
+argv starts with its name (:func:`_parse`). JSON output is written by
+``_json_text``, which is :func:`polyurn.analysis.json_text`: one walk over the
+report's records that gives the bytes of ``json.dumps(indent=2)`` and a
+newline. The dict API of the library is that text read back. Output files are
 rewritten in place with the encoded text handed to ``os.write`` whole
 (:func:`_write_text`). The simulation engine (:mod:`polyurn.montecarlo`) is
 imported only by ``simulate`` and ``verify``, the exact one-step reference
@@ -37,10 +38,11 @@ from fractions import Fraction
 
 from .analysis import (
     ModelAnalysis,
-    analysis_to_dict,
+    analysis_payload,
     analyze_model,
     prediction_from_dict,
 )
+from .analysis import json_text as _json_text
 from .ratpoly import RatPoly, RootRecord, format_rational, parse_rational
 from .urns import (
     TWO_DRAW,
@@ -177,93 +179,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json_text(payload) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, written by :func:`_write_json`.
-
-    The stdlib's indenting encoder is pure Python and builds closures that
-    refer to each other, so every call would leave a reference cycle for the
-    cyclic collector.
-    """
-    out: list[str] = []
-    _write_json(payload, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _write_json(value, newline: str, out: list[str]) -> None:
-    """Append the indented JSON of ``value`` to ``out``; ``newline`` opens a line at its depth.
-
-    Plain ``str``, ``dict`` with ``str`` keys, ``list``, ``tuple``, ``int``,
-    finite ``float``, ``True``, ``False`` and ``None`` are written here.
-    Anything else (NaN and infinities, subclasses, other keys, values JSON
-    cannot hold) is ``json.dumps(value, indent=2)`` moved to this depth, with
-    its output or its exception unchanged; a dict's keys are checked as they
-    come, and a dict with another key is taken back and handed over whole.
-    The ``str`` items of a list and the ``str``, ``int`` and ``None`` values
-    of a dict, most of a report's leaves, are written in the loop over their
-    container without a call of their own. Types are compared exactly, so a
-    ``bool`` never passes for an ``int``.
-    """
-    kind = type(value)
-    if kind is str:
-        out.append(_encode_str(value))
-    elif kind is dict:
-        if not value:
-            out.append("{}")
-            return
-        start = len(out)
-        inner = newline + "  "
-        comma = "," + inner
-        separator = "{" + inner
-        for key, item in value.items():
-            if type(key) is not str:
-                del out[start:]
-                out.append(json.dumps(value, indent=2).replace("\n", newline))
-                return
-            leaf = type(item)
-            if leaf is str:
-                out.append(f"{separator}{_encode_str(key)}: {_encode_str(item)}")
-            elif leaf is int:
-                out.append(f"{separator}{_encode_str(key)}: {int.__repr__(item)}")
-            elif item is None:
-                out.append(f"{separator}{_encode_str(key)}: null")
-            else:
-                out.append(f"{separator}{_encode_str(key)}: ")
-                _write_json(item, inner, out)
-            separator = comma
-        out.append(newline + "}")
-    elif kind is list or kind is tuple:
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        comma = "," + inner
-        separator = "[" + inner
-        for item in value:
-            if type(item) is str:
-                out.append(separator + _encode_str(item))
-            else:
-                out.append(separator)
-                _write_json(item, inner, out)
-            separator = comma
-        out.append(newline + "]")
-    elif kind is float and math.isfinite(value):
-        out.append(float.__repr__(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    else:
-        out.append(json.dumps(value, indent=2).replace("\n", newline))
-
-
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -322,7 +237,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.format == "text":
         _emit(args, _rendered(_render_analysis_text, analysis))
     else:
-        _emit(args, _json_text(_rendered(analysis_to_dict, analysis)))
+        _emit(args, _rendered(lambda a: _json_text(analysis_payload(a)), analysis))
     return EXIT_OK
 
 
@@ -439,7 +354,7 @@ def _render_report_text(report: VerificationReport) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .montecarlo import DEFAULT_RADIUS, VERDICT_INCONSISTENT, VerificationReport, verify
+    from .montecarlo import DEFAULT_RADIUS, VERDICT_INCONSISTENT, verify
 
     model = model_from_args(args)
     _check_run_flags(args)
@@ -461,7 +376,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "text":
         _emit(args, _rendered(_render_report_text, report))
     else:
-        _emit(args, _json_text(_rendered(VerificationReport.to_dict, report)))
+        _emit(args, _rendered(_json_text, report))
     return EXIT_INCONSISTENT if report.verdict == VERDICT_INCONSISTENT else EXIT_OK
 
 

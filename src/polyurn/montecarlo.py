@@ -44,7 +44,7 @@ from fractions import Fraction
 from .analysis import beta_in_float_range, predict_limit, to_json
 from .stability import LimitPrediction, PredictionKind
 from .urns import ONE_DRAW, WITHOUT_REPLACEMENT, UrnModel
-from .ratpoly import Record, format_rational
+from .ratpoly import Record, _ratio_text
 
 import random
 
@@ -508,11 +508,16 @@ def run_replicates(config: SimConfig, parallelism: int = 1) -> list[ReplicateRes
 # ---------------------------------------------------------------------------
 
 def finals_csv_lines(results: list[ReplicateResult]) -> list[str]:
+    """The finals CSV lines, header first.
+
+    Each final count is formatted from its integer and the scale in the form of
+    :func:`~polyurn.ratpoly.format_rational`, without building a ``Fraction``.
+    """
     lines = ["replicate,final_W,final_B,final_Z"]
     for r in results:
         lines.append(
-            f"{r.replicate_index},{format_rational(r.final_white)},"
-            f"{format_rational(r.final_black)},{r.final_z!r}"
+            f"{r.replicate_index},{_ratio_text(r.white, r.scale)},"
+            f"{_ratio_text(r.black, r.scale)},{r.final_z!r}"
         )
     return lines
 

@@ -1,7 +1,11 @@
-"""The CLI's JSON writer: ``cli._json_text(v)`` is ``json.dumps(v, indent=2) + "\\n"``.
+"""The one JSON writer: ``cli._json_text``, which is ``analysis.json_text``.
 
-Checked over arbitrary nested values (hypothesis), over every payload the
-golden corpora render, and for the garbage one render leaves behind.
+One walk over a report's records writes its text; on plain values that text
+is ``json.dumps(v, indent=2) + "\\n"``. Checked over arbitrary nested values
+(hypothesis) and over every payload the golden corpora render. Each report
+the CLI prints is in that indented form, and the dict API is that text read
+back: ``analysis_to_dict`` is the parse of ``analyze`` stdout. One render
+leaves no cyclic garbage behind.
 """
 
 import contextlib
@@ -13,11 +17,11 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_analysis_golden import corpus
+from test_analysis_golden import analyze_stdout, corpus
 from test_verify_golden import CASES, run_verify
 
 import polyurn.cli as cli
-from polyurn.analysis import analysis_to_dict, analyze_model
+from polyurn.analysis import analysis_payload, analysis_to_dict, analyze_model
 
 PROPERTIES = settings(derandomize=True, database=None, deadline=None, max_examples=400)
 
@@ -100,48 +104,42 @@ def test_writer_gives_the_bytes_of_json_dumps_on_the_golden_analyses():
         assert cli._json_text(payload) == dumped(payload)
 
 
-@pytest.fixture
-def rendered(monkeypatch):
-    """Every payload ``cli`` renders while the test runs."""
-    payloads = []
-    original = cli._json_text
-
-    def recording(payload):
-        payloads.append(payload)
-        return original(payload)
-
-    monkeypatch.setattr(cli, "_json_text", recording)
-    return payloads
+def reindented(out: str) -> str:
+    """``out`` read as JSON and written again by ``json.dumps(indent=2)``."""
+    return dumped(json.loads(out))
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_writer_gives_the_bytes_of_json_dumps_on_the_golden_verify_cases(case, rendered):
+def test_writer_gives_the_bytes_of_json_dumps_on_the_golden_verify_cases(case):
     _, out, _ = run_verify(case, "json")
-    (payload,) = rendered
-    assert out == dumped(payload)
+    assert out == reindented(out)
 
 
-def test_writer_gives_the_bytes_of_json_dumps_on_a_simulate_summary(rendered):
+def test_writer_gives_the_bytes_of_json_dumps_on_a_simulate_summary():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["simulate", "--two-draw", "15/2,3,4,1,3,21", "--w0", "5", "--b0", "2",
                          "--steps", "300", "--replicates", "6", "--format", "json"])
-    (payload,) = rendered
     assert code == 0
-    assert type(payload["histogram"]) is tuple  # written as an array, like json.dumps does
-    assert out.getvalue() == dumped(payload)
+    assert out.getvalue() == reindented(out.getvalue())
+
+
+def test_analysis_dict_is_the_analyze_stdout_read_back():
+    for model in corpus():
+        assert analysis_to_dict(analyze_model(model)) == json.loads(analyze_stdout(model))
 
 
 def test_one_render_leaves_no_cyclic_garbage():
-    payload = analysis_to_dict(analyze_model(corpus()[7]))
-    cli._json_text(payload)  # first call: lazy set-up is not garbage
-    gc.collect()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        cli._json_text(payload)
+    analysis = analyze_model(corpus()[7])
+    for payload in (analysis_to_dict(analysis), analysis_payload(analysis)):
+        cli._json_text(payload)  # first call: lazy set-up is not garbage
         gc.collect()
-        garbage = list(gc.garbage)
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-    assert garbage == []
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            cli._json_text(payload)
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == []
