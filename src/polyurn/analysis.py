@@ -368,6 +368,17 @@ def to_json(value):
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+#: The JSON text of a leaf, by its exact type. ``bool`` has its own entry, so
+#: it never passes for an ``int``; NaN and infinities go to ``json.dumps``.
+_LEAF_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    Fraction: lambda q: _encode_str(format_rational(q)),
+}
+
 
 def _members(record: Record) -> dict:
     """The keys and values of a record's JSON object, a root's spread in."""
@@ -392,21 +403,20 @@ def _members(record: Record) -> dict:
 def _write(value, newline: str, out: list[str]) -> None:
     """Append the indented JSON of ``value`` to ``out``; ``newline`` opens a line at its depth.
 
-    Plain ``str``, ``dict`` with ``str`` keys, ``list``, ``tuple``, ``int``,
-    finite ``float``, ``True``, ``False`` and ``None`` are written here, and
-    so are rationals, polynomials, records and enums, as their JSON forms.
-    Anything else (NaN and infinities, subclasses of the plain types, other
-    keys, values JSON cannot hold) is ``json.dumps(value, indent=2)`` moved
-    to this depth, with its output or its exception unchanged; a dict's keys
-    are checked as they come, and a dict with another key is taken back and
-    handed over whole. The ``str`` items of a list and the ``str``, ``int``
-    and ``None`` values of a dict, most of a report's leaves, are written in
-    the loop over their container without a call of their own. Plain types
-    are compared exactly, so a ``bool`` never passes for an ``int``.
+    Leaves of the exact types in :data:`_LEAF_TEXT`, ``dict`` with ``str``
+    keys, ``list`` and ``tuple`` are written here, and so are rationals,
+    polynomials, records and enums, as their JSON forms. Anything else
+    (subclasses of the plain types, other keys, values JSON cannot hold) is
+    ``json.dumps(value, indent=2)`` moved to this depth, with its output or
+    its exception unchanged; a dict's keys are checked as they come, and a
+    dict with another key is taken back and handed over whole. The leaves of
+    a container, most of a report, are written in the loop over it without a
+    recursive call.
     """
     kind = type(value)
-    if kind is str:
-        out.append(_encode_str(value))
+    leaf = _LEAF_TEXT.get(kind)
+    if leaf is not None:
+        out.append(leaf(value))
     elif kind is dict:
         if not value:
             out.append("{}")
@@ -420,16 +430,12 @@ def _write(value, newline: str, out: list[str]) -> None:
                 del out[start:]
                 out.append(json.dumps(value, indent=2).replace("\n", newline))
                 return
-            leaf = type(item)
-            if leaf is str:
-                out.append(f"{separator}{_encode_str(key)}: {_encode_str(item)}")
-            elif leaf is int:
-                out.append(f"{separator}{_encode_str(key)}: {int.__repr__(item)}")
-            elif item is None:
-                out.append(f"{separator}{_encode_str(key)}: null")
-            else:
+            leaf = _LEAF_TEXT.get(type(item))
+            if leaf is None:
                 out.append(f"{separator}{_encode_str(key)}: ")
                 _write(item, inner, out)
+            else:
+                out.append(f"{separator}{_encode_str(key)}: {leaf(item)}")
             separator = comma
         out.append(newline + "}")
     elif kind is list or kind is tuple:
@@ -440,31 +446,22 @@ def _write(value, newline: str, out: list[str]) -> None:
         comma = "," + inner
         separator = "[" + inner
         for item in value:
-            if type(item) is str:
-                out.append(separator + _encode_str(item))
-            else:
+            leaf = _LEAF_TEXT.get(type(item))
+            if leaf is None:
                 out.append(separator)
                 _write(item, inner, out)
+            else:
+                out.append(separator + leaf(item))
             separator = comma
         out.append(newline + "]")
-    elif kind is float and math.isfinite(value):
-        out.append(float.__repr__(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, Fraction):
-        out.append(_encode_str(format_rational(value)))
-    elif isinstance(value, RatPoly):
+    elif isinstance(value, RatPoly):  # a Record too, so tested first
         _write(value.coefficient_strings(), newline, out)
     elif isinstance(value, Record):
         _write(_members(value), newline, out)
     elif isinstance(value, Enum):
         _write(value.value, newline, out)
+    elif isinstance(value, Fraction):
+        out.append(_encode_str(format_rational(value)))
     else:
         out.append(json.dumps(value, indent=2).replace("\n", newline))
 

@@ -42,7 +42,7 @@ from .analysis import (
     analyze_model,
     prediction_from_dict,
 )
-from .analysis import json_text as _json_text
+from .analysis import json_text as _json_text  # the name the benchmark's tracer rebinds
 from .ratpoly import RatPoly, RootRecord, format_rational, parse_rational
 from .urns import (
     TWO_DRAW,
