@@ -71,7 +71,6 @@ from .urns import (
     OneDrawNoise,
     TwoDrawNoise,
     UrnModel,
-    active_white_ratios,
     attainable_interval,
     degenerate_reduce,
     drift_for,
@@ -79,6 +78,7 @@ from .urns import (
     error_two,
     model_meta,
     model_to_dict,
+    white_ratio_span,
 )
 
 __all__ = [
@@ -250,9 +250,8 @@ def _predict_degenerate(
         )
 
     # The span of the active rows' white ratios, in the reduced variable.
-    ratios = active_white_ratios(model)
-    lo, hi = sorted(map(reduction.to_reduced, (min(ratios), max(ratios))))
-    span = AttainableInterval(lo, hi, closed_bounds=True)
+    lo, hi = sorted(map(reduction.to_reduced, white_ratio_span(model)))
+    span = AttainableInterval(lo, hi, True)
     return _predict_from_roots(meta, drift, error_poly, equilibria, span, reduction)
 
 
@@ -301,29 +300,16 @@ def analyze_model(model: UrnModel) -> ModelAnalysis:
             equilibria = classified
     else:
         attain = attainable_interval(model)
-        scheme = SAConditions.build(
-            initial_total=model.w0 + model.b0,
-            t_min=meta.t_min,
-            t_max=meta.t_max,
-            drift=drift,
-            bias_constant=meta.bias_bound,
-        )
+        v = model.scaled
+        scheme = SAConditions.build(v.scale, v.w0 + v.b0, min(v.row_sums), max(v.row_sums),
+                                    drift, meta.bias_bound)
         if drift.is_zero:
             prediction = _predict_flat(model)
         else:
             equilibria = tuple(classify_all(drift))
             prediction = _predict_from_roots(meta, drift, noise.error, equilibria, attain)
-    return ModelAnalysis(
-        model=model,
-        meta=meta,
-        drift=drift,
-        noise=noise,
-        attainable=attain,
-        scheme=scheme,
-        equilibria=equilibria,
-        prediction=prediction,
-        degenerate=degenerate,
-    )
+    return ModelAnalysis(model, meta, drift, noise, attain, scheme, equilibria, prediction,
+                         degenerate)
 
 
 def predict_limit(model: UrnModel) -> LimitPrediction:
@@ -376,7 +362,7 @@ _LEAF_TEXT = {
     float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
-    Fraction: lambda q: _encode_str(format_rational(q)),
+    Fraction: lambda q: '"%s"' % q,  # str() of a Fraction is its format_rational
 }
 
 

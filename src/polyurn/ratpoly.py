@@ -3,8 +3,11 @@
 A polynomial is held as integer numerators over one positive denominator, in
 lowest terms, so arithmetic, gcd, square-free decomposition and root
 isolation are exact integer computations with certified answers. ``Fraction``
-values appear only at the edges: coefficients evaluated (they are shown from
-the integers), and the values and interval endpoints of roots. Roots in the
+values appear only at the edges, each built once where a record stores it:
+coefficients evaluated (they are shown from the integers), and the values
+and interval endpoints of roots. Refinement widths, interval ends and the
+bounds of :meth:`RootRecord.within` are compared as integer pairs, and a
+root's float approximation is one integer division. Roots in the
 unit interval come back as exact rationals or as arbitrarily narrow isolating
 intervals with rational endpoints (irrational roots), with their
 multiplicities.
@@ -58,17 +61,7 @@ def parse_rational(value) -> Fraction:
     ints and strings (``sys.get_int_max_str_digits()``) is refused before it
     is built.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational number: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"not a rational number: {value!r}")
-        return Fraction(repr(value))
-    if isinstance(value, str):
+    if isinstance(value, str):  # first: testing a str against Fraction runs an ABC check
         try:
             # Unsigned ASCII integers and ratios of them, the usual input,
             # skip the ``Fraction`` string parser.
@@ -89,6 +82,16 @@ def parse_rational(value) -> Fraction:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational number: {value!r}") from exc
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise ValueError(f"not a rational number: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"not a rational number: {value!r}")
+        return Fraction(repr(value))
     raise ValueError(f"not a rational number: {value!r}")
 
 
@@ -97,9 +100,8 @@ def format_rational(value: Rational) -> str:
 
     Integers render bare (``"3"``), everything else as ``"p/q"``.
     """
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    p, q = value.as_integer_ratio()
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 # The record base lives in this module because every other module imports it.
@@ -110,10 +112,12 @@ class Record:
     and gives defaults as class attributes. One shared constructor takes the
     fields by position or name, fills in the defaults and runs
     ``__post_init__``, which may normalise fields with ``object.__setattr__``
-    and refuse bad values. Records are equal when their classes are the same
-    and their field tuples equal, hash by that tuple, and refuse assignment
-    and deletion. ``_fields`` is the field order, also the key order of the
-    JSON report. Unlike ``dataclasses``, no code is generated per class.
+    and refuse bad values; a call that gives every field by position fills
+    them straight in, without building a dict. Records are equal when their
+    classes are the same and their field tuples equal, hash by that tuple,
+    and refuse assignment and deletion. ``_fields`` is the field order, also
+    the key order of the JSON report. Unlike ``dataclasses``, no code is
+    generated per class.
     """
 
     _fields: tuple[str, ...] = ()
@@ -128,17 +132,20 @@ class Record:
         cls._field_set = frozenset(cls._fields)
 
     def __init__(self, *args, **kwargs):
-        values = dict(zip(self._fields, args), **kwargs) if args else kwargs
-        passed = len(values)
-        if passed < len(self._fields):
-            values = {**self._defaults, **values}
-        # A surplus positional value, dropped by zip, or a name repeating a
-        # positional one leaves fewer keys than values passed.
-        if passed < len(args) + len(kwargs) or values.keys() != self._field_set:
-            raise TypeError(f"{type(self).__name__}() takes each field of {self._fields} "
-                            f"once, all but those with defaults; got {len(args)} by "
-                            f"position and {list(kwargs)} by name")
-        vars(self).update(values)
+        if kwargs or len(args) != len(self._fields):
+            values = dict(zip(self._fields, args), **kwargs) if args else kwargs
+            passed = len(values)
+            if passed < len(self._fields):
+                values = {**self._defaults, **values}
+            # A surplus positional value, dropped by zip, or a name repeating a
+            # positional one leaves fewer keys than values passed.
+            if passed < len(args) + len(kwargs) or values.keys() != self._field_set:
+                raise TypeError(f"{type(self).__name__}() takes each field of {self._fields} "
+                                f"once, all but those with defaults; got {len(args)} by "
+                                f"position and {list(kwargs)} by name")
+            vars(self).update(values)
+        else:  # every field by position, the common call: no dict is built
+            vars(self).update(zip(self._fields, args))
         self.__post_init__()
 
     def __post_init__(self):
@@ -538,7 +545,10 @@ class RootRecord(Record):
     set. ``factor`` is the monic square-free factor whose simple sign change
     pins an irrational root; it drives :meth:`within` and exact sign
     queries, which raise ``ValueError`` for an irrational root without one.
-    The location, the float approximation and the bounds follow from these.
+    The location, the float approximation and the bounds follow from these;
+    :attr:`approx` is computed on first read and kept in the instance's
+    ``__dict__``, outside the fields, so equality, hash and ``repr`` do not
+    see it.
     """
 
     multiplicity: int
@@ -560,10 +570,18 @@ class RootRecord(Record):
         """Exact value, or the midpoint of the isolating interval."""
         return self.value if self.value is not None else sum(self.interval) / 2
 
-    @property
+    @functools.cached_property
     def approx(self) -> float:
-        """Float approximation, good to the isolation width."""
-        return float(self.position())
+        """``float(self.position())``, computed once: good to the isolation width.
+
+        The midpoint ``(a/b + c/d) / 2`` is ``(a d + c b) / (2 b d)`` in one
+        int true division, which rounds correctly, as ``float`` of the
+        ``Fraction`` does, so both give the same float.
+        """
+        if self.value is not None:
+            return float(self.value)
+        (a, b), (c, d) = (end.as_integer_ratio() for end in self.interval)
+        return (a * d + c * b) / (2 * b * d)
 
     def within(self, lower: Rational, upper: Rational, strict: bool) -> bool:
         """Exact membership in ``(lower, upper)`` if ``strict``, else in ``[lower, upper]``.
@@ -571,17 +589,17 @@ class RootRecord(Record):
         An irrational root equals neither end, so its isolating interval is
         halved while it holds ``lower`` or ``upper``; it then lies wholly
         inside or wholly outside. An interval that holds neither end already
-        does, and is compared without evaluating anything.
+        does, and is compared without evaluating anything. Every comparison
+        is an integer cross-multiplication.
         """
+        (m, n), (u, v) = ends = lower.as_integer_ratio(), upper.as_integer_ratio()  # m/n, u/v
         if self.value is not None:
-            v = self.value
-            return lower < v < upper if strict else lower <= v <= upper
+            p, q = self.value.as_integer_ratio()
+            above, below = p * n - m * q, u * q - p * v  # signs of value - lower, upper - value
+            return above > 0 < below if strict else above >= 0 <= below
         ints = self.defining_factor().primitive_integer_coeffs()
-        lo, hi = self.interval
-        if lo <= lower <= hi or lo <= upper <= hi:
-            a, c, q = _bisect(ints, *_over_common_denominator(lo, hi), _holding((lower, upper)))
-            lo, hi = Fraction(a, q), Fraction(c, q)
-        return lower < lo and hi < upper
+        a, c, q = _bisect(ints, *_over_common_denominator(*self.interval), _holding(ends))
+        return m * q < a * n and c * v < u * q
 
     def defining_factor(self) -> RatPoly:
         """The factor that pins an irrational root; ``ValueError`` if there is none."""
@@ -684,7 +702,8 @@ def _warm_start(ints: Sequence[int], a: int, c: int, q: int, sign_lo: int,
 
 def _levels_to(d: int, q: int, width: Fraction) -> int:
     """The fewest halvings after which an interval ``d/q`` wide is no wider than ``width``."""
-    return (-(-d * width.denominator // (width.numerator * q)) - 1).bit_length()
+    wn, wd = width.as_integer_ratio()
+    return (-(-d * wd // (wn * q)) - 1).bit_length()
 
 
 def _ancestor(a: int, c: int, q: int, left: int, left_q: int,
@@ -703,20 +722,23 @@ def _ancestor(a: int, c: int, q: int, left: int, left_q: int,
 
 def _over_common_denominator(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
     """``(a, c, q)`` with ``lo = a/q``, ``hi = c/q`` and ``q`` their least common denominator."""
-    q = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
-    return lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator), q
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    q = math.lcm(b, d)
+    return a * (q // b), c * (q // d), q
 
 
 def _wider_than(width: Fraction):
     """``keep_halving`` test of :func:`_bisect`: the interval is wider than ``width``."""
-    return lambda a, c, q: (c - a) * width.denominator > width.numerator * q
+    n, d = width.as_integer_ratio()
+    return lambda a, c, q: (c - a) * d > n * q
 
 
-def _holding(points: Sequence[Rational]):
-    """``keep_halving`` test of :func:`_bisect`: the closed interval holds one of ``points``."""
-    return lambda a, c, q: any(
-        a * r.denominator <= r.numerator * q <= c * r.denominator for r in points
-    )
+def _holding(points: Sequence[tuple[int, int]]):
+    """``keep_halving`` test of :func:`_bisect`: the closed interval holds one of ``points``.
+
+    Each point is a ``(numerator, denominator)`` pair with a positive denominator.
+    """
+    return lambda a, c, q: any(a * d <= n * q <= c * d for n, d in points)
 
 
 def sign_at_root(poly: RatPoly, record: RootRecord) -> int:
@@ -823,23 +845,26 @@ def roots_in_unit_interval(
     """
     if poly.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere; roots are undefined")
-    if refine_width <= 0:
+    is_fraction = type(refine_width) is Fraction  # the default; anything else is compared as given
+    if (refine_width.numerator if is_fraction else refine_width) <= 0:
         raise ValueError("refine_width must be positive")
+    refine_width = refine_width if is_fraction else Fraction(refine_width)
     factors, chain = _squarefree_split(poly)
     if not factors:
         return []
     chain = chain or sturm_chain(functools.reduce(RatPoly.__mul__, (f for f, _m in factors)))
 
-    def record(lo: Fraction, hi: Fraction) -> RootRecord:
-        # The root belongs to the one factor that vanishes at lo = hi, or
-        # changes sign over the irrational root's interval (lo, hi); a lone
+    def record(a: int, c: int, q: int) -> RootRecord:
+        # The root belongs to the one factor that vanishes at a/q = c/q, or
+        # changes sign over the irrational root's interval (a/q, c/q); a lone
         # factor owns every root.
         for factor, mult in factors:
-            sign_lo = len(factors) > 1 and sign_at(factor, lo)
-            if not sign_lo or sign_lo != sign_at(factor, hi):
-                if lo == hi:
-                    return RootRecord(mult, value=lo, factor=factor)
-                return RootRecord(mult, interval=(lo, hi), factor=factor)
+            coeffs = factor.primitive_integer_coeffs()
+            sign_lo = len(factors) > 1 and _int_sign(coeffs, a, q)
+            if not sign_lo or sign_lo != _int_sign(coeffs, c, q):
+                if a == c:
+                    return RootRecord(mult, Fraction(c, q), None, factor)
+                return RootRecord(mult, None, (Fraction(a, q), Fraction(c, q)), factor)
         raise ArithmeticError("root does not belong to any square-free factor")
 
     # A rational root of the radical has a denominator dividing n, the
@@ -851,21 +876,24 @@ def roots_in_unit_interval(
     # from that ancestor of its cell.
     ints = chain[0]  # the radical's, up to a sign that no test below reads
     n = abs(ints[-1])
-    refine_width = Fraction(refine_width)
-    width = min(Fraction(1, n * n), refine_width)
-    records = [record(Fraction(0), Fraction(0))] if ints[0] == 0 else []
+    finer = n * n * refine_width.numerator > refine_width.denominator  # 1/n^2 < refine_width
+    width = Fraction(1, n * n) if finer else refine_width
+    records = [record(0, 0, 1)] if ints[0] == 0 else []
+    last = (0, 1) if records else None  # the last rational root, as (numerator, denominator)
     for a, c, q in _isolate(chain, 0, 1, 1, _sign_variations(chain, 0, 1),
                             _sign_variations(chain, 1, 1)):
         if _int_sign(ints, c, q) == 0:
-            records.append(record(Fraction(c, q), Fraction(c, q)))
+            records.append(record(c, c, q))
+            last = (c, q)
             continue
         left, right, cell_q = _bisect(ints, a, c, q, _wider_than(width),
                                       _levels_to(c - a, q, width))
         u, v = _nearest_fraction(left + right, 2 * cell_q, n)
         if _int_sign(ints, u, v) == 0 and a * v < u * q < c * v:
-            records.append(record(Fraction(u, v), Fraction(u, v)))
+            records.append(record(u, u, v))
+            last = (u, v)
             continue
-        if width < refine_width:
+        if finer:
             left, right, cell_q = _ancestor(a, c, q, left, cell_q, refine_width)
         # The root is irrational and c/q is not a root, so of 0, 1 and the
         # rational roots a cell can hold only a/q, when it is 0 or the last
@@ -873,9 +901,7 @@ def roots_in_unit_interval(
         # owning factor may share a rational root and the classifier probes
         # on both sides of the root. It follows the one root of the radical
         # in (a/q, c/q], even where a/q is a root.
-        last = records[-1].value if records else None
-        ends = [Fraction(x, q) for x in (a, c) if x in (0, q)
-                or last is not None and x * last.denominator == last.numerator * q]
-        left, right, cell_q = _bisect(ints, left, right, cell_q, _holding(ends))
-        records.append(record(Fraction(left, cell_q), Fraction(right, cell_q)))
+        ends = [(x, q) for x in (a, c) if x in (0, q)
+                or last is not None and x * last[1] == last[0] * q]
+        records.append(record(*_bisect(ints, left, right, cell_q, _holding(ends))))
     return records

@@ -119,7 +119,7 @@ def classify_all(drift: RatPoly) -> list[Equilibrium]:
         return sign
 
     # Each gap's ends as (numerator, denominator) pairs, from 0 = (0, 1) to 1 = (1, 1).
-    ends = [(0, 1), *((e.numerator, e.denominator) for r in records for e in r.bounds), (1, 1)]
+    ends = [(0, 1), *(e.as_integer_ratio() for r in records for e in r.bounds), (1, 1)]
     signs = [gap_sign(lo, hi) for lo, hi in zip(ends[::2], ends[1::2])]
     # Only a rational root's slope is printed, so only then is the derivative built.
     deriv = drift.derivative() if any(r.value is not None for r in records) else None
@@ -212,51 +212,45 @@ class SAConditions(Record):
     bias_constant: Fraction
 
     def __post_init__(self):
-        values = (
-            self.initial_total, self.t_min, self.t_max, self.lower_rate,
-            self.upper_rate, self.drift_sup, self.noise_sup,
-            self.increment_sup, self.bias_constant,
-        )
-        if any(v <= 0 for v in values):
+        ratios = [v.as_integer_ratio() for v in self._values()]
+        if min(n for n, _ in ratios) <= 0:
             raise ValueError("scheme constants must all be positive")
-        if self.lower_rate > self.upper_rate:
+        _, _, _, (ln, ld), (un, ud), (an, ad), (bn, bd), (i_n, i_d), _ = ratios
+        if ln * ud > un * ld:
             raise ValueError("rate bounds are inverted")
-        if self.increment_sup != self.upper_rate * (self.drift_sup + self.noise_sup):
+        if i_n * ud * ad * bd != i_d * un * (an * bd + bn * ad):
             raise ValueError("increment bound must tie the rate and magnitude bounds")
 
     @staticmethod
-    def build(
-        initial_total: Fraction,
-        t_min: Fraction,
-        t_max: Fraction,
-        drift: RatPoly,
-        bias_constant: Fraction,
-    ) -> "SAConditions":
-        """Derive the constants from model facts.
+    def build(scale: int, start: int, row_min: int, row_max: int, drift: RatPoly,
+              bias_constant: Fraction) -> "SAConditions":
+        """Derive the constants from model facts, each one ``Fraction`` of integers.
 
-        ``drift_sup`` is the coefficient-magnitude sum (an upper bound on
-        [0, 1], floored at 1 for the zero drift so every constant stays
+        ``start``, ``row_min`` and ``row_max`` are the start total and the
+        least and greatest row sums, times ``scale`` (a model's scaled view),
+        so ``T_0 = start/s``, ``t_min = row_min/s`` and ``t_max = row_max/s``.
+        ``drift_sup = A/D`` is the coefficient-magnitude sum (an upper bound
+        on [0, 1], floored at 1 for the zero drift so every constant stays
         positive); ``noise_sup`` adds the largest per-step total growth,
         since the centered white increment is at most that growth in size.
+        So ``lower_rate = s / (start + row_max)``, ``upper_rate = s /
+        row_min``, ``noise_sup = (row_max D + A s) / (s D)`` and
+        ``increment_sup = (2 A s + row_max D) / (row_min D)``.
         """
-        if t_min <= 0:
+        if row_min <= 0:
             raise ValueError("every matrix row must add at least one ball")
-        drift_sup = drift.abs_sum()
-        if drift_sup == 0:
-            drift_sup = Fraction(1)
-        noise_sup = t_max + drift_sup
-        lower_rate = Fraction(1) / (initial_total + t_max)
-        upper_rate = Fraction(1) / t_min
+        drift_sup = drift.abs_sum() or Fraction(1)
+        a, d = drift_sup.as_integer_ratio()
         return SAConditions(
-            initial_total=Fraction(initial_total),
-            t_min=Fraction(t_min),
-            t_max=Fraction(t_max),
-            lower_rate=lower_rate,
-            upper_rate=upper_rate,
-            drift_sup=drift_sup,
-            noise_sup=noise_sup,
-            increment_sup=upper_rate * (drift_sup + noise_sup),
-            bias_constant=Fraction(bias_constant),
+            Fraction(start, scale),
+            Fraction(row_min, scale),
+            Fraction(row_max, scale),
+            Fraction(scale, start + row_max),
+            Fraction(scale, row_min),
+            drift_sup,
+            Fraction(row_max * d + a * scale, scale * d),
+            Fraction(2 * a * scale + row_max * d, row_min * d),
+            bias_constant,
         )
 
 

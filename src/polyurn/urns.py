@@ -63,9 +63,9 @@ class ScaledModel(Record):
 
 def _scale(entries: Sequence[Fraction], start: Sequence[Fraction] = ()) -> ScaledModel:
     """The view of a matrix's entries and, for a model, its start counts."""
-    values = (*entries, *start)
-    s = math.lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (s // v.denominator) for v in values]
+    ratios = [v.as_integer_ratio() for v in (*entries, *start)]
+    s = math.lcm(*(d for _, d in ratios))
+    ints = [n * (s // d) for n, d in ratios]
     rows = tuple(ints[:len(entries)])
     sums = tuple(w + b for w, b in zip(rows[::2], rows[1::2]))
     return ScaledModel(s, rows, sums, *ints[len(entries):])
@@ -75,13 +75,14 @@ class _Matrix(Record):
     """What both matrix types derive from their fields, the entries in row order.
 
     Each type's class attribute ``kind`` is its draw rule, which a model reads off,
-    and ``rule`` that rule's name in messages and reports.
+    and ``rule`` that rule's name in messages and reports. Signs are read
+    off the entries' numerators.
     """
 
     def __post_init__(self):
         for name in self._fields:
             object.__setattr__(self, name, parse_rational(getattr(self, name)))
-        if any(v < 0 for v in self.entries):
+        if any(v.numerator < 0 for v in self.entries):
             raise ValueError("replacement matrix entries must be nonnegative")
         if not any(self.entries):
             raise ValueError("replacement matrix must have a positive entry")
@@ -159,9 +160,9 @@ class UrnModel(Record):
             raise ValueError(f"an urn model needs a replacement matrix, not {self.matrix!r}")
         object.__setattr__(self, "w0", parse_rational(self.w0))
         object.__setattr__(self, "b0", parse_rational(self.b0))
-        if self.w0 < 0 or self.b0 < 0:
+        if self.w0.numerator < 0 or self.b0.numerator < 0:
             raise ValueError("initial counts must be nonnegative")
-        if self.w0 + self.b0 <= 0:
+        if not (self.w0 or self.b0):  # both are nonnegative
             raise ValueError("the urn must start nonempty")
         if self.sampling not in _SAMPLINGS:
             raise ValueError(f"unknown sampling mode: {self.sampling!r}")
@@ -184,7 +185,7 @@ class UrnModel(Record):
     def validate_for_simulation(self) -> None:
         """Checks required before stepping (not needed for pure analysis)."""
         if self.kind == TWO_DRAW and self.sampling == WITHOUT_REPLACEMENT:
-            if self.w0 < 2 or self.b0 < 2:
+            if min(self.scaled.w0, self.scaled.b0) < 2 * self.scaled.scale:
                 raise ValueError(
                     "pair draws without replacement need w0 >= 2 and b0 >= 2 "
                     "so every pair type is drawable from the start"
@@ -192,7 +193,7 @@ class UrnModel(Record):
 
 
 def one_draw_model(entries: Sequence, w0=1, b0=1) -> UrnModel:
-    return UrnModel(OneDrawMatrix.from_entries(entries), w0, b0)
+    return UrnModel(OneDrawMatrix.from_entries(entries), w0, b0, WITH_REPLACEMENT)
 
 
 def two_draw_model(entries: Sequence, w0=2, b0=2, sampling=WITHOUT_REPLACEMENT) -> UrnModel:
@@ -424,10 +425,22 @@ class AttainableInterval(Record):
     closed_bounds: bool
 
 
-def active_white_ratios(m: OneDrawMatrix | TwoDrawMatrix | UrnModel) -> list[Fraction]:
-    """White ratio (added white over added total) of each row that adds balls, in row order."""
+def white_ratio_span(m: OneDrawMatrix | TwoDrawMatrix | UrnModel) -> tuple[Fraction, Fraction]:
+    """The least and greatest white ratio (added white over added total) of the active rows.
+
+    A row is active when it adds balls. The ratios are compared by integer
+    cross-multiplication; only the two returned are built as ``Fraction``
+    values.
+    """
     v = m.scaled
-    return [Fraction(w, r) for w, r in zip(v.entries[::2], v.row_sums) if r > 0]
+    lo = hi = None
+    for w, r in zip(v.entries[::2], v.row_sums):
+        if r > 0:
+            if lo is None or w * lo[1] < lo[0] * r:
+                lo = (w, r)
+            if hi is None or w * hi[1] > hi[0] * r:
+                hi = (w, r)
+    return Fraction(*lo), Fraction(*hi)
 
 
 def attainable_interval(model: UrnModel) -> AttainableInterval:
@@ -435,9 +448,8 @@ def attainable_interval(model: UrnModel) -> AttainableInterval:
     if min(model.scaled.row_sums) <= 0:
         raise ValueError("attainability needs every matrix row to add at least one ball")
     if model.kind == ONE_DRAW:
-        return AttainableInterval(Fraction(0), Fraction(1), closed_bounds=False)
-    ratios = active_white_ratios(model)
-    return AttainableInterval(min(ratios), max(ratios), closed_bounds=True)
+        return AttainableInterval(Fraction(0), Fraction(1), False)
+    return AttainableInterval(*white_ratio_span(model), True)
 
 
 def white_count_diverges_at_zero(model: UrnModel) -> bool:
@@ -521,16 +533,10 @@ def degenerate_case_id(model: UrnModel) -> int:
 
 def model_meta(model: UrnModel) -> ModelMeta:
     v = model.scaled
-    return ModelMeta(
-        kind=model.kind,
-        sampling=model.sampling,
-        t_min=Fraction(min(v.row_sums), v.scale),
-        t_max=Fraction(max(v.row_sums), v.scale),
-        bias_bound=bias_bound(model),
-        degenerate_case=degenerate_case_id(model),
-        white_count_diverges_at_zero=white_count_diverges_at_zero(model),
-        black_count_diverges_at_one=black_count_diverges_at_one(model),
-    )
+    return ModelMeta(model.kind, model.sampling, Fraction(min(v.row_sums), v.scale),
+                     Fraction(max(v.row_sums), v.scale), bias_bound(model),
+                     degenerate_case_id(model), white_count_diverges_at_zero(model),
+                     black_count_diverges_at_one(model))
 
 
 # ---------------------------------------------------------------------------
@@ -568,18 +574,26 @@ class DegenerateReduction(Record):
     variable_map: str = "identity"
 
     def to_reduced(self, x: Fraction) -> Fraction:
-        """The reduced variable ``y`` of a proportion ``x`` (cases 4-6)."""
+        """The reduced variable ``y`` of a proportion ``x`` (cases 4-6).
+
+        For ``u = p/q`` this is ``2p / (q + p)``, one ``Fraction`` of integers.
+        """
         if self.case_id == 6:
             return x
-        u = 1 - x if self.case_id == 5 else x
-        return 2 * u / (1 + u)
+        p, q = x.as_integer_ratio()
+        if self.case_id == 5:
+            p = q - p  # u = 1 - x
+        return Fraction(2 * p, q + p)
 
     def to_original(self, y: Fraction) -> Fraction:
-        """The proportion ``x`` of a reduced value ``y``: the inverse of :meth:`to_reduced`."""
+        """The proportion ``x`` of a reduced value ``y``: the inverse of :meth:`to_reduced`.
+
+        For ``y = p/q``, ``u`` is ``p / (2q - p)`` and ``1 - u`` is ``(2q - 2p) / (2q - p)``.
+        """
         if self.case_id == 6:
             return y
-        u = y / (2 - y)
-        return 1 - u if self.case_id == 5 else u
+        p, q = y.as_integer_ratio()
+        return Fraction(2 * (q - p) if self.case_id == 5 else p, 2 * q - p)
 
 
 def degenerate_reduce(model: UrnModel) -> DegenerateReduction:
@@ -588,7 +602,7 @@ def degenerate_reduce(model: UrnModel) -> DegenerateReduction:
     if case == 0:
         raise ValueError("the model has no inactive matrix row; nothing to reduce")
     if model.kind == ONE_DRAW or case <= 3:
-        (limit,) = active_white_ratios(model)
+        limit, _ = white_ratio_span(model)  # one row is active
         return DegenerateReduction(case_id=case, fixed_limit=limit)
     if case == 6:
         return DegenerateReduction(

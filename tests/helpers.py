@@ -116,3 +116,23 @@ def reference_bias_bound(model: UrnModel) -> Fraction:
     if model.sampling == WITHOUT_REPLACEMENT:
         total += Fraction(1, 2) * sum(bracket.abs_sum() for bracket in brackets)
     return max(total, Fraction(1))
+
+
+def reference_scheme_constants(model: UrnModel) -> tuple[Fraction, ...]:
+    """The nine ``SAConditions`` constants of a model whose rows all add balls, in field order.
+
+    Computed in ``Fraction`` arithmetic on the model's own fields, the
+    formula that ``SAConditions.build`` evaluates on the scaled integers:
+    ``T_0 = w0 + b0``, ``t_min`` and ``t_max`` the least and greatest row
+    sums, the drift's coefficient-magnitude sum (1 for the zero drift), and
+    the rates and bounds derived from them.
+    """
+    entries = model.matrix.entries
+    sums = [w + b for w, b in zip(entries[::2], entries[1::2])]
+    t_min, t_max = min(sums), max(sums)
+    initial_total = model.w0 + model.b0
+    drift_sup = sum(abs(c) for c in reference_drift(model).coeffs) or Fraction(1)
+    noise_sup = t_max + drift_sup
+    upper_rate = 1 / t_min
+    return (initial_total, t_min, t_max, 1 / (initial_total + t_max), upper_rate, drift_sup,
+            noise_sup, upper_rate * (drift_sup + noise_sup), reference_bias_bound(model))

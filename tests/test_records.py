@@ -4,10 +4,12 @@ Each record class of the package is checked on one instance that the
 library itself builds: its field order, construction by position, by name
 and with defaults, refusal of bad calls, frozenness, value equality and
 hashing within one class only, pickling, and the validation its
-``__post_init__`` keeps.
+``__post_init__`` keeps. A root record's ``approx``, computed on first read
+and kept outside its fields, leaves it a frozen value.
 """
 
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +17,7 @@ from polyurn import analysis, montecarlo, oracle, ratpoly, stability, urns
 from polyurn.analysis import analyze_model
 from polyurn.montecarlo import SimConfig, cluster_finals, judge, ks_beta, run_replicates
 from polyurn.oracle import UrnState, cond_moments_oracle, step_distribution
-from polyurn.ratpoly import RatPoly, Record
+from polyurn.ratpoly import RatPoly, Record, RootRecord
 from polyurn.urns import one_draw_model, two_draw_model
 
 
@@ -140,3 +142,30 @@ def test_record_contract(cls):
     clone = pickle.loads(pickle.dumps(record))  # cached views, such as a model's scaled one, too
     assert clone == record and clone is not record and vars(clone).keys() == vars(record).keys()
     assert repr(clone) == repr(record) and repr(record).startswith(f"{cls.__qualname__}(")
+
+
+def _roots_of_both_kinds() -> list[RootRecord]:
+    irrational = analyze_model(two_draw_model([2, 1, 1, 1, 1, 0])).equilibria[0].root
+    assert irrational.value is None and irrational.factor is not None
+    return [RootRecord(1, value=Fraction(1, 3)), irrational]
+
+
+@pytest.mark.parametrize("root", _roots_of_both_kinds(), ids=["rational", "irrational"])
+def test_a_cached_attribute_leaves_a_frozen_record_a_frozen_value(root):
+    fresh = RootRecord(*root._values())  # approx not read yet
+    assert "approx" not in vars(fresh)
+    approx = fresh.approx
+    assert vars(fresh)["approx"] == approx  # kept, outside the fields
+    assert fresh == root and hash(fresh) == hash(root) and repr(fresh) == repr(root)
+    assert fresh._values() == root._values()
+    for name in ("multiplicity", "value", "interval", "factor", "approx"):
+        with pytest.raises(AttributeError):
+            setattr(fresh, name, None)
+        with pytest.raises(AttributeError):
+            delattr(fresh, name)
+    assert fresh.approx == approx and vars(fresh)["approx"] == approx
+    clone = pickle.loads(pickle.dumps(fresh))
+    assert clone == fresh and hash(clone) == hash(fresh) and repr(clone) == repr(fresh)
+    assert clone.approx == approx and vars(clone).keys() == vars(fresh).keys()
+    unread = pickle.loads(pickle.dumps(RootRecord(*root._values())))
+    assert "approx" not in vars(unread) and unread.approx == approx
